@@ -10,6 +10,11 @@ Three interchangeable representations:
            * ((x^2+y^2)/((x+u y)(u x+y))) h(u) du;
 * ``FromMonotone``: c(x,y) = 1/(y f(x/y)) for an operator monotone f.
 
+The integrand of ``CanonicalMC`` is the negative of the one of the
+canonical monotone representation at t = x/y, so its integral is
+``-weighted_kernel_integral(h, x/y)``, evaluated in closed form; the
+raw integrand ``mc_kernel`` is kept for the quadrature oracle.
+
 Canonical evaluation symmetrizes its arguments up front, so symmetry
 holds to the bit. ``FromMonotone`` deliberately does not: feeding it a
 non-symmetric f must produce a visibly asymmetric kernel.
@@ -18,14 +23,13 @@ non-symmetric f must produce a visibly asymmetric kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .monotone import MonotoneFunction, WeightFunction
-from .quadrature import DEFAULT_QUAD, QuadratureConfig, integrate
+from .monotone import MonotoneFunction, WeightFunction, weighted_kernel_integral
 
 HOMOGENEITY_FACTORS = (0.1, 0.5, 2.0, 10.0)
 
@@ -38,20 +42,6 @@ def mc_kernel(lam, x: float, y: float):
     )
 
 
-def _weighted_mc_integral(
-    h: WeightFunction, x: float, y: float, quad: QuadratureConfig
-) -> float:
-    live = [(lo, hi, v) for lo, hi, v in h.pieces() if v != 0.0]
-    if not live:
-        return 0.0
-    piece_quad = replace(quad, abs_tol=quad.abs_tol / len(live))
-    total = 0.0
-    for lo, hi, v in live:
-        val, _ = integrate(lambda lam: v * mc_kernel(lam, x, y), lo, hi, piece_quad)
-        total += val
-    return total
-
-
 def _check_positive_pair(x: float, y: float) -> tuple[float, float]:
     x, y = float(x), float(y)
     if not (x > 0.0 and y > 0.0):
@@ -60,7 +50,7 @@ def _check_positive_pair(x: float, y: float) -> tuple[float, float]:
 
 
 def eval_bridge(gamma: float, x: float, y: float) -> float:
-    """Closed-form family value; never touches quadrature."""
+    """Closed-form family value."""
     if not 0.0 <= gamma <= 1.0:
         raise DomainError(f"family parameter {gamma} outside [0,1]")
     x, y = _check_positive_pair(x, y)
@@ -73,25 +63,18 @@ def c_from_f(f: MonotoneFunction, x: float, y: float) -> float:
     return 1.0 / (y * f(x / y))
 
 
-def eval_canonical_c(
-    c0: float,
-    h: WeightFunction,
-    x: float,
-    y: float,
-    quad: QuadratureConfig = DEFAULT_QUAD,
-) -> float:
+def eval_canonical_c(c0: float, h: WeightFunction, x: float, y: float) -> float:
     """Integral-form kernel; (x, y) is replaced by (max, min) first."""
     if not c0 > 0.0:
         raise DomainError(f"scale constant {c0} not positive")
     x, y = _check_positive_pair(x, y)
     hi, lo = (x, y) if x >= y else (y, x)
-    integral = _weighted_mc_integral(h, hi, lo, quad)
-    return c0 / (hi + lo) * math.exp(integral)
+    return c0 / (hi + lo) * math.exp(-weighted_kernel_integral(h, hi / lo))
 
 
-def normalize_C0(h: WeightFunction, quad: QuadratureConfig = DEFAULT_QUAD) -> float:
+def normalize_C0(h: WeightFunction) -> float:
     """Scale giving c(1,1) = 1; explicit, no root-finding."""
-    return 2.0 * math.exp(-_weighted_mc_integral(h, 1.0, 1.0, quad))
+    return 2.0 * math.exp(weighted_kernel_integral(h, 1.0))
 
 
 class MCFunction:
@@ -117,16 +100,13 @@ class BridgeMC(MCFunction):
 class CanonicalMC(MCFunction):
     c0: float
     h: WeightFunction
-    quad: QuadratureConfig = DEFAULT_QUAD
 
     @classmethod
-    def normalized(
-        cls, h: WeightFunction, quad: QuadratureConfig = DEFAULT_QUAD
-    ) -> "CanonicalMC":
-        return cls(c0=normalize_C0(h, quad), h=h, quad=quad)
+    def normalized(cls, h: WeightFunction) -> "CanonicalMC":
+        return cls(c0=normalize_C0(h), h=h)
 
     def __call__(self, x: float, y: float) -> float:
-        return eval_canonical_c(self.c0, self.h, x, y, self.quad)
+        return eval_canonical_c(self.c0, self.h, x, y)
 
 
 @dataclass(frozen=True)

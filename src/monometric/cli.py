@@ -5,8 +5,11 @@ uses 15 significant digits; identical flags and seed give byte-identical
 stdout. Exit codes: 0 success, 1 verification failure, 2 malformed
 input, 3 quadrature failure, 4 invalid state.
 
-The environment variable MONOMETRIC_QUAD_TOL, when set, overrides the
-absolute quadrature tolerance for the whole invocation.
+Every evaluation is in closed form; adaptive quadrature runs only inside
+``verify``, as the oracle of the properties that integrate. The
+environment variable MONOMETRIC_QUAD_TOL, when set, overrides the
+absolute tolerance of that quadrature; it is parsed, and a bad value
+rejected, on every command.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .chentsov import eval_bridge
+from .chentsov import c_from_f, eval_bridge
 from .errors import (
     DomainError,
     MonometricError,
@@ -111,10 +114,10 @@ def cmd_eval_f(args, quad: QuadratureConfig) -> int:
     else:
         h = weight_from_json(load_json_file(args.h_file))
         if args.beta == "auto":
-            f = CanonicalMonotone.normalized(h, quad)
+            f = CanonicalMonotone.normalized(h)
         else:
             try:
-                f = CanonicalMonotone(beta=float(args.beta), h=h, quad=quad)
+                f = CanonicalMonotone(beta=float(args.beta), h=h)
             except ValueError as exc:
                 raise DomainError(f"--beta {args.beta!r} is not a number") from exc
         value = f(args.t)
@@ -137,10 +140,9 @@ def cmd_eval_c(args, quad: QuadratureConfig) -> int:
                 spec["c0"] = float(args.c0)
             except ValueError as exc:
                 raise DomainError(f"--c0 {args.c0!r} is not a number") from exc
-        value = mc_from_json(spec, quad)(args.x, args.y)
+        value = mc_from_json(spec)(args.x, args.y)
     else:
-        f = monotone_from_json(load_json_file(args.from_f), quad)
-        value = 1.0 / (args.y * f(args.x / args.y))
+        value = c_from_f(monotone_from_json(load_json_file(args.from_f)), args.x, args.y)
     print(fmt15(value))
     return EXIT_OK
 
@@ -148,7 +150,7 @@ def cmd_eval_c(args, quad: QuadratureConfig) -> int:
 def cmd_metric(args, quad: QuadratureConfig) -> int:
     rho = DensityMatrix.from_matrix(matrix_from_json(load_json_file(args.rho)))
     a = matrix_from_json(load_json_file(args.a))
-    kernel = mc_from_json(load_json_file(args.c_spec), quad)
+    kernel = mc_from_json(load_json_file(args.c_spec))
     spec = MetricSpec(c=kernel, diagonal_constant=args.big_c)
     if args.b is None:
         print(fmt15(metric_quadratic(spec, rho, a)))

@@ -24,7 +24,6 @@ from .monotone import (
     WeightFunction,
     normalize_beta,
 )
-from .quadrature import DEFAULT_QUAD, QuadratureConfig
 
 _FAMILY_BUILDERS = {
     "min": lambda: GammaFamily(1.0),
@@ -94,9 +93,7 @@ def weight_to_json(h: WeightFunction) -> dict:
     return {"breakpoints": list(h.breakpoints), "values": list(h.values)}
 
 
-def monotone_from_json(
-    obj, quad: QuadratureConfig = DEFAULT_QUAD
-) -> MonotoneFunction:
+def monotone_from_json(obj) -> MonotoneFunction:
     """f-spec: {"family": name [, "gamma": g]} or {"h": weight, "beta": ...}."""
     if not isinstance(obj, dict):
         raise DomainError("function spec must be an object")
@@ -114,12 +111,12 @@ def monotone_from_json(
         h = weight_from_json(obj["h"])
         beta = obj.get("beta", "auto")
         if beta == "auto":
-            return CanonicalMonotone.normalized(h, quad)
-        return CanonicalMonotone(beta=float(beta), h=h, quad=quad)
+            return CanonicalMonotone.normalized(h)
+        return CanonicalMonotone(beta=float(beta), h=h)
     raise DomainError("function spec needs 'family' or 'h'")
 
 
-def mc_from_json(obj, quad: QuadratureConfig = DEFAULT_QUAD) -> MCFunction:
+def mc_from_json(obj) -> MCFunction:
     """Kernel spec: kind bridge | canonical | from_f."""
     if not isinstance(obj, dict):
         raise DomainError("kernel spec must be an object")
@@ -134,15 +131,15 @@ def mc_from_json(obj, quad: QuadratureConfig = DEFAULT_QUAD) -> MCFunction:
         h = weight_from_json(obj["h"])
         c0 = obj.get("c0", "auto")
         if c0 == "auto":
-            return CanonicalMC(c0=normalize_C0(h, quad), h=h, quad=quad)
+            return CanonicalMC(c0=normalize_C0(h), h=h)
         c0 = float(c0)
         if not c0 > 0.0:
             raise DomainError(f"scale constant {c0} not positive")
-        return CanonicalMC(c0=c0, h=h, quad=quad)
+        return CanonicalMC(c0=c0, h=h)
     if kind == "from_f":
         if "f" not in obj:
             raise DomainError("from_f kernel needs an 'f' field")
-        return FromMonotone(f=monotone_from_json(obj["f"], quad))
+        return FromMonotone(f=monotone_from_json(obj["f"]))
     raise DomainError(f"unknown kernel kind {kind!r}")
 
 

@@ -15,7 +15,7 @@ information of the diagonal data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -28,9 +28,15 @@ STATE_EIG_FLOOR = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Validated strictly positive, trace-one Hermitian matrix."""
+    """Validated strictly positive, trace-one Hermitian matrix.
+
+    ``eig`` is the eigendecomposition computed while validating, at the
+    state's own Hermiticity tolerance; ``metric_form`` reuses it, so a
+    state that validates is one the form can evaluate.
+    """
 
     matrix: np.ndarray
+    eig: HermitianEigen = field(compare=False, repr=False)
 
     @classmethod
     def from_matrix(
@@ -55,7 +61,7 @@ class DensityMatrix:
                 f"smallest eigenvalue {dec.eigenvalues[0]:.3e} at or below "
                 f"floor {floor:.1e}"
             )
-        return cls(matrix=a)
+        return cls(matrix=a, eig=dec)
 
     @property
     def dim(self) -> int:
@@ -83,8 +89,8 @@ def _coerce_state(rho) -> DensityMatrix:
 def metric_form(spec: MetricSpec, rho, a, b) -> complex:
     """Evaluate K(A, B) at the state rho.
 
-    The state is diagonalized on every call; callers looping over many
-    tangents at a fixed state may pre-rotate instead.
+    Uses the eigendecomposition the state carries; a raw matrix is
+    validated (and so diagonalized) first.
     """
     state = _coerce_state(rho)
     am = as_matrix(a)
@@ -94,7 +100,7 @@ def metric_form(spec: MetricSpec, rho, a, b) -> complex:
         raise DimensionMismatch(
             f"state is {n}x{n}, tangents are {am.shape} and {bm.shape}"
         )
-    dec: HermitianEigen = hermitian_eig(state.matrix)
+    dec = state.eig
     w = dec.eigenvalues
     u = dec.eigenvectors
     at = u.conj().T @ am @ u

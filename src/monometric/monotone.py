@@ -6,11 +6,15 @@ The central object is the canonical representation
            * exp INT_0^1 ((u^2-1)/(u^2+1)) * ((1+t^2)/((u+t)(1+u t))) h(u) du
 
 parametrized by a real shift ``beta`` and a weight ``h: [0,1] -> [0,1]``.
-Weights are kept piecewise constant, which makes the integral exact per
-piece under adaptive quadrature and keeps every representation easy to
-serialize. The module also provides the closed-form one-parameter family
-interpolating the minimal function 2t/(1+t) and the maximal one (1+t)/2,
-discrete Kubo-Ando mixtures, the sharp and tilde transforms, and the
+Weights are kept piecewise constant, which keeps every representation
+easy to serialize and makes the integral exact in closed form: the
+integrand splits into partial fractions 2u/(1+u^2) - 1/(u+t) - t/(1+ut),
+whose antiderivative is log((1+u^2) / ((u+t)(1+ut))), so the integral is
+a sum over the pieces. Adaptive quadrature is only the independent
+oracle that ``verify`` and the tests check this sum against. The module
+also provides the closed-form one-parameter family interpolating the
+minimal function 2t/(1+t) and the maximal one (1+t)/2, discrete
+Kubo-Ando mixtures, the sharp and tilde transforms, and the
 logarithmic-coordinates view (functions monotone for the exponential
 order) with its weight extension to the negative half-line.
 """
@@ -18,21 +22,15 @@ order) with its weight extension to the negative half-line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import DomainError
 from .linalg import hermitian_eig, min_eigenvalue
-from .quadrature import DEFAULT_QUAD, QuadratureConfig, integrate
 
 SQRT2 = math.sqrt(2.0)
-
-# Outside this range the argument is flipped through f(t) = t*f(1/t)
-# before quadrature, keeping the integrand's peak resolvable.
-EXTREME_LO = 1e-8
-EXTREME_HI = 1e8
 
 
 @dataclass(frozen=True)
@@ -96,21 +94,24 @@ def symmetric_kernel(lam, t: float):
     )
 
 
-def weighted_kernel_integral(
-    h: WeightFunction, t: float, quad: QuadratureConfig = DEFAULT_QUAD
-) -> float:
-    """INT_0^1 symmetric_kernel(u, t) h(u) du, piece by piece.
+def _kernel_antiderivative(u: float, t: float) -> float:
+    """log((1+u^2) / ((u+t)(1+u t))), an antiderivative of symmetric_kernel in u."""
+    return math.log1p(u * u) - math.log(u + t) - math.log1p(u * t)
 
-    Pieces with zero weight contribute exactly zero and are skipped.
+
+def weighted_kernel_integral(h: WeightFunction, t: float) -> float:
+    """INT_0^1 symmetric_kernel(u, t) h(u) du in closed form.
+
+    Each piece [lo, hi) of value v contributes v * (G(hi) - G(lo)) with
+    G the antiderivative above; pieces with zero weight are skipped.
     """
-    live = [(lo, hi, v) for lo, hi, v in h.pieces() if v != 0.0]
-    if not live:
-        return 0.0
-    piece_quad = replace(quad, abs_tol=quad.abs_tol / len(live))
+    t = float(t)
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"argument {t} not positive and finite")
     total = 0.0
-    for lo, hi, v in live:
-        val, _ = integrate(lambda lam: v * symmetric_kernel(lam, t), lo, hi, piece_quad)
-        total += val
+    for lo, hi, v in h.pieces():
+        if v != 0.0:
+            total += v * (_kernel_antiderivative(hi, t) - _kernel_antiderivative(lo, t))
     return total
 
 
@@ -127,28 +128,12 @@ def eval_gamma_family(gamma: float, t: float) -> float:
     return t**gamma * ((1.0 + t) / 2.0) ** (1.0 - 2.0 * gamma)
 
 
-def _eval_canonical_direct(
-    beta: float, h: WeightFunction, t: float, quad: QuadratureConfig
-) -> float:
-    integral = weighted_kernel_integral(h, t, quad)
-    return math.exp(beta) * (1.0 + t) / SQRT2 * math.exp(integral)
-
-
-def eval_canonical_f(
-    beta: float, h: WeightFunction, t: float, quad: QuadratureConfig = DEFAULT_QUAD
-) -> float:
-    """Evaluate the canonical (beta, h) representation at t > 0.
-
-    Arguments outside [1e-8, 1e8] are flipped once through the symmetry
-    f(t) = t*f(1/t); the flipped argument is then evaluated directly,
-    never re-flipped, so the guard cannot recurse.
-    """
+def eval_canonical_f(beta: float, h: WeightFunction, t: float) -> float:
+    """Evaluate the canonical (beta, h) representation at t > 0."""
     t = float(t)
     if not t > 0.0:
         raise DomainError(f"argument {t} not positive")
-    if t < EXTREME_LO or t > EXTREME_HI:
-        return t * _eval_canonical_direct(beta, h, 1.0 / t, quad)
-    return _eval_canonical_direct(beta, h, t, quad)
+    return math.exp(beta) * (1.0 + t) / SQRT2 * math.exp(weighted_kernel_integral(h, t))
 
 
 def closed_form_kernel_integral(t: float) -> float:
@@ -158,9 +143,9 @@ def closed_form_kernel_integral(t: float) -> float:
     return math.log(2.0 * t) - 2.0 * math.log1p(t)
 
 
-def normalize_beta(h: WeightFunction, quad: QuadratureConfig = DEFAULT_QUAD) -> float:
+def normalize_beta(h: WeightFunction) -> float:
     """Shift making the canonical representation hit f(1) = 1."""
-    return -math.log(_eval_canonical_direct(0.0, h, 1.0, quad))
+    return -math.log(SQRT2) - weighted_kernel_integral(h, 1.0)
 
 
 class MonotoneFunction:
@@ -224,20 +209,17 @@ def sqrt_function() -> MonotoneFunction:
 
 @dataclass(frozen=True)
 class CanonicalMonotone(MonotoneFunction):
-    """Canonical (beta, h) representation evaluated by quadrature."""
+    """Canonical (beta, h) representation."""
 
     beta: float
     h: WeightFunction
-    quad: QuadratureConfig = DEFAULT_QUAD
 
     @classmethod
-    def normalized(
-        cls, h: WeightFunction, quad: QuadratureConfig = DEFAULT_QUAD
-    ) -> "CanonicalMonotone":
-        return cls(beta=normalize_beta(h, quad), h=h, quad=quad)
+    def normalized(cls, h: WeightFunction) -> "CanonicalMonotone":
+        return cls(beta=normalize_beta(h), h=h)
 
     def _value(self, t: float) -> float:
-        return eval_canonical_f(self.beta, self.h, t, self.quad)
+        return eval_canonical_f(self.beta, self.h, t)
 
 
 def eval_kubo_ando(atoms: Sequence[tuple[float, float]], t: float) -> float:
@@ -334,44 +316,32 @@ class ExpOrderFunction:
     beta: float
     h: WeightFunction
 
-    def __call__(self, x: float, quad: QuadratureConfig = DEFAULT_QUAD) -> float:
-        return eval_exp_order(self, x, quad)
+    def __call__(self, x: float) -> float:
+        return eval_exp_order(self, x)
 
-    def to_monotone(self, quad: QuadratureConfig = DEFAULT_QUAD) -> CanonicalMonotone:
-        return CanonicalMonotone(beta=self.beta, h=self.h, quad=quad)
-
-
-# exp(x) stays inside the monotone evaluator's untransformed range
-_EXP_GUARD = math.log(EXTREME_HI)
+    def to_monotone(self) -> CanonicalMonotone:
+        return CanonicalMonotone(beta=self.beta, h=self.h)
 
 
-def _eval_exp_order_direct(
-    F: ExpOrderFunction, x: float, quad: QuadratureConfig
-) -> float:
-    ex = math.exp(x)
-    integral = weighted_kernel_integral(F.h, ex, quad)
-    return F.beta + math.log((1.0 + ex) / SQRT2) + integral
+def eval_exp_order(F: ExpOrderFunction, x: float) -> float:
+    """Evaluate F at real x, as log f(e^x).
 
-
-def eval_exp_order(
-    F: ExpOrderFunction, x: float, quad: QuadratureConfig = DEFAULT_QUAD
-) -> float:
-    """Evaluate F at any real x.
-
-    Beyond |x| = log(1e8) the additive symmetry F(x) = x + F(-x) is
-    applied once, mirroring the multiplicative-side guard.
+    The domain is where e^x is a positive finite float, about
+    -745 < x < 709.78; outside it DomainError is raised.
     """
     x = float(x)
-    if abs(x) > _EXP_GUARD:
-        return x + _eval_exp_order_direct(F, -x, quad)
-    return _eval_exp_order_direct(F, x, quad)
+    try:
+        ex = math.exp(x)
+    except OverflowError:
+        ex = math.inf
+    if not 0.0 < ex < math.inf:
+        raise DomainError(f"argument {x} outside the range where e^x is a positive float")
+    return F.beta + math.log((1.0 + ex) / SQRT2) + weighted_kernel_integral(F.h, ex)
 
 
-def to_monotone(
-    F: ExpOrderFunction, quad: QuadratureConfig = DEFAULT_QUAD
-) -> CanonicalMonotone:
+def to_monotone(F: ExpOrderFunction) -> CanonicalMonotone:
     """Cross to the multiplicative side: t -> exp F(log t)."""
-    return F.to_monotone(quad)
+    return F.to_monotone()
 
 
 @dataclass(frozen=True)

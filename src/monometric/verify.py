@@ -28,7 +28,7 @@ from .chentsov import (
     eval_canonical_c,
     normalize_C0,
 )
-from .errors import NotAState
+from .errors import DegenerateSample, NotAState
 from .metric import DensityMatrix, MetricSpec, metric_form, metric_quadratic
 from .monotone import (
     CanonicalMonotone,
@@ -45,6 +45,7 @@ from .monotone import (
     extend_weight,
     normalize_beta,
     sharp,
+    symmetric_kernel,
     tilde,
     weighted_kernel_integral,
 )
@@ -62,6 +63,10 @@ _SUITE_INDEX = {name: i for i, name in enumerate(SUITE_NAMES)}
 # the deliberately broken kernel for falsification-power: 1/(x^2 y),
 # neither symmetric nor -1-homogeneous
 INVALID_KERNEL_TRIALS = 500
+
+# a contraction run gives up after this many draws per wanted trial; about
+# 85% of draws are accepted, so the cap only fires on a broken sampler
+CONTRACTION_DRAWS_PER_TRIAL = 10
 
 
 def _invalid_kernel(x: float, y: float) -> float:
@@ -137,7 +142,7 @@ def _upper(worst: float, tol: float, name: str) -> PropertyResult:
 _T_GRID = tuple(float(t) for t in np.geomspace(1e-2, 1e2, 25))
 
 
-def _random_monotones(rng: np.random.Generator, count: int, quad: QuadratureConfig):
+def _random_monotones(rng: np.random.Generator, count: int):
     """Mixed pool: closed-form, canonical and discrete-mixture functions."""
     pool = []
     for _ in range(count):
@@ -145,7 +150,7 @@ def _random_monotones(rng: np.random.Generator, count: int, quad: QuadratureConf
         if kind == 0:
             pool.append(GammaFamily(float(rng.uniform(0.0, 1.0))))
         elif kind == 1:
-            pool.append(CanonicalMonotone.normalized(random_step_weight(rng), quad))
+            pool.append(CanonicalMonotone.normalized(random_step_weight(rng)))
         else:
             natoms = int(rng.integers(1, 4))
             atoms = [
@@ -172,20 +177,20 @@ def run_monotone_suite(
     worst = 0.0
     for k in range(nfuncs):
         h = random_step_weight(_rng(seed, "monotone", 0, k))
-        f = CanonicalMonotone.normalized(h, quad)
+        f = CanonicalMonotone.normalized(h)
         worst = max(worst, check_functional_equation(f, _T_GRID))
     props.append(_upper(worst, 1e-9, "functional-equation"))
 
     # 1: sharp is an involution
     worst = 0.0
-    for k, f in enumerate(_random_monotones(_rng(seed, "monotone", 1), nfuncs, quad)):
+    for k, f in enumerate(_random_monotones(_rng(seed, "monotone", 1), nfuncs)):
         ff = sharp(sharp(f))
         worst = max(worst, max(abs(ff(t) - f(t)) for t in _T_GRID))
     props.append(_upper(worst, 1e-12, "sharp-involution"))
 
     # 2: tilde lands on the symmetric fixed-point set
     worst = 0.0
-    for f in _random_monotones(_rng(seed, "monotone", 2), nfuncs, quad):
+    for f in _random_monotones(_rng(seed, "monotone", 2), nfuncs):
         tf = tilde(f)
         stf = sharp(tf)
         worst = max(worst, max(abs(stf(t) - tf(t)) for t in _T_GRID))
@@ -214,7 +219,7 @@ def run_monotone_suite(
     worst = 0.0
     for k in range(nfuncs):
         h = random_step_weight(_rng(seed, "monotone", 5, k))
-        f = CanonicalMonotone.normalized(h, quad)
+        f = CanonicalMonotone.normalized(h)
         for t in _T_GRID:
             v = f(t)
             worst = max(worst, eval_gamma_family(1.0, t) - v)
@@ -227,7 +232,7 @@ def run_monotone_suite(
         h = WeightFunction.constant(g)
         beta = (g - 0.5) * math.log(2.0)
         for t in _T_GRID:
-            a = eval_canonical_f(beta, h, t, quad)
+            a = eval_canonical_f(beta, h, t)
             b = eval_gamma_family(g, t)
             worst = max(worst, abs(a - b) / abs(b))
     props.append(_upper(worst, 1e-8, "canonical-vs-closed-form"))
@@ -235,7 +240,7 @@ def run_monotone_suite(
     # 7: matrix-order sampling, optionally with the t^2 counterexample
     candidates = [GammaFamily(0.4)]
     candidates.append(
-        CanonicalMonotone.normalized(random_step_weight(_rng(seed, "monotone", 7)), quad)
+        CanonicalMonotone.normalized(random_step_weight(_rng(seed, "monotone", 7)))
     )
     if inject_counterexample:
         candidates.append(lambda t: t * t)
@@ -245,13 +250,17 @@ def run_monotone_suite(
         worst = max(worst, -rep.worst)
     props.append(_upper(worst, 1e-9, "operator-monotonicity"))
 
-    # 8: quadrature against the closed-form kernel integral
+    # 8: quadrature of the raw integrand against both closed forms of the
+    # full-weight kernel integral
     h1 = WeightFunction.constant(1.0)
     worst = 0.0
     for t in np.geomspace(1e-2, 1e2, 20):
+        t = float(t)
+        val, _ = integrate(lambda lam: symmetric_kernel(lam, t), 0.0, 1.0, quad)
         worst = max(
             worst,
-            abs(weighted_kernel_integral(h1, float(t), quad) - closed_form_kernel_integral(float(t))),
+            abs(val - closed_form_kernel_integral(t)),
+            abs(val - weighted_kernel_integral(h1, t)),
         )
     props.append(_upper(worst, 1e-10, "kernel-integral-closed-form"))
 
@@ -259,11 +268,11 @@ def run_monotone_suite(
     worst = 0.0
     for k in range(nfuncs):
         h = random_step_weight(_rng(seed, "monotone", 9, k))
-        beta = normalize_beta(h, quad)
+        beta = normalize_beta(h)
         F = ExpOrderFunction(beta=beta, h=h)
         for t in _T_GRID:
-            a = math.exp(eval_exp_order(F, math.log(t), quad))
-            b = eval_canonical_f(beta, h, t, quad)
+            a = math.exp(eval_exp_order(F, math.log(t)))
+            b = eval_canonical_f(beta, h, t)
             worst = max(worst, abs(a - b))
     props.append(_upper(worst, 1e-9, "exp-order-consistency"))
 
@@ -275,7 +284,7 @@ def run_monotone_suite(
         for x in np.linspace(-5.0, 5.0, 21):
             worst = max(
                 worst,
-                abs(eval_exp_order(F, float(x), quad) - float(x) - eval_exp_order(F, -float(x), quad)),
+                abs(eval_exp_order(F, float(x)) - float(x) - eval_exp_order(F, -float(x))),
             )
     props.append(_upper(worst, 1e-9, "exp-order-symmetry"))
 
@@ -303,12 +312,7 @@ def run_monotone_suite(
     return SuiteReport(suite="monotone", properties=tuple(props))
 
 
-def run_chentsov_suite(
-    trials: int,
-    dims: Sequence[int],
-    seed: int,
-    quad: QuadratureConfig = DEFAULT_QUAD,
-) -> SuiteReport:
+def run_chentsov_suite(trials: int, dims: Sequence[int], seed: int) -> SuiteReport:
     props: list[PropertyResult] = []
     pairs = default_pair_grid(25)
     thin_pairs = default_pair_grid(7)
@@ -321,11 +325,11 @@ def run_chentsov_suite(
         worst = max(worst, rep.symmetry_max, rep.homogeneity_max, rep.diagonal_max)
     props.append(_upper(worst, 1e-10, "mc-axioms-bridge"))
 
-    # 1: axioms of random canonical kernels (thin grid; quadrature-heavy)
+    # 1: axioms of random canonical kernels (thin grid)
     worst = 0.0
     for k in range(nfuncs):
         h = random_step_weight(_rng(seed, "chentsov", 1, k))
-        rep = check_mc_axioms(CanonicalMC.normalized(h, quad), thin_pairs)
+        rep = check_mc_axioms(CanonicalMC.normalized(h), thin_pairs)
         worst = max(worst, rep.symmetry_max, rep.homogeneity_max, rep.diagonal_max)
     props.append(_upper(worst, 1e-8, "mc-axioms-canonical"))
 
@@ -359,9 +363,9 @@ def run_chentsov_suite(
         s = float(rng.uniform(0.0, 1.0))
         blend = h1.blend(h2, s)
         for x, y in thin_pairs[:: max(1, len(thin_pairs) // 12)]:
-            lhs = eval_canonical_c(1.0, blend, x, y, quad)
-            rhs = eval_canonical_c(1.0, h1, x, y, quad) ** s * eval_canonical_c(
-                1.0, h2, x, y, quad
+            lhs = eval_canonical_c(1.0, blend, x, y)
+            rhs = eval_canonical_c(1.0, h1, x, y) ** s * eval_canonical_c(
+                1.0, h2, x, y
             ) ** (1.0 - s)
             worst = max(worst, abs(lhs - rhs) / abs(rhs))
     props.append(_upper(worst, 1e-8, "mixture-law"))
@@ -381,7 +385,7 @@ def run_chentsov_suite(
         for x, y in thin_pairs[:: max(1, len(thin_pairs) // 12)]:
             worst = max(
                 worst,
-                eval_canonical_c(1.0, h, x, y, quad) - eval_canonical_c(1.0, g, x, y, quad),
+                eval_canonical_c(1.0, h, x, y) - eval_canonical_c(1.0, g, x, y),
             )
     props.append(_upper(worst, 1e-10, "weight-monotonicity"))
 
@@ -400,7 +404,7 @@ def run_chentsov_suite(
         h = random_step_weight(_rng(seed, "chentsov", 7, k))
         worst = max(
             worst,
-            abs(math.sqrt(2.0) * math.exp(-normalize_beta(h, quad)) - normalize_C0(h, quad)),
+            abs(math.sqrt(2.0) * math.exp(-normalize_beta(h)) - normalize_C0(h)),
         )
     props.append(_upper(worst, 1e-9, "c0-beta-consistency"))
 
@@ -408,7 +412,7 @@ def run_chentsov_suite(
     worst = 0.0
     for k in range(nfuncs):
         h = random_step_weight(_rng(seed, "chentsov", 8, k))
-        c = CanonicalMC.normalized(h, quad)
+        c = CanonicalMC.normalized(h)
         for x, y in thin_pairs:
             v = c(x, y)
             worst = max(worst, (2.0 / (x + y) - v) / v)
@@ -419,9 +423,9 @@ def run_chentsov_suite(
     worst = 0.0
     for g in (0.0, 0.25, 0.5, 0.75, 1.0):
         h = WeightFunction.constant(g)
-        c0 = normalize_C0(h, quad)
+        c0 = normalize_C0(h)
         for x, y in thin_pairs:
-            a = eval_canonical_c(c0, h, x, y, quad)
+            a = eval_canonical_c(c0, h, x, y)
             b = eval_bridge(g, x, y)
             worst = max(worst, abs(a - b) / b)
     props.append(_upper(worst, 1e-8, "canonical-vs-bridge"))
@@ -429,12 +433,7 @@ def run_chentsov_suite(
     return SuiteReport(suite="chentsov", properties=tuple(props))
 
 
-def run_metric_suite(
-    trials: int,
-    dims: Sequence[int],
-    seed: int,
-    quad: QuadratureConfig = DEFAULT_QUAD,
-) -> SuiteReport:
+def run_metric_suite(trials: int, dims: Sequence[int], seed: int) -> SuiteReport:
     props: list[PropertyResult] = []
     dims = tuple(dims)
     spec = MetricSpec(c=BridgeMC(0.5))
@@ -555,12 +554,22 @@ def _contraction_worst(
     dims: Sequence[int],
 ) -> float:
     """Worst slack over accepted trials; rejected draws are skipped
-    deterministically by advancing the attempt counter."""
+    deterministically by advancing the attempt counter.
+
+    Raises DegenerateSample when CONTRACTION_DRAWS_PER_TRIAL draws per
+    wanted trial yield fewer than ``target_trials`` accepted ones.
+    """
     dims = tuple(dims)
     worst = math.inf
     accepted = 0
     attempt = 0
+    max_attempts = CONTRACTION_DRAWS_PER_TRIAL * target_trials
     while accepted < target_trials:
+        if attempt == max_attempts:
+            raise DegenerateSample(
+                f"{accepted} of {target_trials} contraction trials accepted "
+                f"after {max_attempts} draws"
+            )
         rng = _rng(seed, "channels", prop, variant, attempt)
         attempt += 1
         n = dims[attempt % len(dims)]
@@ -579,12 +588,7 @@ def _contraction_worst(
     return worst
 
 
-def run_channels_suite(
-    trials: int,
-    dims: Sequence[int],
-    seed: int,
-    quad: QuadratureConfig = DEFAULT_QUAD,
-) -> SuiteReport:
+def run_channels_suite(trials: int, dims: Sequence[int], seed: int) -> SuiteReport:
     props: list[PropertyResult] = []
     dims = tuple(dims)
     spec = MetricSpec(c=BridgeMC(0.5))
@@ -649,7 +653,7 @@ def run_channels_suite(
     worst = math.inf
     for variant in range(2):
         h = random_step_weight(_rng(seed, "channels", 4, variant))
-        cspec = MetricSpec(c=CanonicalMC.normalized(h, quad))
+        cspec = MetricSpec(c=CanonicalMC.normalized(h))
         worst = min(
             worst, _contraction_worst(cspec, seed, 4, variant + 10, trials, dims)
         )
@@ -698,7 +702,7 @@ def run_verification(
                 runner(trials, dims, seed, quad, inject_counterexample=inject_counterexample)
             )
         else:
-            reports.append(runner(trials, dims, seed, quad))
+            reports.append(runner(trials, dims, seed))
     wall = time.perf_counter() - start
     return VerificationReport(
         suites=tuple(reports),

@@ -6,8 +6,15 @@ import json
 import numpy as np
 import pytest
 
-import monometric.monotone
-from monometric import DomainError, QuadratureFailure
+import monometric.verify
+from monometric import (
+    BridgeMC,
+    DegenerateSample,
+    DomainError,
+    MetricSpec,
+    NotAState,
+    QuadratureFailure,
+)
 from monometric.cli import fmt15, main
 from monometric.io import (
     channel_from_json,
@@ -185,12 +192,12 @@ class TestEvalF:
         assert main(argv) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_quadrature_failure_exits_3(self, files, capsys, monkeypatch):
+    def test_quadrature_failure_exits_3(self, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise QuadratureFailure("forced for the exit-code test")
 
-        monkeypatch.setattr(monometric.monotone, "integrate", broken)
-        code = main(["eval-f", "--h-file", files["const1"], "--beta", "auto", "--t", "3"])
+        monkeypatch.setattr(monometric.verify, "integrate", broken)
+        code = main(["verify", "--suite", "monotone", "--trials", "1"])
         assert code == 3
         assert "quadrature" in capsys.readouterr().err
 
@@ -337,6 +344,15 @@ class TestVerifyCommand:
     )
     def test_malformed_flags_exit_2(self, argv):
         assert main(argv) == 2
+
+    def test_contraction_sampling_is_bounded(self, monkeypatch):
+        def rejected(*args, **kwargs):
+            raise NotAState("forced rejection")
+
+        monkeypatch.setattr(monometric.verify, "monotonicity_trial", rejected)
+        spec = MetricSpec(c=BridgeMC(0.5))
+        with pytest.raises(DegenerateSample):
+            monometric.verify._contraction_worst(spec, 0, 3, 0, 2, (2, 3))
 
 
 class TestEnvironmentOverride:

@@ -51,6 +51,15 @@ class TestStateValidation:
         with pytest.raises(NotAState):
             DensityMatrix.from_matrix(np.diag([1.5, -0.5]).astype(complex))
 
+    def test_loose_hermiticity_tolerance_carries_to_the_form(self):
+        # defect 8e-9: accepted at herm_tol=1e-6, and the form must then
+        # evaluate instead of re-checking at the default tolerance
+        m = np.array([[0.25, 0.1 + 1e-8], [0.1, 0.75]], dtype=complex)
+        rho = DensityMatrix.from_matrix(m, herm_tol=1e-6)
+        k = metric_quadratic(BURES_SPEC, rho, SIGMA_X)
+        herm = DensityMatrix.from_matrix(0.5 * (m + m.conj().T))
+        assert k == pytest.approx(metric_quadratic(BURES_SPEC, herm, SIGMA_X), rel=1e-6)
+
     def test_floor_is_configurable(self):
         m = np.diag([1.0 - 1e-6, 1e-6]).astype(complex)
         DensityMatrix.from_matrix(m)  # fine at the default floor

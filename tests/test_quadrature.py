@@ -1,4 +1,5 @@
-"""Adaptive Gauss-Kronrod integrator against closed forms and scipy."""
+"""Adaptive Gauss-Kronrod integrator against closed forms and scipy, and
+as the oracle of the closed-form canonical kernel integrals."""
 
 import math
 
@@ -6,7 +7,21 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from monometric import DEFAULT_QUAD, QuadratureConfig, QuadratureFailure, integrate
+from monometric import (
+    DEFAULT_QUAD,
+    CanonicalMC,
+    CanonicalMonotone,
+    ExpOrderFunction,
+    QuadratureConfig,
+    QuadratureFailure,
+    WeightFunction,
+    eval_canonical_c,
+    eval_exp_order,
+    integrate,
+)
+from monometric.chentsov import mc_kernel
+from monometric.monotone import symmetric_kernel, weighted_kernel_integral
+from monometric.sampling import random_step_weight
 
 TIGHT = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-12, max_subdivisions=400)
 
@@ -111,3 +126,33 @@ def test_angle_identity():
         s, c = math.sin(theta), math.cos(theta)
         val, _ = integrate(lambda u: 2.0 * s / (u * u - 2.0 * u * c + 1.0), -1.0, 0.0)
         assert val == pytest.approx(theta, abs=1e-10)
+
+
+def test_closed_form_kernel_integrals_match_piecewise_quadrature():
+    # The closed-form canonical integrals against quadrature of the raw
+    # integrands, piece by piece, far into both tails of t.
+    oracle = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=2000)
+
+    def piecewise(kernel, h):
+        return sum(v * integrate(kernel, lo, hi, oracle)[0] for lo, hi, v in h.pieces())
+
+    weights = [random_step_weight(np.random.default_rng([7, k]), 8) for k in range(12)]
+    for h in weights:
+        for t in np.geomspace(1e-10, 1e10, 21):
+            t = float(t)
+            expected = piecewise(lambda u: symmetric_kernel(u, t), h)
+            assert abs(weighted_kernel_integral(h, t) - expected) <= 1e-13
+            # the Chentsov integral, read back from the kernel value
+            expected = piecewise(lambda u: mc_kernel(u, t, 1.0), h)
+            for x, y in ((t, 1.0), (1.0, t)):
+                got = math.log(eval_canonical_c(1.0, h, x, y) * (x + y))
+                assert abs(got - expected) <= 1e-13
+
+    extremes = [WeightFunction.constant(0.0), WeightFunction.constant(1.0), *weights[:4]]
+    for h in extremes:
+        f = CanonicalMonotone.normalized(h)
+        c = CanonicalMC.normalized(h)
+        F = ExpOrderFunction(beta=f.beta, h=h)
+        values = [f(1e300), f(1e-300), c(1e300, 1.0), c(1.0, 1e300), c(1e-300, 1.0)]
+        assert all(0.0 < v < math.inf for v in values), values
+        assert all(math.isfinite(eval_exp_order(F, x)) for x in (-700.0, 700.0))
