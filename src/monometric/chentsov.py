@@ -139,30 +139,31 @@ class MCAxiomReport:
 def check_mc_axioms(
     c: Callable[[float, float], float],
     pairs: Sequence[tuple[float, float]],
-    homog_factors: Sequence[float] = HOMOGENEITY_FACTORS,
 ) -> MCAxiomReport:
     """Measure symmetry, -1-homogeneity and diagonal scaling residuals.
 
-    Symmetry is reported as an absolute residual; homogeneity and the
-    diagonal law c(v, v) = C/v as relative ones. The reference constant
-    C is taken at c(1, 1).
+    Symmetry is reported as an absolute residual; homogeneity (at the
+    HOMOGENEITY_FACTORS) and the diagonal law c(v, v) = C/v as relative
+    ones. The reference constant C is taken at c(1, 1). A NaN kernel
+    value makes the residuals it enters NaN.
     """
-    sym = 0.0
-    hom = 0.0
+    sym = [0.0]
+    hom = [0.0]
     for x, y in pairs:
         a = c(x, y)
         b = c(y, x)
-        sym = max(sym, abs(a - b))
-        for fac in homog_factors:
+        sym.append(abs(a - b))
+        for fac in HOMOGENEITY_FACTORS:
             scaled = c(fac * x, fac * y)
-            hom = max(hom, abs(scaled - a / fac) / abs(a / fac))
+            hom.append(abs(scaled - a / fac) / abs(a / fac))
     const = c(1.0, 1.0)
-    diag = 0.0
+    diag = [0.0]
     for v in sorted({p for pair in pairs for p in pair}):
-        diag = max(diag, abs(v * c(v, v) - const) / abs(const))
+        diag.append(abs(v * c(v, v) - const) / abs(const))
+    # np.max, unlike max(), passes a NaN residual through
     return MCAxiomReport(
-        symmetry_max=sym,
-        homogeneity_max=hom,
-        diagonal_max=diag,
+        symmetry_max=float(np.max(sym)),
+        homogeneity_max=float(np.max(hom)),
+        diagonal_max=float(np.max(diag)),
         diagonal_constant=const,
     )

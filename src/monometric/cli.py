@@ -3,7 +3,9 @@
 Commands: eval-f, eval-c, metric, bridge-table, verify. Numeric output
 uses 15 significant digits; identical flags and seed give byte-identical
 stdout. Exit codes: 0 success, 1 verification failure, 2 malformed
-input, 3 quadrature failure, 4 invalid state.
+input, 3 quadrature failure, 4 invalid state, 5 a random sampler gave up
+(a channel or a contraction trial could not be drawn from well-formed
+flags).
 
 Every evaluation is in closed form; adaptive quadrature runs only inside
 ``verify``, as the oracle of the properties that integrate. The
@@ -24,6 +26,7 @@ import numpy as np
 
 from .chentsov import c_from_f, eval_bridge
 from .errors import (
+    DegenerateSample,
     DomainError,
     MonometricError,
     NotAState,
@@ -40,6 +43,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_MALFORMED = 2
 EXIT_QUADRATURE = 3
 EXIT_NOT_A_STATE = 4
+EXIT_DEGENERATE_SAMPLE = 5
 
 
 def fmt15(value: float) -> str:
@@ -100,7 +104,7 @@ def _parse_int_list(raw: str, label: str) -> list[int]:
         raise DomainError(f"bad {label} list {raw!r}: {exc}") from exc
 
 
-def cmd_eval_f(args, quad: QuadratureConfig) -> int:
+def cmd_eval_f(args) -> int:
     if (args.family is None) == (args.h_file is None):
         raise DomainError("give exactly one of --family or --h-file")
     if not args.t > 0.0:
@@ -125,7 +129,7 @@ def cmd_eval_f(args, quad: QuadratureConfig) -> int:
     return EXIT_OK
 
 
-def cmd_eval_c(args, quad: QuadratureConfig) -> int:
+def cmd_eval_c(args) -> int:
     sources = [args.bridge is not None, args.h_file is not None, args.from_f is not None]
     if sum(sources) != 1:
         raise DomainError("give exactly one of --bridge, --h-file, --from-f")
@@ -147,7 +151,7 @@ def cmd_eval_c(args, quad: QuadratureConfig) -> int:
     return EXIT_OK
 
 
-def cmd_metric(args, quad: QuadratureConfig) -> int:
+def cmd_metric(args) -> int:
     rho = DensityMatrix.from_matrix(matrix_from_json(load_json_file(args.rho)))
     a = matrix_from_json(load_json_file(args.a))
     kernel = mc_from_json(load_json_file(args.c_spec))
@@ -161,7 +165,7 @@ def cmd_metric(args, quad: QuadratureConfig) -> int:
     return EXIT_OK
 
 
-def cmd_bridge_table(args, quad: QuadratureConfig) -> int:
+def cmd_bridge_table(args) -> int:
     gammas = _parse_float_list(args.gammas, "gamma")
     xs = _parse_grid(args.x_grid)
     ys = _parse_grid(args.y_grid)
@@ -177,7 +181,7 @@ def cmd_bridge_table(args, quad: QuadratureConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args, quad: QuadratureConfig) -> int:
+def cmd_verify(args) -> int:
     if args.suite not in (*SUITE_NAMES, "all"):
         raise DomainError(f"unknown suite {args.suite!r}")
     if args.trials < 1:
@@ -190,7 +194,7 @@ def cmd_verify(args, quad: QuadratureConfig) -> int:
         trials=args.trials,
         seed=args.seed,
         dims=dims,
-        quad=quad,
+        quad=args.quad,
         inject_counterexample=args.inject_counterexample,
     )
     print(json.dumps(report_to_dict(report), indent=2, sort_keys=True))
@@ -255,14 +259,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        quad = _quad_from_env()
-        return args.run(args, quad)
+        # parsed for every command, so a bad value exits 2 everywhere
+        args.quad = _quad_from_env()
+        return args.run(args)
     except QuadratureFailure as exc:
         print(f"error: quadrature failed: {exc}", file=sys.stderr)
         return EXIT_QUADRATURE
     except NotAState as exc:
         print(f"error: not a valid state: {exc}", file=sys.stderr)
         return EXIT_NOT_A_STATE
+    except DegenerateSample as exc:
+        print(f"error: sampler gave up: {exc}", file=sys.stderr)
+        return EXIT_DEGENERATE_SAMPLE
     except MonometricError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MALFORMED

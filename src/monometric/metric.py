@@ -21,9 +21,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, MonometricError, NotAState
-from .linalg import HermitianEigen, as_matrix, frobenius, hermitian_eig
+from .linalg import HermitianEigen, as_matrix, hermitian_eig, hermiticity_defect
 
 STATE_EIG_FLOOR = 1e-10
+STATE_TRACE_TOL = 1e-10
+QUADRATIC_IMAG_TOL = 1e-11
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,17 +45,16 @@ class DensityMatrix:
         cls,
         m,
         herm_tol: float = 1e-10,
-        trace_tol: float = 1e-10,
         floor: float = STATE_EIG_FLOOR,
     ) -> "DensityMatrix":
         a = as_matrix(m)
         if a.shape[0] != a.shape[1]:
             raise NotAState(f"state must be square, got {a.shape}")
-        defect = frobenius(a - a.conj().T) / (frobenius(a) + 1.0)
+        defect = hermiticity_defect(a)
         if defect > herm_tol:
             raise NotAState(f"state not Hermitian: defect {defect:.3e}")
         tr = complex(np.trace(a))
-        if abs(tr - 1.0) > trace_tol:
+        if abs(tr - 1.0) > STATE_TRACE_TOL:
             raise NotAState(f"state trace {tr} not 1")
         dec = hermitian_eig(a, tol=herm_tol)
         if dec.eigenvalues[0] <= floor:
@@ -124,15 +125,15 @@ def metric_form(spec: MetricSpec, rho, a, b) -> complex:
     return complex(total)
 
 
-def metric_quadratic(spec: MetricSpec, rho, a, imag_tol: float = 1e-11) -> float:
+def metric_quadratic(spec: MetricSpec, rho, a) -> float:
     """K(A, A), returned as a real number.
 
     Every term of the double sum is real at B = A, so a nonvanishing
     imaginary part can only signal an internal fault; it is checked
-    against imag_tol and never expected to fire.
+    against QUADRATIC_IMAG_TOL and never expected to fire.
     """
     val = metric_form(spec, rho, a, a)
-    if abs(val.imag) > imag_tol:
+    if abs(val.imag) > QUADRATIC_IMAG_TOL:
         raise MonometricError(
             f"quadratic form came out non-real: imag {val.imag:.3e}"
         )

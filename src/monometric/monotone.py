@@ -295,14 +295,16 @@ def tilde(f: MonotoneFunction) -> MonotoneFunction:
 def check_functional_equation(
     f: Callable[[float], float], grid: Sequence[float]
 ) -> float:
-    """Max over the grid of |f(t) - t*f(1/t)|. Zero means symmetric."""
-    worst = 0.0
+    """Max over the grid of |f(t) - t*f(1/t)|. Zero means symmetric; NaN
+    means f gave NaN somewhere."""
+    residuals = [0.0]
     for t in grid:
         t = float(t)
         if not t > 0.0:
             raise DomainError(f"grid point {t} not positive")
-        worst = max(worst, abs(f(t) - t * f(1.0 / t)))
-    return worst
+        residuals.append(abs(f(t) - t * f(1.0 / t)))
+    # np.max, unlike max(), passes a NaN residual through
+    return float(np.max(residuals))
 
 
 @dataclass(frozen=True)

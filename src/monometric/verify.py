@@ -1,9 +1,15 @@
 """Property suites behind the `verify` command.
 
-Each suite runs a fixed list of named properties and reports the worst
-residual seen per property next to its tolerance. All randomness is
-derived from (seed, suite index, property index, trial counter), so a
-report is a pure function of the command line; reruns are byte
+Each suite is a table of properties, filled in source order by the
+``_property`` decorator: a name, a tolerance, a direction and a generator
+of residuals. One runner, ``_run_suite``, folds every generator to its
+worst residual and decides the verdict; the three directions are set out
+at ``_UPPER``. A NaN residual makes the worst NaN, and a NaN worst fails
+in every direction, so no property passes on a value it could not compute.
+
+All randomness is derived from (seed, suite index, property index, trial
+counter), and a property's index is its position in its suite's table,
+so a report is a pure function of the command line; reruns are byte
 identical. Wall time is measured but kept out of the report body for
 exactly that reason.
 """
@@ -11,9 +17,10 @@ exactly that reason.
 from __future__ import annotations
 
 import math
+import operator
 import time
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import asdict, dataclass
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -112,19 +119,7 @@ def report_to_dict(report: VerificationReport) -> dict:
         "dims": list(report.dims),
         "passed": report.passed,
         "suites": [
-            {
-                "suite": s.suite,
-                "passed": s.passed,
-                "properties": [
-                    {
-                        "name": p.name,
-                        "worst": p.worst,
-                        "tolerance": p.tolerance,
-                        "passed": p.passed,
-                    }
-                    for p in s.properties
-                ],
-            }
+            {"suite": s.suite, "passed": s.passed, "properties": [asdict(p) for p in s.properties]}
             for s in report.suites
         ],
     }
@@ -134,12 +129,94 @@ def _rng(seed: int, suite: str, prop: int, *extra: int) -> np.random.Generator:
     return np.random.default_rng([seed, _SUITE_INDEX[suite], prop, *extra])
 
 
-def _upper(worst: float, tol: float, name: str) -> PropertyResult:
-    worst = float(worst)
-    return PropertyResult(name=name, worst=worst, tolerance=tol, passed=bool(worst <= tol))
+# A direction is (start of the max-fold, verdict on the folded worst).
+# _UPPER: residuals are errors; the worst must be at most the tolerance.
+# _MARGIN: residuals are signed, negative meaning slack to spare.
+# _MUST_FAIL: the falsification canary; it passes only when the worst lies
+# strictly below its negative tolerance, i.e. the broken kernel was caught.
+_UPPER = (0.0, operator.le)
+_MARGIN = (-math.inf, operator.le)
+_MUST_FAIL = (-math.inf, operator.lt)
+
+
+class _Run(NamedTuple):
+    """Inputs of one residual generator; ``prop`` is its stream index."""
+
+    suite: str
+    seed: int
+    trials: int
+    dims: tuple[int, ...]
+    nfuncs: int = 0
+    quad: QuadratureConfig = DEFAULT_QUAD
+    inject_counterexample: bool = False
+    prop: int = 0
+
+    def rng(self, *extra: int) -> np.random.Generator:
+        return _rng(self.seed, self.suite, self.prop, *extra)
+
+    def draws(self, count: int) -> Iterator[tuple[np.random.Generator, int]]:
+        """Trial k's generator and its dimension, dims[k % len(dims)]."""
+        for k in range(count):
+            yield self.rng(k), self.dims[k % len(self.dims)]
+
+
+# per suite, in stream-index order: (name, tolerance, direction, residuals)
+_SUITES: dict[str, list[tuple]] = {name: [] for name in SUITE_NAMES}
+
+
+def _property(suite: str, name: str, tolerance: float, direction=_UPPER):
+    """Append the decorated residual generator to its suite's table."""
+
+    def register(residuals: Callable[[_Run], Iterable[float]]):
+        _SUITES[suite].append((name, tolerance, direction, residuals))
+        return residuals
+
+    return register
+
+
+def _fold(start: float, residuals: Iterable[float]) -> float:
+    """The largest residual, or NaN as soon as one residual is NaN."""
+    worst = start
+    for r in residuals:
+        r = float(r)
+        if math.isnan(r):
+            return r
+        worst = max(worst, r)
+    return worst
+
+
+def _run_suite(run: _Run) -> SuiteReport:
+    results = []
+    for prop, (name, tolerance, (start, verdict), residuals) in enumerate(_SUITES[run.suite]):
+        worst = _fold(start, residuals(run._replace(prop=prop)))
+        results.append(PropertyResult(name, worst, tolerance, bool(verdict(worst, tolerance))))
+    return SuiteReport(run.suite, tuple(results))
+
+
+def _draw_state(rng: np.random.Generator, n: int) -> DensityMatrix:
+    return DensityMatrix.from_matrix(random_density(rng, n))
+
+
+def _draw_diagonal_state(rng: np.random.Generator, n: int) -> DensityMatrix:
+    w = rng.uniform(0.1, 1.0, n)
+    w = w / w.sum()
+    return DensityMatrix.from_matrix(np.diag(w).astype(complex))
+
+
+def _draw_channel(rng: np.random.Generator, n: int) -> KrausChannel:
+    """Channel M_n -> M_m, m in [2, 4], with k >= n/m Kraus operators; draws
+    m, k and the channel seed in that order, which fixes the stream."""
+    m = int(rng.integers(2, 5))
+    kmin = math.ceil(n / m)
+    k = int(rng.integers(kmin, kmin + 3))
+    return random_channel(n, m, k, seed=int(rng.integers(0, 2**31)))
 
 
 _T_GRID = tuple(float(t) for t in np.geomspace(1e-2, 1e2, 25))
+_PAIRS = default_pair_grid(25)
+_THIN_PAIRS = default_pair_grid(7)
+_SPARSE_PAIRS = _THIN_PAIRS[:: max(1, len(_THIN_PAIRS) // 12)]
+_SPEC = MetricSpec(c=BridgeMC(0.5))
 
 
 def _random_monotones(rng: np.random.Generator, count: int):
@@ -163,386 +240,315 @@ def _random_monotones(rng: np.random.Generator, count: int):
     return pool
 
 
-def run_monotone_suite(
-    trials: int,
-    dims: Sequence[int],
-    seed: int,
-    quad: QuadratureConfig = DEFAULT_QUAD,
-    inject_counterexample: bool = False,
-) -> SuiteReport:
-    props: list[PropertyResult] = []
-    nfuncs = max(2, trials // 50)
+# functional equation on canonical representations
+@_property("monotone", "functional-equation", 1e-9)
+def _functional_equation(run: _Run):
+    for rng, _ in run.draws(run.nfuncs):
+        f = CanonicalMonotone.normalized(random_step_weight(rng))
+        yield check_functional_equation(f, _T_GRID)
 
-    # 0: functional equation on canonical representations
-    worst = 0.0
-    for k in range(nfuncs):
-        h = random_step_weight(_rng(seed, "monotone", 0, k))
-        f = CanonicalMonotone.normalized(h)
-        worst = max(worst, check_functional_equation(f, _T_GRID))
-    props.append(_upper(worst, 1e-9, "functional-equation"))
-
-    # 1: sharp is an involution
-    worst = 0.0
-    for k, f in enumerate(_random_monotones(_rng(seed, "monotone", 1), nfuncs)):
+# sharp is an involution
+@_property("monotone", "sharp-involution", 1e-12)
+def _sharp_involution(run: _Run):
+    for f in _random_monotones(run.rng(), run.nfuncs):
         ff = sharp(sharp(f))
-        worst = max(worst, max(abs(ff(t) - f(t)) for t in _T_GRID))
-    props.append(_upper(worst, 1e-12, "sharp-involution"))
+        yield from (abs(ff(t) - f(t)) for t in _T_GRID)
 
-    # 2: tilde lands on the symmetric fixed-point set
-    worst = 0.0
-    for f in _random_monotones(_rng(seed, "monotone", 2), nfuncs):
+# tilde lands on the symmetric fixed-point set
+@_property("monotone", "tilde-fixed-point", 1e-12)
+def _tilde_fixed_point(run: _Run):
+    for f in _random_monotones(run.rng(), run.nfuncs):
         tf = tilde(f)
         stf = sharp(tf)
-        worst = max(worst, max(abs(stf(t) - tf(t)) for t in _T_GRID))
-    props.append(_upper(worst, 1e-12, "tilde-fixed-point"))
+        yield from (abs(stf(t) - tf(t)) for t in _T_GRID)
 
-    # 3: midpoint of the closed-form family is the geometric mean
-    rng = _rng(seed, "monotone", 3)
-    worst = 0.0
-    for _ in range(nfuncs):
+# midpoint of the closed-form family is the geometric mean
+@_property("monotone", "gamma-midpoint-identity", 1e-12)
+def _gamma_midpoint_identity(run: _Run):
+    rng = run.rng()
+    for _ in range(run.nfuncs):
         g1, g2 = rng.uniform(0.0, 1.0, 2)
         for t in _T_GRID:
             lhs = eval_gamma_family((g1 + g2) / 2.0, t) ** 2
             rhs = eval_gamma_family(g1, t) * eval_gamma_family(g2, t)
-            worst = max(worst, abs(lhs - rhs) / abs(rhs))
-    props.append(_upper(worst, 1e-12, "gamma-midpoint-identity"))
+            yield abs(lhs - rhs) / abs(rhs)
 
-    # 4: the family decreases pointwise in its parameter
+# the family decreases pointwise in its parameter
+@_property("monotone", "gamma-ordering", 1e-12)
+def _gamma_ordering(run: _Run):
     gammas = np.linspace(0.0, 1.0, 11)
-    worst = 0.0
     for g1, g2 in zip(gammas, gammas[1:]):
         for t in _T_GRID:
-            worst = max(worst, eval_gamma_family(g2, t) - eval_gamma_family(g1, t))
-    props.append(_upper(worst, 1e-12, "gamma-ordering"))
+            yield eval_gamma_family(g2, t) - eval_gamma_family(g1, t)
 
-    # 5: normalized canonical functions sit between the extremal pair
-    worst = 0.0
-    for k in range(nfuncs):
-        h = random_step_weight(_rng(seed, "monotone", 5, k))
-        f = CanonicalMonotone.normalized(h)
+# normalized canonical functions sit between the extremal pair
+@_property("monotone", "extremal-envelope", 1e-9)
+def _monotone_extremal_envelope(run: _Run):
+    for rng, _ in run.draws(run.nfuncs):
+        f = CanonicalMonotone.normalized(random_step_weight(rng))
         for t in _T_GRID:
             v = f(t)
-            worst = max(worst, eval_gamma_family(1.0, t) - v)
-            worst = max(worst, v - eval_gamma_family(0.0, t))
-    props.append(_upper(worst, 1e-9, "extremal-envelope"))
+            yield eval_gamma_family(1.0, t) - v
+            yield v - eval_gamma_family(0.0, t)
 
-    # 6: constant weights reproduce the closed-form family
-    worst = 0.0
+# constant weights reproduce the closed-form family
+@_property("monotone", "canonical-vs-closed-form", 1e-8)
+def _canonical_vs_closed_form(run: _Run):
     for g in (0.0, 0.25, 0.5, 0.75, 1.0):
         h = WeightFunction.constant(g)
         beta = (g - 0.5) * math.log(2.0)
         for t in _T_GRID:
             a = eval_canonical_f(beta, h, t)
             b = eval_gamma_family(g, t)
-            worst = max(worst, abs(a - b) / abs(b))
-    props.append(_upper(worst, 1e-8, "canonical-vs-closed-form"))
+            yield abs(a - b) / abs(b)
 
-    # 7: matrix-order sampling, optionally with the t^2 counterexample
-    candidates = [GammaFamily(0.4)]
-    candidates.append(
-        CanonicalMonotone.normalized(random_step_weight(_rng(seed, "monotone", 7)))
-    )
-    if inject_counterexample:
+# matrix-order sampling, optionally with the t^2 counterexample; a
+# residual is minus the most negative eigenvalue of f(B) - f(A)
+@_property("monotone", "operator-monotonicity", 1e-9, _MARGIN)
+def _operator_monotonicity(run: _Run):
+    candidates = [GammaFamily(0.4), CanonicalMonotone.normalized(random_step_weight(run.rng()))]
+    if run.inject_counterexample:
         candidates.append(lambda t: t * t)
-    worst = -math.inf
     for f in candidates:
-        rep = check_operator_monotone(f, trials=trials, dims=dims, seed=seed)
-        worst = max(worst, -rep.worst)
-    props.append(_upper(worst, 1e-9, "operator-monotonicity"))
+        rep = check_operator_monotone(f, trials=run.trials, dims=run.dims, seed=run.seed)
+        yield -rep.worst
 
-    # 8: quadrature of the raw integrand against both closed forms of the
-    # full-weight kernel integral
+# quadrature of the raw integrand against both closed forms of the
+# full-weight kernel integral
+@_property("monotone", "kernel-integral-closed-form", 1e-10)
+def _kernel_integral_closed_form(run: _Run):
     h1 = WeightFunction.constant(1.0)
-    worst = 0.0
     for t in np.geomspace(1e-2, 1e2, 20):
         t = float(t)
-        val, _ = integrate(lambda lam: symmetric_kernel(lam, t), 0.0, 1.0, quad)
-        worst = max(
-            worst,
-            abs(val - closed_form_kernel_integral(t)),
-            abs(val - weighted_kernel_integral(h1, t)),
-        )
-    props.append(_upper(worst, 1e-10, "kernel-integral-closed-form"))
+        val, _ = integrate(lambda lam: symmetric_kernel(lam, t), 0.0, 1.0, run.quad)
+        yield abs(val - closed_form_kernel_integral(t))
+        yield abs(val - weighted_kernel_integral(h1, t))
 
-    # 9: additive and multiplicative views agree through t = e^x
-    worst = 0.0
-    for k in range(nfuncs):
-        h = random_step_weight(_rng(seed, "monotone", 9, k))
+# additive and multiplicative views agree through t = e^x
+@_property("monotone", "exp-order-consistency", 1e-9)
+def _exp_order_consistency(run: _Run):
+    for rng, _ in run.draws(run.nfuncs):
+        h = random_step_weight(rng)
         beta = normalize_beta(h)
         F = ExpOrderFunction(beta=beta, h=h)
         for t in _T_GRID:
             a = math.exp(eval_exp_order(F, math.log(t)))
             b = eval_canonical_f(beta, h, t)
-            worst = max(worst, abs(a - b))
-    props.append(_upper(worst, 1e-9, "exp-order-consistency"))
+            yield abs(a - b)
 
-    # 10: additive functional equation F(x) = x + F(-x)
-    worst = 0.0
-    for k in range(nfuncs):
-        rng = _rng(seed, "monotone", 10, k)
+# additive functional equation F(x) = x + F(-x)
+@_property("monotone", "exp-order-symmetry", 1e-9)
+def _exp_order_symmetry(run: _Run):
+    for rng, _ in run.draws(run.nfuncs):
         F = ExpOrderFunction(beta=float(rng.normal()), h=random_step_weight(rng))
         for x in np.linspace(-5.0, 5.0, 21):
-            worst = max(
-                worst,
-                abs(eval_exp_order(F, float(x)) - float(x) - eval_exp_order(F, -float(x))),
-            )
-    props.append(_upper(worst, 1e-9, "exp-order-symmetry"))
+            x = float(x)
+            yield abs(eval_exp_order(F, x) - x - eval_exp_order(F, -x))
 
-    # 11: the arctangent-kernel definite integral equals the angle
-    worst = 0.0
+# the arctangent-kernel definite integral equals the angle
+@_property("monotone", "angle-integral", 1e-10)
+def _angle_integral(run: _Run):
     for theta in (math.pi / 6, math.pi / 4, math.pi / 2, 3 * math.pi / 4):
         val, _ = integrate(
             lambda lam: 2.0 * math.sin(theta) / (lam * lam - 2.0 * lam * math.cos(theta) + 1.0),
             -1.0,
             0.0,
-            quad,
+            run.quad,
         )
-        worst = max(worst, abs(val - theta))
-    props.append(_upper(worst, 1e-10, "angle-integral"))
+        yield abs(val - theta)
 
-    # 12: extended weights pair to one across the reciprocal map
-    worst = 0.0
-    for k in range(nfuncs):
-        rng = _rng(seed, "monotone", 12, k)
+# extended weights pair to one across the reciprocal map
+@_property("monotone", "weight-extension-duality", 1e-12)
+def _weight_extension_duality(run: _Run):
+    for rng, _ in run.draws(run.nfuncs):
         ext = extend_weight(random_step_weight(rng))
         for lam in rng.uniform(-0.99, -0.01, 20):
-            worst = max(worst, abs(ext(1.0 / lam) + ext(float(lam)) - 1.0))
-    props.append(_upper(worst, 1e-12, "weight-extension-duality"))
-
-    return SuiteReport(suite="monotone", properties=tuple(props))
+            yield abs(ext(1.0 / lam) + ext(float(lam)) - 1.0)
 
 
-def run_chentsov_suite(trials: int, dims: Sequence[int], seed: int) -> SuiteReport:
-    props: list[PropertyResult] = []
-    pairs = default_pair_grid(25)
-    thin_pairs = default_pair_grid(7)
-    nfuncs = max(2, trials // 100)
-
-    # 0: axioms of the closed-form family on the full default grid
-    worst = 0.0
+# axioms of the closed-form family on the full default grid
+@_property("chentsov", "mc-axioms-bridge", 1e-10)
+def _mc_axioms_bridge(run: _Run):
     for g in (0.0, 0.25, 0.5, 0.75, 1.0):
-        rep = check_mc_axioms(BridgeMC(g), pairs)
-        worst = max(worst, rep.symmetry_max, rep.homogeneity_max, rep.diagonal_max)
-    props.append(_upper(worst, 1e-10, "mc-axioms-bridge"))
+        rep = check_mc_axioms(BridgeMC(g), _PAIRS)
+        yield from (rep.symmetry_max, rep.homogeneity_max, rep.diagonal_max)
 
-    # 1: axioms of random canonical kernels (thin grid)
-    worst = 0.0
-    for k in range(nfuncs):
-        h = random_step_weight(_rng(seed, "chentsov", 1, k))
-        rep = check_mc_axioms(CanonicalMC.normalized(h), thin_pairs)
-        worst = max(worst, rep.symmetry_max, rep.homogeneity_max, rep.diagonal_max)
-    props.append(_upper(worst, 1e-8, "mc-axioms-canonical"))
+# axioms of random canonical kernels (thin grid)
+@_property("chentsov", "mc-axioms-canonical", 1e-8)
+def _mc_axioms_canonical(run: _Run):
+    for rng, _ in run.draws(run.nfuncs):
+        rep = check_mc_axioms(CanonicalMC.normalized(random_step_weight(rng)), _THIN_PAIRS)
+        yield from (rep.symmetry_max, rep.homogeneity_max, rep.diagonal_max)
 
-    # 2: the family is log-affine in its parameter
-    rng = _rng(seed, "chentsov", 2)
-    worst = 0.0
-    for _ in range(nfuncs):
+# the family is log-affine in its parameter
+@_property("chentsov", "bridge-log-affinity", 1e-12)
+def _bridge_log_affinity(run: _Run):
+    rng = run.rng()
+    for _ in range(run.nfuncs):
         g1, g2 = rng.uniform(0.0, 1.0, 2)
         for s in (0.0, 0.3, 0.5, 1.0):
             mid = s * g1 + (1.0 - s) * g2
-            for x, y in thin_pairs:
+            for x, y in _THIN_PAIRS:
                 lhs = eval_bridge(mid, x, y)
                 rhs = eval_bridge(g1, x, y) ** s * eval_bridge(g2, x, y) ** (1.0 - s)
-                worst = max(worst, abs(lhs - rhs) / abs(rhs))
-    props.append(_upper(worst, 1e-12, "bridge-log-affinity"))
+                yield abs(lhs - rhs) / abs(rhs)
 
-    # 3: the family increases pointwise in its parameter
+# the family increases pointwise in its parameter
+@_property("chentsov", "bridge-ordering", 1e-12)
+def _bridge_ordering(run: _Run):
     gammas = np.linspace(0.0, 1.0, 11)
-    worst = 0.0
     for g1, g2 in zip(gammas, gammas[1:]):
-        for x, y in thin_pairs:
-            worst = max(worst, eval_bridge(g1, x, y) - eval_bridge(g2, x, y))
-    props.append(_upper(worst, 1e-12, "bridge-ordering"))
+        for x, y in _THIN_PAIRS:
+            yield eval_bridge(g1, x, y) - eval_bridge(g2, x, y)
 
-    # 4: mixing weights multiplies kernels (shared scale constant)
-    worst = 0.0
-    for k in range(nfuncs):
-        rng = _rng(seed, "chentsov", 4, k)
+# mixing weights multiplies kernels (shared scale constant)
+@_property("chentsov", "mixture-law", 1e-8)
+def _mixture_law(run: _Run):
+    for rng, _ in run.draws(run.nfuncs):
         h1 = random_step_weight(rng)
         h2 = random_step_weight(rng)
         s = float(rng.uniform(0.0, 1.0))
         blend = h1.blend(h2, s)
-        for x, y in thin_pairs[:: max(1, len(thin_pairs) // 12)]:
+        for x, y in _SPARSE_PAIRS:
             lhs = eval_canonical_c(1.0, blend, x, y)
             rhs = eval_canonical_c(1.0, h1, x, y) ** s * eval_canonical_c(
                 1.0, h2, x, y
             ) ** (1.0 - s)
-            worst = max(worst, abs(lhs - rhs) / abs(rhs))
-    props.append(_upper(worst, 1e-8, "mixture-law"))
+            yield abs(lhs - rhs) / abs(rhs)
 
-    # 5: pointwise-larger weights give pointwise-larger kernels
-    worst = 0.0
-    for k in range(nfuncs):
-        rng = _rng(seed, "chentsov", 5, k)
+# pointwise-larger weights give pointwise-larger kernels
+@_property("chentsov", "weight-monotonicity", 1e-10)
+def _weight_monotonicity(run: _Run):
+    for rng, _ in run.draws(run.nfuncs):
         h = random_step_weight(rng)
         lift = rng.uniform(0.0, 1.0, len(h.values))
         g = WeightFunction(
             breakpoints=h.breakpoints,
-            values=tuple(
-                v + (1.0 - v) * float(u) for v, u in zip(h.values, lift)
-            ),
+            values=tuple(v + (1.0 - v) * float(u) for v, u in zip(h.values, lift)),
         )
-        for x, y in thin_pairs[:: max(1, len(thin_pairs) // 12)]:
-            worst = max(
-                worst,
-                eval_canonical_c(1.0, h, x, y) - eval_canonical_c(1.0, g, x, y),
-            )
-    props.append(_upper(worst, 1e-10, "weight-monotonicity"))
+        for x, y in _SPARSE_PAIRS:
+            yield eval_canonical_c(1.0, h, x, y) - eval_canonical_c(1.0, g, x, y)
 
-    # 6: kernels induced by the closed-form family match it
-    worst = 0.0
-    rng = _rng(seed, "chentsov", 6)
-    for g in (0.0, 0.5, 1.0, *(float(v) for v in rng.uniform(0.0, 1.0, nfuncs))):
+# kernels induced by the closed-form family match it
+@_property("chentsov", "from-f-roundtrip", 1e-10)
+def _from_f_roundtrip(run: _Run):
+    rng = run.rng()
+    for g in (0.0, 0.5, 1.0, *(float(v) for v in rng.uniform(0.0, 1.0, run.nfuncs))):
         c = FromMonotone(GammaFamily(g))
-        for x, y in thin_pairs:
-            worst = max(worst, abs(c(x, y) - eval_bridge(g, x, y)))
-    props.append(_upper(worst, 1e-10, "from-f-roundtrip"))
+        for x, y in _THIN_PAIRS:
+            yield abs(c(x, y) - eval_bridge(g, x, y))
 
-    # 7: the two normalizations agree through sqrt(2) e^{-beta}
-    worst = 0.0
-    for k in range(max(nfuncs, 10)):
-        h = random_step_weight(_rng(seed, "chentsov", 7, k))
-        worst = max(
-            worst,
-            abs(math.sqrt(2.0) * math.exp(-normalize_beta(h)) - normalize_C0(h)),
-        )
-    props.append(_upper(worst, 1e-9, "c0-beta-consistency"))
+# the two normalizations agree through sqrt(2) e^{-beta}
+@_property("chentsov", "c0-beta-consistency", 1e-9)
+def _c0_beta_consistency(run: _Run):
+    for rng, _ in run.draws(max(run.nfuncs, 10)):
+        h = random_step_weight(rng)
+        yield abs(math.sqrt(2.0) * math.exp(-normalize_beta(h)) - normalize_C0(h))
 
-    # 8: normalized kernels stay inside the extremal envelope
-    worst = 0.0
-    for k in range(nfuncs):
-        h = random_step_weight(_rng(seed, "chentsov", 8, k))
-        c = CanonicalMC.normalized(h)
-        for x, y in thin_pairs:
+# normalized kernels stay inside the extremal envelope
+@_property("chentsov", "extremal-envelope", 1e-10)
+def _chentsov_extremal_envelope(run: _Run):
+    for rng, _ in run.draws(run.nfuncs):
+        c = CanonicalMC.normalized(random_step_weight(rng))
+        for x, y in _THIN_PAIRS:
             v = c(x, y)
-            worst = max(worst, (2.0 / (x + y) - v) / v)
-            worst = max(worst, (v - (x + y) / (2.0 * x * y)) / v)
-    props.append(_upper(worst, 1e-10, "extremal-envelope"))
+            yield (2.0 / (x + y) - v) / v
+            yield (v - (x + y) / (2.0 * x * y)) / v
 
-    # 9: constant weights with auto scale reproduce the closed family
-    worst = 0.0
+# constant weights with auto scale reproduce the closed family
+@_property("chentsov", "canonical-vs-bridge", 1e-8)
+def _canonical_vs_bridge(run: _Run):
     for g in (0.0, 0.25, 0.5, 0.75, 1.0):
         h = WeightFunction.constant(g)
         c0 = normalize_C0(h)
-        for x, y in thin_pairs:
+        for x, y in _THIN_PAIRS:
             a = eval_canonical_c(c0, h, x, y)
             b = eval_bridge(g, x, y)
-            worst = max(worst, abs(a - b) / b)
-    props.append(_upper(worst, 1e-8, "canonical-vs-bridge"))
-
-    return SuiteReport(suite="chentsov", properties=tuple(props))
+            yield abs(a - b) / b
 
 
-def run_metric_suite(trials: int, dims: Sequence[int], seed: int) -> SuiteReport:
-    props: list[PropertyResult] = []
-    dims = tuple(dims)
-    spec = MetricSpec(c=BridgeMC(0.5))
-
-    def sample_state(rng, n):
-        return DensityMatrix.from_matrix(random_density(rng, n))
-
-    # 0: positive on nonzero tangents, zero at zero
-    worst = 0.0
-    for k in range(trials):
-        rng = _rng(seed, "metric", 0, k)
-        n = dims[k % len(dims)]
-        rho = sample_state(rng, n)
+# positive on nonzero tangents, zero at zero
+@_property("metric", "positivity", 0.0)
+def _positivity(run: _Run):
+    for rng, n in run.draws(run.trials):
+        rho = _draw_state(rng, n)
         a = random_tangent(rng, n, hermitian=bool(rng.integers(0, 2)))
-        q = metric_quadratic(spec, rho, a)
-        worst = max(worst, -q if q != 0.0 else math.inf)
-        worst = max(worst, abs(metric_quadratic(spec, rho, np.zeros((n, n)))))
-    props.append(_upper(worst, 0.0, "positivity"))
+        q = metric_quadratic(_SPEC, rho, a)
+        yield -q if q != 0.0 else math.inf
+        yield abs(metric_quadratic(_SPEC, rho, np.zeros((n, n))))
 
-    # 1: adjoint-pair symmetry K(A,B) = K(B*,A*)
-    worst = 0.0
-    for k in range(trials):
-        rng = _rng(seed, "metric", 1, k)
-        n = dims[k % len(dims)]
-        rho = sample_state(rng, n)
+# adjoint-pair symmetry K(A,B) = K(B*,A*)
+@_property("metric", "symmetry-axiom", 1e-11)
+def _symmetry_axiom(run: _Run):
+    for rng, n in run.draws(run.trials):
+        rho = _draw_state(rng, n)
         a = random_tangent(rng, n, hermitian=False)
         b = random_tangent(rng, n, hermitian=False)
-        v1 = metric_form(spec, rho, a, b)
-        v2 = metric_form(spec, rho, b.conj().T, a.conj().T)
-        worst = max(worst, abs(v1 - v2))
-    props.append(_upper(worst, 1e-11, "symmetry-axiom"))
+        v1 = metric_form(_SPEC, rho, a, b)
+        v2 = metric_form(_SPEC, rho, b.conj().T, a.conj().T)
+        yield abs(v1 - v2)
 
-    # 2: Hermitian form: K(A,B) = conj K(B,A)
-    worst = 0.0
-    for k in range(trials):
-        rng = _rng(seed, "metric", 2, k)
-        n = dims[k % len(dims)]
-        rho = sample_state(rng, n)
+# Hermitian form: K(A,B) = conj K(B,A)
+@_property("metric", "conjugate-symmetry", 1e-11)
+def _conjugate_symmetry(run: _Run):
+    for rng, n in run.draws(run.trials):
+        rho = _draw_state(rng, n)
         a = random_tangent(rng, n, hermitian=False)
         b = random_tangent(rng, n, hermitian=False)
-        worst = max(
-            worst,
-            abs(metric_form(spec, rho, a, b) - np.conj(metric_form(spec, rho, b, a))),
-        )
-    props.append(_upper(worst, 1e-11, "conjugate-symmetry"))
+        yield abs(metric_form(_SPEC, rho, a, b) - np.conj(metric_form(_SPEC, rho, b, a)))
 
-    # 3: linear in the second slot, conjugate-linear in the first
-    worst = 0.0
-    for k in range(trials):
-        rng = _rng(seed, "metric", 3, k)
-        n = dims[k % len(dims)]
-        rho = sample_state(rng, n)
+# linear in the second slot, conjugate-linear in the first
+@_property("metric", "sesquilinearity", 1e-10)
+def _sesquilinearity(run: _Run):
+    for rng, n in run.draws(run.trials):
+        rho = _draw_state(rng, n)
         a1 = random_tangent(rng, n, hermitian=False)
         a2 = random_tangent(rng, n, hermitian=False)
         b = random_tangent(rng, n, hermitian=False)
         z = complex(rng.normal(), rng.normal())
-        lhs = metric_form(spec, rho, z * a1 + a2, b)
-        rhs = np.conj(z) * metric_form(spec, rho, a1, b) + metric_form(spec, rho, a2, b)
-        worst = max(worst, abs(lhs - rhs))
-        lhs = metric_form(spec, rho, b, z * a1 + a2)
-        rhs = z * metric_form(spec, rho, b, a1) + metric_form(spec, rho, b, a2)
-        worst = max(worst, abs(lhs - rhs))
-    props.append(_upper(worst, 1e-10, "sesquilinearity"))
+        lhs = metric_form(_SPEC, rho, z * a1 + a2, b)
+        rhs = np.conj(z) * metric_form(_SPEC, rho, a1, b) + metric_form(_SPEC, rho, a2, b)
+        yield abs(lhs - rhs)
+        lhs = metric_form(_SPEC, rho, b, z * a1 + a2)
+        rhs = z * metric_form(_SPEC, rho, b, a1) + metric_form(_SPEC, rho, b, a2)
+        yield abs(lhs - rhs)
 
-    # 4: unitary conjugation leaves the quadratic form unchanged
-    worst = 0.0
-    for k in range(trials):
-        rng = _rng(seed, "metric", 4, k)
-        n = dims[k % len(dims)]
-        rho = sample_state(rng, n)
+
+def _rotation_residual(rho: DensityMatrix, a: np.ndarray, u: np.ndarray) -> float:
+    """Relative change of K(A, A) when state and tangent are conjugated by u."""
+    q1 = metric_quadratic(_SPEC, rho, a)
+    rho_u = DensityMatrix.from_matrix(u @ rho.matrix @ u.conj().T)
+    q2 = metric_quadratic(_SPEC, rho_u, u @ a @ u.conj().T)
+    return abs(q1 - q2) / max(1.0, abs(q1))
+
+
+# unitary conjugation leaves the quadratic form unchanged
+@_property("metric", "unitary-covariance", 1e-9)
+def _unitary_covariance(run: _Run):
+    for rng, n in run.draws(run.trials):
+        rho = _draw_state(rng, n)
         a = random_tangent(rng, n, hermitian=bool(rng.integers(0, 2)))
-        u = random_unitary(rng, n)
-        q1 = metric_quadratic(spec, rho, a)
-        rho_u = DensityMatrix.from_matrix(u @ rho.matrix @ u.conj().T)
-        q2 = metric_quadratic(spec, rho_u, u @ a @ u.conj().T)
-        worst = max(worst, abs(q1 - q2) / max(1.0, abs(q1)))
-    props.append(_upper(worst, 1e-9, "unitary-covariance"))
+        yield _rotation_residual(rho, a, random_unitary(rng, n))
 
-    # 5: diagonal data rotated into a dense basis evaluates identically
-    worst = 0.0
-    for k in range(trials):
-        rng = _rng(seed, "metric", 5, k)
-        n = dims[k % len(dims)]
-        w = rng.uniform(0.1, 1.0, n)
-        w = w / w.sum()
-        rho_diag = DensityMatrix.from_matrix(np.diag(w).astype(complex))
+# diagonal data rotated into a dense basis evaluates identically
+@_property("metric", "basis-independence", 1e-9)
+def _basis_independence(run: _Run):
+    for rng, n in run.draws(run.trials):
+        rho = _draw_diagonal_state(rng, n)
         a = random_tangent(rng, n, hermitian=True)
-        u = random_unitary(rng, n)
-        q1 = metric_quadratic(spec, rho_diag, a)
-        rho_rot = DensityMatrix.from_matrix(u @ rho_diag.matrix @ u.conj().T)
-        q2 = metric_quadratic(spec, rho_rot, u @ a @ u.conj().T)
-        worst = max(worst, abs(q1 - q2) / max(1.0, abs(q1)))
-    props.append(_upper(worst, 1e-9, "basis-independence"))
+        yield _rotation_residual(rho, a, random_unitary(rng, n))
 
-    # 6: smoke test only — small state perturbations move K proportionally
-    worst = 0.0
+# smoke test only — small state perturbations move K proportionally
+@_property("metric", "continuity-smoke", 1e3)
+def _continuity_smoke(run: _Run):
     delta = 1e-6
-    for k in range(min(trials, 20)):
-        rng = _rng(seed, "metric", 6, k)
-        n = dims[k % len(dims)]
-        rho = sample_state(rng, n)
+    for rng, n in run.draws(min(run.trials, 20)):
+        rho = _draw_state(rng, n)
         a = random_tangent(rng, n, hermitian=True)
-        q1 = metric_quadratic(spec, rho, a)
+        q1 = metric_quadratic(_SPEC, rho, a)
         perturbed = (1.0 - delta) * rho.matrix + delta * np.eye(n) / n
-        q2 = metric_quadratic(spec, DensityMatrix.from_matrix(perturbed), a)
-        worst = max(worst, abs(q2 - q1) / (delta * max(1.0, abs(q1))))
-    props.append(_upper(worst, 1e3, "continuity-smoke"))
-
-    return SuiteReport(suite="metric", properties=tuple(props))
+        q2 = metric_quadratic(_SPEC, DensityMatrix.from_matrix(perturbed), a)
+        yield abs(q2 - q1) / (delta * max(1.0, abs(q1)))
 
 
 def _contraction_worst(
@@ -553,13 +559,13 @@ def _contraction_worst(
     target_trials: int,
     dims: Sequence[int],
 ) -> float:
-    """Worst slack over accepted trials; rejected draws are skipped
-    deterministically by advancing the attempt counter.
+    """Worst (smallest) slack over accepted trials, NaN if any slack is
+    NaN; rejected draws are skipped deterministically by advancing the
+    attempt counter.
 
     Raises DegenerateSample when CONTRACTION_DRAWS_PER_TRIAL draws per
     wanted trial yield fewer than ``target_trials`` accepted ones.
     """
-    dims = tuple(dims)
     worst = math.inf
     accepted = 0
     attempt = 0
@@ -573,106 +579,98 @@ def _contraction_worst(
         rng = _rng(seed, "channels", prop, variant, attempt)
         attempt += 1
         n = dims[attempt % len(dims)]
-        m = int(rng.integers(2, 5))
-        kmin = math.ceil(n / m)
-        k = int(rng.integers(kmin, kmin + 3))
-        channel = random_channel(n, m, k, seed=int(rng.integers(0, 2**31)))
-        rho = DensityMatrix.from_matrix(random_density(rng, n))
+        channel = _draw_channel(rng, n)
+        rho = _draw_state(rng, n)
         a = random_tangent(rng, n, hermitian=bool(rng.integers(0, 2)))
         try:
             result = monotonicity_trial(spec, channel, rho, a)
         except NotAState:
             continue
+        if math.isnan(result.slack):
+            return math.nan
         accepted += 1
         worst = min(worst, result.slack)
     return worst
 
 
-def run_channels_suite(trials: int, dims: Sequence[int], seed: int) -> SuiteReport:
-    props: list[PropertyResult] = []
-    dims = tuple(dims)
-    spec = MetricSpec(c=BridgeMC(0.5))
-
-    # 0: generated channels preserve trace of arbitrary inputs
-    worst = 0.0
-    for k in range(min(trials, 50)):
-        rng = _rng(seed, "channels", 0, k)
-        n = dims[k % len(dims)]
-        m = int(rng.integers(2, 5))
-        kmin = math.ceil(n / m)
-        channel = random_channel(
-            n, m, int(rng.integers(kmin, kmin + 3)), seed=int(rng.integers(0, 2**31))
-        )
+# generated channels preserve trace of arbitrary inputs
+@_property("channels", "trace-preservation", 1e-10)
+def _trace_preservation(run: _Run):
+    for rng, n in run.draws(min(run.trials, 50)):
+        channel = _draw_channel(rng, n)
         gram = sum(op.conj().T @ op for op in channel.operators)
-        worst = max(worst, float(np.sqrt(np.sum(np.abs(gram - np.eye(n)) ** 2))))
+        yield float(np.sqrt(np.sum(np.abs(gram - np.eye(n)) ** 2)))
         x = random_tangent(rng, n, hermitian=False)
-        worst = max(worst, abs(complex(np.trace(apply_channel(channel, x))) - complex(np.trace(x))))
-    props.append(_upper(worst, 1e-10, "trace-preservation"))
+        yield abs(complex(np.trace(apply_channel(channel, x))) - complex(np.trace(x)))
 
-    # 1: unitary channels contract with equality
-    worst = 0.0
-    for k in range(trials):
-        rng = _rng(seed, "channels", 1, k)
-        n = dims[k % len(dims)]
-        u = random_unitary(rng, n)
-        channel = KrausChannel(operators=(u,))
-        rho = DensityMatrix.from_matrix(random_density(rng, n))
+# unitary channels contract with equality
+@_property("channels", "unitary-equality", 1e-9)
+def _unitary_equality(run: _Run):
+    for rng, n in run.draws(run.trials):
+        channel = KrausChannel(operators=(random_unitary(rng, n),))
+        rho = _draw_state(rng, n)
         a = random_tangent(rng, n, hermitian=bool(rng.integers(0, 2)))
-        result = monotonicity_trial(spec, channel, rho, a)
-        worst = max(worst, abs(result.slack))
-    props.append(_upper(worst, 1e-9, "unitary-equality"))
+        yield abs(monotonicity_trial(_SPEC, channel, rho, a).slack)
 
-    # 2: pinching a diagonal state kills exactly the off-diagonal part
-    worst = 0.0
-    for k in range(min(trials, 50)):
-        rng = _rng(seed, "channels", 2, k)
-        n = dims[k % len(dims)]
-        projectors = tuple(
-            np.diag([1.0 + 0.0j if i == j else 0.0j for i in range(n)]) for j in range(n)
-        )
+# pinching a diagonal state kills exactly the off-diagonal part
+@_property("channels", "pinching-contraction", 1e-9)
+def _pinching_contraction(run: _Run):
+    for rng, n in run.draws(min(run.trials, 50)):
+        projectors = tuple(np.diag(e) for e in np.eye(n, dtype=complex))
         channel = KrausChannel(operators=projectors)
-        w = rng.uniform(0.1, 1.0, n)
-        w = w / w.sum()
-        rho = DensityMatrix.from_matrix(np.diag(w).astype(complex))
+        rho = _draw_diagonal_state(rng, n)
         a = random_tangent(rng, n, hermitian=True)
         np.fill_diagonal(a, 0.0)
-        result = monotonicity_trial(spec, channel, rho, a)
-        worst = max(worst, abs(result.lhs), -result.slack)
-    props.append(_upper(worst, 1e-9, "pinching-contraction"))
+        result = monotonicity_trial(_SPEC, channel, rho, a)
+        yield abs(result.lhs)
+        yield -result.slack
 
-    # 3: contraction under the closed-form kernels
-    worst = math.inf
+# contraction under the closed-form kernels; a residual is minus the
+# smallest slack of one kernel
+@_property("channels", "contraction-bridge", 1e-9, _MARGIN)
+def _contraction_bridge(run: _Run):
     for variant, g in enumerate((0.0, 0.5, 1.0)):
-        worst = min(
-            worst,
-            _contraction_worst(MetricSpec(c=BridgeMC(g)), seed, 3, variant, trials, dims),
-        )
-    props.append(_upper(-worst, 1e-9, "contraction-bridge"))
+        spec = MetricSpec(c=BridgeMC(g))
+        yield -_contraction_worst(spec, run.seed, run.prop, variant, run.trials, run.dims)
 
-    # 4: contraction under random canonical kernels
-    worst = math.inf
+# contraction under random canonical kernels
+@_property("channels", "contraction-canonical", 1e-9, _MARGIN)
+def _contraction_canonical(run: _Run):
     for variant in range(2):
-        h = random_step_weight(_rng(seed, "channels", 4, variant))
-        cspec = MetricSpec(c=CanonicalMC.normalized(h))
-        worst = min(
-            worst, _contraction_worst(cspec, seed, 4, variant + 10, trials, dims)
-        )
-    props.append(_upper(-worst, 1e-9, "contraction-canonical"))
+        spec = MetricSpec(c=CanonicalMC.normalized(random_step_weight(run.rng(variant))))
+        yield -_contraction_worst(spec, run.seed, run.prop, variant + 10, run.trials, run.dims)
 
-    # 5: the harness detects a broken kernel (fixed trial count so the
-    # guarantee does not depend on --trials)
+# the harness detects a broken kernel (fixed trial count so the guarantee
+# does not depend on --trials); the residual is the smallest slack
+@_property("channels", "falsification-power", -1e-3, _MUST_FAIL)
+def _falsification_power(run: _Run):
     bad = MetricSpec(c=_invalid_kernel)
-    worst = _contraction_worst(bad, seed, 5, 0, INVALID_KERNEL_TRIALS, dims)
-    props.append(
-        PropertyResult(
-            name="falsification-power",
-            worst=float(worst),
-            tolerance=-1e-3,
-            passed=bool(worst < -1e-3),
-        )
+    yield _contraction_worst(bad, run.seed, run.prop, 0, INVALID_KERNEL_TRIALS, run.dims)
+
+
+def run_monotone_suite(
+    trials: int,
+    dims: Sequence[int],
+    seed: int,
+    quad: QuadratureConfig = DEFAULT_QUAD,
+    inject_counterexample: bool = False,
+) -> SuiteReport:
+    nfuncs = max(2, trials // 50)
+    return _run_suite(
+        _Run("monotone", seed, trials, tuple(dims), nfuncs, quad, inject_counterexample)
     )
 
-    return SuiteReport(suite="channels", properties=tuple(props))
+
+def run_chentsov_suite(trials: int, dims: Sequence[int], seed: int) -> SuiteReport:
+    return _run_suite(_Run("chentsov", seed, trials, tuple(dims), max(2, trials // 100)))
+
+
+def run_metric_suite(trials: int, dims: Sequence[int], seed: int) -> SuiteReport:
+    return _run_suite(_Run("metric", seed, trials, tuple(dims)))
+
+
+def run_channels_suite(trials: int, dims: Sequence[int], seed: int) -> SuiteReport:
+    return _run_suite(_Run("channels", seed, trials, tuple(dims)))
 
 
 _SUITE_RUNNERS = {

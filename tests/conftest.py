@@ -1,7 +1,8 @@
 from hypothesis import HealthCheck, settings
 
-# Quadrature-backed evaluations can take a few hundred ms; the default
-# deadline would make these tests flaky. derandomize keeps runs identical.
+# Every example evaluates in closed form and takes a few ms, but that time
+# follows host load; no deadline keeps a busy host from failing a run.
+# derandomize keeps runs identical.
 settings.register_profile(
     "monometric",
     deadline=None,

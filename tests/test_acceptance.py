@@ -44,7 +44,7 @@ from monometric import (
     tilde,
 )
 from monometric.chentsov import default_grid, default_pair_grid
-from monometric.monotone import weighted_kernel_integral
+from monometric.monotone import symmetric_kernel, weighted_kernel_integral
 from monometric.sampling import (
     random_density,
     random_step_weight,
@@ -91,8 +91,11 @@ def test_01_canonical_matches_gamma_family(report):
 def test_02_kernel_integral_oracle(report):
     worst = 0.0
     for t in np.geomspace(1e-2, 1e2, 20):
-        got = weighted_kernel_integral(const_weight(1.0), float(t))
-        worst = max(worst, abs(got - closed_form_kernel_integral(float(t))))
+        t = float(t)
+        want = closed_form_kernel_integral(t)
+        quad, _ = integrate(lambda lam: symmetric_kernel(lam, t), 0.0, 1.0)
+        got = weighted_kernel_integral(const_weight(1.0), t)
+        worst = max(worst, abs(got - want), abs(quad - want))
     report(2, "full-weight-kernel-integral", worst <= 1e-10, f"max abs err {worst:.3e}")
 
 

@@ -195,6 +195,12 @@ class TestAxiomChecker:
         report = check_mc_axioms(lambda x, y: 1.0 / x, [(1.0, 2.0)])
         assert report.symmetry_max > 0.1
 
+    def test_nan_kernel_gives_nan(self):
+        report = check_mc_axioms(lambda x, y: math.nan, thin_pairs())
+        assert math.isnan(report.symmetry_max)
+        assert math.isnan(report.homogeneity_max)
+        assert math.isnan(report.diagonal_max)
+
     def test_canonical_random_weight_passes(self):
         report = check_mc_axioms(CanonicalMC.normalized(step_weight(9)), thin_pairs())
         assert report.symmetry_max <= 1e-8

@@ -345,6 +345,14 @@ class TestVerifyCommand:
     def test_malformed_flags_exit_2(self, argv):
         assert main(argv) == 2
 
+    def test_sampler_that_gives_up_exits_5(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise DegenerateSample("forced for the exit-code test")
+
+        monkeypatch.setattr(monometric.verify, "random_channel", exhausted)
+        assert main(["verify", "--suite", "channels", "--trials", "1"]) == 5
+        assert "sampler gave up" in capsys.readouterr().err
+
     def test_contraction_sampling_is_bounded(self, monkeypatch):
         def rejected(*args, **kwargs):
             raise NotAState("forced rejection")

@@ -134,7 +134,7 @@ class TestKernelIntegral:
         assert closed_form_kernel_integral(1.0) == pytest.approx(math.log(0.5))
         assert closed_form_kernel_integral(2.0) == pytest.approx(math.log(4.0 / 9.0))
 
-    def test_quadrature_matches_closed_form(self):
+    def test_weighted_integral_matches_log_closed_form(self):
         h1 = const_weight(1.0)
         assert weighted_kernel_integral(h1, 3.0) == pytest.approx(
             math.log(6.0 / 16.0), abs=1e-10
@@ -234,6 +234,9 @@ class TestFunctionalEquation:
     def test_identity_violates(self):
         # f(2) = 2 while 2 f(1/2) = 1, so the residual at t=2 is exactly 1
         assert check_functional_equation(Identity(), [2.0]) == pytest.approx(1.0)
+
+    def test_nan_function_gives_nan(self):
+        assert math.isnan(check_functional_equation(lambda t: math.nan, T_GRID))
 
     def test_sqrt_residual_vanishes(self):
         assert check_functional_equation(sqrt_function(), [2.0, 4.0, 8.0]) == 0.0
