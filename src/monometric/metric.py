@@ -50,6 +50,8 @@ class DensityMatrix:
         a = as_matrix(m)
         if a.shape[0] != a.shape[1]:
             raise NotAState(f"state must be square, got {a.shape}")
+        if not np.isfinite(a).all():
+            raise NotAState("state has a non-finite entry")
         defect = hermiticity_defect(a)
         if defect > herm_tol:
             raise NotAState(f"state not Hermitian: defect {defect:.3e}")

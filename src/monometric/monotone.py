@@ -416,6 +416,8 @@ def check_operator_monotone(
     Per-trial generators are derived from (seed, trial index), so any
     single trial can be reproduced in isolation. The report carries the
     most negative eigenvalue of f(B) - f(A) seen and where it occurred.
+    A non-finite value of f stops the check at that trial with worst NaN,
+    which does not pass.
     """
     if trials < 1:
         raise DomainError("need at least one trial")
@@ -431,12 +433,14 @@ def check_operator_monotone(
         a, b = _ordered_pair(rng, n)
         dec_a = hermitian_eig(a)
         dec_b = hermitian_eig(b)
-        fa = (dec_a.eigenvectors * [f(w) for w in dec_a.eigenvalues]) @ (
-            dec_a.eigenvectors.conj().T
-        )
-        fb = (dec_b.eigenvectors * [f(w) for w in dec_b.eigenvalues]) @ (
-            dec_b.eigenvectors.conj().T
-        )
+        vals_a = [f(w) for w in dec_a.eigenvalues]
+        vals_b = [f(w) for w in dec_b.eigenvalues]
+        if not np.isfinite(vals_a + vals_b).all():
+            # a non-finite value of f fails the check; it is no matrix to diagonalize
+            worst, worst_trial, worst_dim = math.nan, trial, n
+            break
+        fa = (dec_a.eigenvectors * vals_a) @ dec_a.eigenvectors.conj().T
+        fb = (dec_b.eigenvectors * vals_b) @ dec_b.eigenvectors.conj().T
         gap = min_eigenvalue(fb - fa)
         if gap < worst:
             worst, worst_trial, worst_dim = gap, trial, n

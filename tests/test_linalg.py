@@ -1,5 +1,6 @@
 """Jacobi eigensolver and spectral functions, cross-checked against numpy."""
 
+import itertools
 import math
 
 import numpy as np
@@ -14,13 +15,54 @@ from monometric import (
     matrix_function,
     min_eigenvalue,
 )
+from monometric.linalg import require_hermitian
+from monometric.sampling import random_density, random_unitary
 
 RECON_TOL = 1e-11
+# the two ways differ only in rounding: eigenvalues within this much of
+# 1 + ||M||, eigenvectors of a simple spectrum entrywise within 1e3 times it
+WAYS_TOL = 1e-13
+WAYS = {"scalar": la._jacobi_scalar, "vectorized": la._jacobi_vectorized}
+ALL_DIMS = range(2, la.MAX_DIM + 1)
+
+
+def hermitian_part(m):
+    return 0.5 * (m + m.conj().T)
 
 
 def random_hermitian(rng, n):
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return 0.5 * (g + g.conj().T)
+    return hermitian_part(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+
+
+def below_skip(rng, n):
+    """One rotating pair; every other off-diagonal entry just below the skip bound."""
+    m = np.diag(np.arange(1.0, n + 1)).astype(complex)
+    m[0, 1] = m[1, 0] = 0.5
+    _, skip = la._thresholds(m)
+    tiny = np.triu(0.99 * skip * np.exp(2j * np.pi * rng.random((n, n))), 1)
+    tiny[0, 1] = 0.0
+    m = m + tiny + tiny.conj().T
+    assert la._thresholds(m)[1] == skip
+    return m
+
+
+def eigen_inputs(n):
+    """Named test matrices of dimension n."""
+    rng = np.random.default_rng([47, n])
+    u = random_unitary(rng, n)
+    return {
+        "random": random_hermitian(rng, n),
+        "state": hermitian_part(random_density(rng, n)),
+        "scaled-up": 1e100 * random_hermitian(rng, n),
+        "scaled-down": 1e-100 * random_hermitian(rng, n),
+        "diagonal": np.diag(rng.standard_normal(n)).astype(complex),
+        "identity": np.eye(n, dtype=complex),
+        "repeated": hermitian_part((u * np.tile([0.25, 1.0, 4.0], n)[:n]) @ u.conj().T),
+        "below-skip": below_skip(rng, n),
+    }
+
+
+SIMPLE_SPECTRUM = ("random", "state", "scaled-up")
 
 
 class TestHermitianEig:
@@ -89,6 +131,69 @@ class TestHermitianEig:
         m = np.array([[1.0, 0.5 + 1e-13], [0.5, 2.0]])
         dec = hermitian_eig(m, tol=1e-10)
         assert dec.eigenvalues.shape == (2,)
+
+
+class TestRoundRobin:
+    @pytest.mark.parametrize("n", range(1, la.MAX_DIM + 1))
+    def test_steps_cover_every_pair_once_with_disjoint_pairs(self, n):
+        steps = la._round_robin(n)
+        assert len(steps) == (n if n % 2 else n - 1)
+        pairs = [pair for step in steps for pair in step]
+        assert sorted(pairs) == list(itertools.combinations(range(n), 2))
+        for step in steps:
+            touched = [i for pair in step for i in pair]
+            assert len(touched) == len(set(touched))
+            assert len(step) == n // 2
+
+    def test_dimension_alone_picks_the_way(self):
+        for n, way in ((la.SMALL_DIM - 1, "scalar"), (la.SMALL_DIM, "vectorized")):
+            m = random_hermitian(np.random.default_rng(n), n)
+            dec = hermitian_eig(m)
+            eigs, vecs = WAYS[way](m)
+            order = np.argsort(eigs, kind="stable")
+            assert np.array_equal(dec.eigenvalues, eigs[order])
+            assert np.array_equal(dec.eigenvectors, vecs[:, order])
+
+
+@pytest.mark.parametrize("n", ALL_DIMS)
+def test_both_ways_across_the_supported_range(n):
+    for kind, m in eigen_inputs(n).items():
+        scale = 1.0 + np.linalg.norm(m)
+        ref = np.linalg.eigvalsh(m)
+        results = {}
+        for name, way in WAYS.items():
+            eigs, vecs = way(m)
+            again = way(m)
+            assert np.array_equal(eigs, again[0]) and np.array_equal(vecs, again[1]), (kind, name)
+            order = np.argsort(eigs, kind="stable")
+            eigs, vecs = eigs[order], vecs[:, order]
+            assert np.allclose(eigs, ref, rtol=0.0, atol=1e-12 * scale), (kind, name)
+            recon = (vecs * eigs) @ vecs.conj().T
+            assert np.linalg.norm(recon - m) <= RECON_TOL * scale, (kind, name)
+            assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(n)) <= RECON_TOL, (kind, name)
+            results[name] = eigs, vecs
+        (es, vs), (ev, vv) = results["scalar"], results["vectorized"]
+        assert np.max(np.abs(es - ev)) <= WAYS_TOL * scale, kind
+        if kind in SIMPLE_SPECTRUM:
+            assert np.max(np.abs(vs - vv)) <= 1e3 * WAYS_TOL, kind
+
+
+@pytest.mark.parametrize("way", WAYS)
+@pytest.mark.parametrize("n", (2, la.MAX_DIM))
+def test_both_ways_raise_when_sweeps_are_exhausted(way, n, monkeypatch):
+    monkeypatch.setattr(la, "MAX_SWEEPS", 0)
+    with pytest.raises(NoConvergence):
+        WAYS[way](random_hermitian(np.random.default_rng(n), n))
+
+
+class TestNonFiniteInput:
+    def test_require_hermitian_rejects_nan(self):
+        with pytest.raises(DomainError):
+            require_hermitian(np.array([[math.nan, 0.0], [0.0, 1.0]]))
+
+    def test_infinite_eigenvalue_is_not_returned(self):
+        with pytest.raises(DomainError):
+            hermitian_eig(np.diag([math.inf, 0.5]))
 
 
 class TestMatrixFunction:

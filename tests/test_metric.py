@@ -1,8 +1,11 @@
 """Sesquilinear form on tangent matrices at a positive definite state."""
 
+import math
+
 import numpy as np
 import pytest
 
+import monometric.metric
 from monometric import (
     BridgeMC,
     CanonicalMC,
@@ -59,6 +62,16 @@ class TestStateValidation:
         k = metric_quadratic(BURES_SPEC, rho, SIGMA_X)
         herm = DensityMatrix.from_matrix(0.5 * (m + m.conj().T))
         assert k == pytest.approx(metric_quadratic(BURES_SPEC, herm, SIGMA_X), rel=1e-6)
+
+    def test_rejects_non_finite_before_diagonalizing(self, monkeypatch):
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("eigensolver called on a non-finite state")
+
+        monkeypatch.setattr(monometric.metric, "hermitian_eig", no_eigensolve)
+        for bad in (math.nan, math.inf):
+            m = np.array([[0.5, bad], [bad, 0.5]], dtype=complex)
+            with pytest.raises(NotAState):
+                DensityMatrix.from_matrix(m)
 
     def test_floor_is_configurable(self):
         m = np.diag([1.0 - 1e-6, 1e-6]).astype(complex)

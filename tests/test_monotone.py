@@ -375,6 +375,14 @@ class TestOperatorMonotonicity:
         report = check_operator_monotone(f, trials=40, dims=(2, 3), seed=5)
         assert report.passed
 
+    @pytest.mark.parametrize("bad", (math.nan, math.inf))
+    def test_non_finite_value_fails_with_nan_worst(self, bad):
+        f = lambda t: bad if t > 1.0 else t  # noqa: E731
+        report = check_operator_monotone(f, trials=20, dims=(2, 3), seed=0)
+        assert not report.passed
+        assert math.isnan(report.worst)
+        assert report.worst_dim in (2, 3) and 0 <= report.worst_trial < 20
+
 
 class TestEnvelope:
     def test_normalized_canonical_between_extremes(self):

@@ -7,7 +7,7 @@ import math
 import monometric.verify
 from monometric import BridgeMC, MetricSpec, TrialResult, eval_bridge
 from monometric.cli import main
-from monometric.verify import _contraction_worst, run_chentsov_suite
+from monometric.verify import _contraction_worst, run_chentsov_suite, run_monotone_suite
 
 
 def test_nan_bridge_values_fail_the_properties_they_enter(monkeypatch):
@@ -36,3 +36,11 @@ def test_valid_kernel_fails_the_falsification_canary(capsys, monkeypatch):
     report = json.loads(capsys.readouterr().out)
     failing = [p["name"] for p in report["suites"][0]["properties"] if not p["passed"]]
     assert failing == ["falsification-power"]
+
+
+def test_nan_monotone_function_fails_operator_monotonicity(capsys, monkeypatch):
+    monkeypatch.setattr(monometric.verify, "GammaFamily", lambda g: (lambda t: math.nan))
+    props = {p.name: p for p in run_monotone_suite(4, (2, 3), 0).properties}
+    assert not props["operator-monotonicity"].passed
+    assert math.isnan(props["operator-monotonicity"].worst)
+    assert main(["verify", "--suite", "monotone", "--trials", "4"]) == 1
