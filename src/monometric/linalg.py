@@ -62,6 +62,8 @@ def require_hermitian(m, tol: float = DEFAULT_HERM_TOL) -> np.ndarray:
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise NotHermitian(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
+    if a.shape[0] == 0:
+        raise DomainError("matrix is empty")
     if not np.isfinite(a).all():
         raise DomainError("matrix has a non-finite entry")
     if hermiticity_defect(a) > tol:
@@ -97,9 +99,9 @@ def hermitian_eig(m, tol: float = DEFAULT_HERM_TOL) -> HermitianEigen:
 
     Eigenvalues come back sorted ascending; ties keep the order in which
     the iteration produced them. Outputs are deterministic on one machine.
-    Raises NotHermitian on asymmetric input, DomainError on non-finite
-    input or n > MAX_DIM, and NoConvergence if the off-diagonal mass has
-    not vanished after MAX_SWEEPS sweeps.
+    Raises NotHermitian on asymmetric input, DomainError on an empty or
+    non-finite input or n > MAX_DIM, and NoConvergence if the off-diagonal
+    mass has not vanished after MAX_SWEEPS sweeps.
     """
     a = require_hermitian(m, tol)
     n = a.shape[0]

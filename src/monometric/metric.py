@@ -20,8 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, MonometricError, NotAState
-from .linalg import HermitianEigen, as_matrix, hermitian_eig, hermiticity_defect
+from .errors import DimensionMismatch, MonometricError, NotAState, NotHermitian
+from .linalg import HermitianEigen, as_matrix, hermitian_eig
 
 STATE_EIG_FLOOR = 1e-10
 STATE_TRACE_TOL = 1e-10
@@ -52,13 +52,13 @@ class DensityMatrix:
             raise NotAState(f"state must be square, got {a.shape}")
         if not np.isfinite(a).all():
             raise NotAState("state has a non-finite entry")
-        defect = hermiticity_defect(a)
-        if defect > herm_tol:
-            raise NotAState(f"state not Hermitian: defect {defect:.3e}")
         tr = complex(np.trace(a))
         if abs(tr - 1.0) > STATE_TRACE_TOL:
             raise NotAState(f"state trace {tr} not 1")
-        dec = hermitian_eig(a, tol=herm_tol)
+        try:
+            dec = hermitian_eig(a, tol=herm_tol)
+        except NotHermitian as exc:
+            raise NotAState(f"state not Hermitian: {exc}") from exc
         if dec.eigenvalues[0] <= floor:
             raise NotAState(
                 f"smallest eigenvalue {dec.eigenvalues[0]:.3e} at or below "
@@ -104,27 +104,21 @@ def metric_form(spec: MetricSpec, rho, a, b) -> complex:
             f"state is {n}x{n}, tangents are {am.shape} and {bm.shape}"
         )
     dec = state.eig
-    w = dec.eigenvalues
     u = dec.eigenvectors
-    at = u.conj().T @ am @ u
-    bt = u.conj().T @ bm @ u
+    uh = u.conj().T
+    w = dec.eigenvalues.tolist()
+    at = (uh @ am @ u).tolist()
+    bt = (uh @ bm @ u).tolist()
+    c = spec.c
+    diag = float(spec.diagonal_constant)
     # conj(at)*bt is grouped first: at B = A the product is exactly real,
     # so the quadratic form stays real to the bit even for wild kernels
-    total = 0.0 + 0.0j
-    for i in range(n):
-        total += spec.diagonal_constant * (np.conj(at[i, i]) * bt[i, i]) / w[i]
-    cache: dict[tuple[float, float], float] = {}
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            key = (float(w[i]), float(w[j]))
-            cv = cache.get(key)
-            if cv is None:
-                cv = float(spec.c(key[0], key[1]))
-                cache[key] = cv
-            total += cv * (np.conj(at[i, j]) * bt[i, j])
-    return complex(total)
+    total = 0j
+    for i, (wi, at_i, bt_i) in enumerate(zip(w, at, bt)):
+        for j, (wj, x, y) in enumerate(zip(w, at_i, bt_i)):
+            k = diag / wi if i == j else float(c(wi, wj))
+            total += k * (x.conjugate() * y)
+    return total
 
 
 def metric_quadratic(spec: MetricSpec, rho, a) -> float:

@@ -73,13 +73,11 @@ def random_step_weight(rng: np.random.Generator, max_pieces: int = 4) -> WeightF
     interior = np.sort(rng.uniform(0.0, 1.0, pieces - 1))
     breakpoints = [0.0]
     for b in interior:
-        # collisions would violate strict monotonicity; nudge instead
+        # collisions would violate strict monotonicity; drop the repeat
         if b <= breakpoints[-1]:
             continue
         breakpoints.append(float(b))
     breakpoints.append(1.0)
-    if breakpoints[-2] >= 1.0:
-        breakpoints = breakpoints[:-2] + [1.0]
     values = rng.uniform(0.0, 1.0, len(breakpoints) - 1)
     return WeightFunction(
         breakpoints=tuple(breakpoints), values=tuple(float(v) for v in values)

@@ -268,6 +268,15 @@ class TestMetricCommand:
         assert code == 4
         assert "not a valid state" in capsys.readouterr().err
 
+    def test_non_hermitian_state_exits_4(self, files, capsys):
+        skew_rho = write_json(
+            files["tmp"] / "skew_rho.json",
+            [[[0.5, 0.0], [0.3, 0.0]], [[0.0, 0.0], [0.5, 0.0]]],
+        )
+        code = main(["metric", "--rho", skew_rho, "--a", files["sigma_x"], "--c-spec", files["bridge0"]])
+        assert code == 4
+        assert "not Hermitian" in capsys.readouterr().err
+
     def test_non_finite_state_exits_4(self, files, capsys):
         nan_rho = write_json(
             files["tmp"] / "nan_rho.json",

@@ -122,6 +122,12 @@ class TestHermitianEig:
         with pytest.raises(DomainError):
             hermitian_eig(np.eye(la.MAX_DIM + 1))
 
+    def test_rejects_empty(self):
+        empty = np.zeros((0, 0))
+        for call in (hermitian_eig, min_eigenvalue, lambda m: matrix_function(m, math.exp)):
+            with pytest.raises(DomainError, match="empty"):
+                call(empty)
+
     def test_no_convergence_when_sweeps_exhausted(self, monkeypatch):
         monkeypatch.setattr(la, "MAX_SWEEPS", 0)
         with pytest.raises(NoConvergence):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import monometric.linalg
 import monometric.metric
 from monometric import (
     BridgeMC,
@@ -23,6 +24,7 @@ from monometric.sampling import (
     random_tangent,
     random_unitary,
 )
+from monometric.verify import _invalid_kernel
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 BURES_SPEC = MetricSpec(c=BridgeMC(0.0))
@@ -126,11 +128,71 @@ class TestQuadraticForm:
         assert k2 == pytest.approx(4.0 * k1, rel=1e-12)
 
     def test_result_exactly_real(self):
+        # every term carries |At_ij|^2 at B = A, whatever the kernel; a
+        # numpy complex array product may fuse the multiply and leave an
+        # imaginary residue
+        specs = (
+            MetricSpec(c=BridgeMC(0.3)),
+            MetricSpec(c=CanonicalMC.normalized(random_step_weight(np.random.default_rng(9)))),
+            MetricSpec(c=_invalid_kernel),
+        )
         rng = np.random.default_rng(8)
-        rho = DensityMatrix.from_matrix(random_density(rng, 4))
-        a = random_tangent(rng, 4, False)
-        k = metric_form(BURES_SPEC, rho, a, a)
-        assert k.imag == 0.0
+        for n in (2, 3, 8, 16, 32):
+            rho = DensityMatrix.from_matrix(random_density(rng, n))
+            for hermitian in (True, False):
+                a = random_tangent(rng, n, hermitian)
+                for spec in specs:
+                    assert metric_form(spec, rho, a, a).imag == 0.0
+
+
+class TestReference:
+    @staticmethod
+    def einsum_form(spec, rho, a, b):
+        """Sum over k_ij conj(At_ij) Bt_ij with the kernel matrix built whole."""
+        w = rho.eig.eigenvalues
+        u = rho.eig.eigenvectors
+        at = u.conj().T @ a @ u
+        bt = u.conj().T @ b @ u
+        k = np.array([[float(spec.c(x, y)) for y in w] for x in w])
+        np.fill_diagonal(k, spec.diagonal_constant / w)
+        return np.einsum("ij,ij,ij->", k, at.conj(), bt)
+
+    def test_matches_einsum_evaluation(self):
+        # a non-symmetric kernel and C != 1 catch swapped (w_i, w_j) and a
+        # diagonal taken from the kernel; non-Hermitian a != b keep the
+        # swapped terms from summing to the same value
+        spec = MetricSpec(c=_invalid_kernel, diagonal_constant=2.5)
+        rng = np.random.default_rng(71)
+        for n in (1, 2, 3, 8, 16, 32):
+            for rho_m in (random_density(rng, n), np.eye(n, dtype=complex) / n):
+                rho = DensityMatrix.from_matrix(rho_m)
+                a = random_tangent(rng, n, False)
+                b = random_tangent(rng, n, False)
+                ref = self.einsum_form(spec, rho, a, b)
+                assert metric_form(spec, rho, a, b) == pytest.approx(ref, rel=1e-12)
+
+    def test_one_hermiticity_check_and_one_eigensolve_per_state(self, monkeypatch):
+        calls = {"defect": 0, "eig": 0}
+        defect = monometric.linalg.hermiticity_defect
+        eig = monometric.metric.hermitian_eig
+
+        def counted_defect(m):
+            calls["defect"] += 1
+            return defect(m)
+
+        def counted_eig(m, tol):
+            calls["eig"] += 1
+            return eig(m, tol)
+
+        # count through every binding: a module that imports the function
+        # by name holds its own
+        for module in (monometric.linalg, monometric.metric):
+            if getattr(module, "hermiticity_defect", None) is defect:
+                monkeypatch.setattr(module, "hermiticity_defect", counted_defect)
+        monkeypatch.setattr(monometric.metric, "hermitian_eig", counted_eig)
+        rho = DensityMatrix.from_matrix(random_density(np.random.default_rng(3), 3))
+        metric_form(BURES_SPEC, rho, np.eye(3), np.eye(3))
+        assert calls == {"defect": 1, "eig": 1}
 
 
 class TestSesquilinearAxioms:
