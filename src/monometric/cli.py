@@ -8,23 +8,21 @@ input, 3 quadrature failure, 4 invalid state, 5 a random sampler gave up
 flags).
 
 Every evaluation is in closed form; adaptive quadrature runs only inside
-``verify``, as the oracle of the properties that integrate. The
-environment variable MONOMETRIC_QUAD_TOL, when set, overrides the
-absolute tolerance of that quadrature; it is parsed, and a bad value
-rejected, on every command.
+``verify``, as the oracle of the properties that integrate. ``eval-f`` and
+``eval-c`` turn their flags into the spec objects of the JSON files and
+read them with the same ``io`` readers, so a flag and a file field are
+validated alike.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
-from .chentsov import c_from_f, eval_bridge
+from .chentsov import eval_bridge
 from .errors import (
     DegenerateSample,
     DomainError,
@@ -32,10 +30,8 @@ from .errors import (
     NotAState,
     QuadratureFailure,
 )
-from .io import load_json_file, matrix_from_json, mc_from_json, monotone_from_json, weight_from_json
+from .io import load_json_file, matrix_from_json, mc_from_json, monotone_from_json
 from .metric import DensityMatrix, MetricSpec, metric_form, metric_quadratic
-from .monotone import CanonicalMonotone, GammaFamily
-from .quadrature import DEFAULT_QUAD, QuadratureConfig
 from .verify import SUITE_NAMES, report_to_dict, run_verification
 
 EXIT_OK = 0
@@ -52,19 +48,6 @@ def fmt15(value: float) -> str:
     if "." not in out and "e" not in out and "n" not in out and "f" not in out:
         out += ".0"
     return out
-
-
-def _quad_from_env() -> QuadratureConfig:
-    raw = os.environ.get("MONOMETRIC_QUAD_TOL")
-    if raw is None:
-        return DEFAULT_QUAD
-    try:
-        tol = float(raw)
-    except ValueError as exc:
-        raise DomainError(f"MONOMETRIC_QUAD_TOL={raw!r} is not a number") from exc
-    if not tol > 0.0:
-        raise DomainError(f"MONOMETRIC_QUAD_TOL={raw!r} must be positive")
-    return replace(DEFAULT_QUAD, abs_tol=tol)
 
 
 def _parse_grid(spec: str) -> list[float]:
@@ -110,22 +93,12 @@ def cmd_eval_f(args) -> int:
     if not args.t > 0.0:
         raise DomainError(f"--t {args.t} must be positive")
     if args.family is not None:
-        if args.family != "gamma":
-            raise DomainError(f"unknown family {args.family!r}")
-        if args.gamma is None:
-            raise DomainError("--family gamma needs --gamma")
-        value = GammaFamily(args.gamma)(args.t)
+        spec = {"family": args.family}
+        if args.gamma is not None:
+            spec["gamma"] = args.gamma
     else:
-        h = weight_from_json(load_json_file(args.h_file))
-        if args.beta == "auto":
-            f = CanonicalMonotone.normalized(h)
-        else:
-            try:
-                f = CanonicalMonotone(beta=float(args.beta), h=h)
-            except ValueError as exc:
-                raise DomainError(f"--beta {args.beta!r} is not a number") from exc
-        value = f(args.t)
-    print(fmt15(value))
+        spec = {"h": load_json_file(args.h_file), "beta": args.beta}
+    print(fmt15(monotone_from_json(spec)(args.t)))
     return EXIT_OK
 
 
@@ -136,18 +109,12 @@ def cmd_eval_c(args) -> int:
     if not (args.x > 0.0 and args.y > 0.0):
         raise DomainError(f"--x {args.x} and --y {args.y} must be positive")
     if args.bridge is not None:
-        value = eval_bridge(args.bridge, args.x, args.y)
+        spec = {"kind": "bridge", "gamma": args.bridge}
     elif args.h_file is not None:
         spec = {"kind": "canonical", "h": load_json_file(args.h_file), "c0": args.c0}
-        if args.c0 != "auto":
-            try:
-                spec["c0"] = float(args.c0)
-            except ValueError as exc:
-                raise DomainError(f"--c0 {args.c0!r} is not a number") from exc
-        value = mc_from_json(spec)(args.x, args.y)
     else:
-        value = c_from_f(monotone_from_json(load_json_file(args.from_f)), args.x, args.y)
-    print(fmt15(value))
+        spec = {"kind": "from_f", "f": load_json_file(args.from_f)}
+    print(fmt15(mc_from_json(spec)(args.x, args.y)))
     return EXIT_OK
 
 
@@ -194,7 +161,6 @@ def cmd_verify(args) -> int:
         trials=args.trials,
         seed=args.seed,
         dims=dims,
-        quad=args.quad,
         inject_counterexample=args.inject_counterexample,
     )
     print(json.dumps(report_to_dict(report), indent=2, sort_keys=True))
@@ -259,8 +225,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # parsed for every command, so a bad value exits 2 everywhere
-        args.quad = _quad_from_env()
         return args.run(args)
     except QuadratureFailure as exc:
         print(f"error: quadrature failed: {exc}", file=sys.stderr)

@@ -1,8 +1,9 @@
 """JSON formats shared by the CLI: matrices, weights, kernels, channels.
 
 Complex matrices travel as nested arrays of [re, im] pairs. All loaders
-raise DomainError on malformed structure so the CLI can map every input
-problem to one exit code.
+raise DomainError on malformed structure and on any number that float()
+rejects, so the CLI can map every input problem to one exit code. The CLI
+reads its function and kernel flags through the same spec readers.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .monotone import (
     Identity,
     MonotoneFunction,
     WeightFunction,
-    normalize_beta,
 )
 
 _FAMILY_BUILDERS = {
@@ -34,13 +34,21 @@ _FAMILY_BUILDERS = {
 }
 
 
+def _number(value, label: str) -> float:
+    """float(value); whatever float() rejects is a DomainError."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{label} is not a number: {exc}") from exc
+
+
 def load_json_file(path: str) -> Any:
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise DomainError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -59,15 +67,14 @@ def matrix_from_json(obj) -> np.ndarray:
         elif len(row) != cols:
             raise DomainError(f"matrix row {i} has {len(row)} entries, expected {cols}")
         for j, entry in enumerate(row):
+            label = f"matrix entry ({i},{j})"
             if (
                 not isinstance(entry, list)
                 or len(entry) != 2
                 or not all(isinstance(v, (int, float)) for v in entry)
             ):
-                raise DomainError(
-                    f"matrix entry ({i},{j}) must be a [re, im] pair of numbers"
-                )
-            out[i, j] = complex(entry[0], entry[1])
+                raise DomainError(f"{label} must be a [re, im] pair of numbers")
+            out[i, j] = complex(_number(entry[0], label), _number(entry[1], label))
     return out
 
 
@@ -86,7 +93,10 @@ def weight_from_json(obj) -> WeightFunction:
         raise DomainError(f"weight is missing field {exc}") from exc
     if not isinstance(bp, list) or not isinstance(vals, list):
         raise DomainError("weight fields must be lists")
-    return WeightFunction(breakpoints=tuple(bp), values=tuple(vals))
+    return WeightFunction(
+        breakpoints=tuple(_number(b, "breakpoint") for b in bp),
+        values=tuple(_number(v, "weight value") for v in vals),
+    )
 
 
 def weight_to_json(h: WeightFunction) -> dict:
@@ -102,8 +112,8 @@ def monotone_from_json(obj) -> MonotoneFunction:
         if family == "gamma":
             if "gamma" not in obj:
                 raise DomainError("gamma family needs a 'gamma' field")
-            return GammaFamily(float(obj["gamma"]))
-        builder = _FAMILY_BUILDERS.get(family)
+            return GammaFamily(_number(obj["gamma"], "gamma"))
+        builder = _FAMILY_BUILDERS.get(family) if isinstance(family, str) else None
         if builder is None:
             raise DomainError(f"unknown family {family!r}")
         return builder()
@@ -112,7 +122,7 @@ def monotone_from_json(obj) -> MonotoneFunction:
         beta = obj.get("beta", "auto")
         if beta == "auto":
             return CanonicalMonotone.normalized(h)
-        return CanonicalMonotone(beta=float(beta), h=h)
+        return CanonicalMonotone(beta=_number(beta, "beta"), h=h)
     raise DomainError("function spec needs 'family' or 'h'")
 
 
@@ -124,7 +134,7 @@ def mc_from_json(obj) -> MCFunction:
     if kind == "bridge":
         if "gamma" not in obj:
             raise DomainError("bridge kernel needs a 'gamma' field")
-        return BridgeMC(gamma=float(obj["gamma"]))
+        return BridgeMC(gamma=_number(obj["gamma"], "gamma"))
     if kind == "canonical":
         if "h" not in obj:
             raise DomainError("canonical kernel needs an 'h' field")
@@ -132,7 +142,7 @@ def mc_from_json(obj) -> MCFunction:
         c0 = obj.get("c0", "auto")
         if c0 == "auto":
             return CanonicalMC(c0=normalize_C0(h), h=h)
-        c0 = float(c0)
+        c0 = _number(c0, "c0")
         if not c0 > 0.0:
             raise DomainError(f"scale constant {c0} not positive")
         return CanonicalMC(c0=c0, h=h)

@@ -53,7 +53,7 @@ class WeightFunction:
             raise DomainError("need n+1 breakpoints for n piece values")
         if bp[0] != 0.0 or bp[-1] != 1.0:
             raise DomainError("breakpoints must start at 0 and end at 1")
-        if any(b1 >= b2 for b1, b2 in zip(bp, bp[1:])):
+        if any(not b1 < b2 for b1, b2 in zip(bp, bp[1:])):
             raise DomainError("breakpoints must be strictly increasing")
         if any(not (0.0 <= v <= 1.0) for v in vals):
             raise DomainError("weight values must lie in [0,1]")

@@ -11,7 +11,6 @@ fast and no endpoint special-casing is performed.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from typing import Callable
 

@@ -7,10 +7,12 @@ worst residual and decides the verdict; the three directions are set out
 at ``_UPPER``. A NaN residual makes the worst NaN, and a NaN worst fails
 in every direction, so no property passes on a value it could not compute.
 
-All randomness is derived from (seed, suite index, property index, trial
-counter), and a property's index is its position in its suite's table,
-so a report is a pure function of the command line; reruns are byte
-identical. Wall time is measured but kept out of the report body for
+Randomness is derived from (seed, suite index, property index, trial
+counter), and a property's index is its position in its suite's table.
+The one exception is operator-monotonicity: it hands the seed to
+``check_operator_monotone``, whose trial k draws from ``[seed, k]``.
+Either way a report is a pure function of the command line; reruns are
+byte identical. Wall time is measured but kept out of the report body for
 exactly that reason.
 """
 
@@ -56,7 +58,7 @@ from .monotone import (
     tilde,
     weighted_kernel_integral,
 )
-from .quadrature import DEFAULT_QUAD, QuadratureConfig, integrate
+from .quadrature import integrate
 from .sampling import (
     random_density,
     random_step_weight,
@@ -125,10 +127,6 @@ def report_to_dict(report: VerificationReport) -> dict:
     }
 
 
-def _rng(seed: int, suite: str, prop: int, *extra: int) -> np.random.Generator:
-    return np.random.default_rng([seed, _SUITE_INDEX[suite], prop, *extra])
-
-
 # A direction is (start of the max-fold, verdict on the folded worst).
 # _UPPER: residuals are errors; the worst must be at most the tolerance.
 # _MARGIN: residuals are signed, negative meaning slack to spare.
@@ -147,12 +145,11 @@ class _Run(NamedTuple):
     trials: int
     dims: tuple[int, ...]
     nfuncs: int = 0
-    quad: QuadratureConfig = DEFAULT_QUAD
     inject_counterexample: bool = False
     prop: int = 0
 
     def rng(self, *extra: int) -> np.random.Generator:
-        return _rng(self.seed, self.suite, self.prop, *extra)
+        return np.random.default_rng([self.seed, _SUITE_INDEX[self.suite], self.prop, *extra])
 
     def draws(self, count: int) -> Iterator[tuple[np.random.Generator, int]]:
         """Trial k's generator and its dimension, dims[k % len(dims)]."""
@@ -320,7 +317,7 @@ def _kernel_integral_closed_form(run: _Run):
     h1 = WeightFunction.constant(1.0)
     for t in np.geomspace(1e-2, 1e2, 20):
         t = float(t)
-        val, _ = integrate(lambda lam: symmetric_kernel(lam, t), 0.0, 1.0, run.quad)
+        val, _ = integrate(lambda lam: symmetric_kernel(lam, t), 0.0, 1.0)
         yield abs(val - closed_form_kernel_integral(t))
         yield abs(val - weighted_kernel_integral(h1, t))
 
@@ -353,7 +350,6 @@ def _angle_integral(run: _Run):
             lambda lam: 2.0 * math.sin(theta) / (lam * lam - 2.0 * lam * math.cos(theta) + 1.0),
             -1.0,
             0.0,
-            run.quad,
         )
         yield abs(val - theta)
 
@@ -551,17 +547,10 @@ def _continuity_smoke(run: _Run):
         yield abs(q2 - q1) / (delta * max(1.0, abs(q1)))
 
 
-def _contraction_worst(
-    spec: MetricSpec,
-    seed: int,
-    prop: int,
-    variant: int,
-    target_trials: int,
-    dims: Sequence[int],
-) -> float:
+def _contraction_worst(run: _Run, spec: MetricSpec, variant: int, target_trials: int) -> float:
     """Worst (smallest) slack over accepted trials, NaN if any slack is
-    NaN; rejected draws are skipped deterministically by advancing the
-    attempt counter.
+    NaN; attempt k draws from ``run.rng(variant, k)``, so rejected draws
+    are skipped deterministically by advancing the attempt counter.
 
     Raises DegenerateSample when CONTRACTION_DRAWS_PER_TRIAL draws per
     wanted trial yield fewer than ``target_trials`` accepted ones.
@@ -576,9 +565,9 @@ def _contraction_worst(
                 f"{accepted} of {target_trials} contraction trials accepted "
                 f"after {max_attempts} draws"
             )
-        rng = _rng(seed, "channels", prop, variant, attempt)
+        rng = run.rng(variant, attempt)
         attempt += 1
-        n = dims[attempt % len(dims)]
+        n = run.dims[attempt % len(run.dims)]
         channel = _draw_channel(rng, n)
         rho = _draw_state(rng, n)
         a = random_tangent(rng, n, hermitian=bool(rng.integers(0, 2)))
@@ -631,34 +620,31 @@ def _pinching_contraction(run: _Run):
 def _contraction_bridge(run: _Run):
     for variant, g in enumerate((0.0, 0.5, 1.0)):
         spec = MetricSpec(c=BridgeMC(g))
-        yield -_contraction_worst(spec, run.seed, run.prop, variant, run.trials, run.dims)
+        yield -_contraction_worst(run, spec, variant, run.trials)
 
 # contraction under random canonical kernels
 @_property("channels", "contraction-canonical", 1e-9, _MARGIN)
 def _contraction_canonical(run: _Run):
     for variant in range(2):
         spec = MetricSpec(c=CanonicalMC.normalized(random_step_weight(run.rng(variant))))
-        yield -_contraction_worst(spec, run.seed, run.prop, variant + 10, run.trials, run.dims)
+        yield -_contraction_worst(run, spec, variant + 10, run.trials)
 
 # the harness detects a broken kernel (fixed trial count so the guarantee
 # does not depend on --trials); the residual is the smallest slack
 @_property("channels", "falsification-power", -1e-3, _MUST_FAIL)
 def _falsification_power(run: _Run):
     bad = MetricSpec(c=_invalid_kernel)
-    yield _contraction_worst(bad, run.seed, run.prop, 0, INVALID_KERNEL_TRIALS, run.dims)
+    yield _contraction_worst(run, bad, 0, INVALID_KERNEL_TRIALS)
 
 
 def run_monotone_suite(
     trials: int,
     dims: Sequence[int],
     seed: int,
-    quad: QuadratureConfig = DEFAULT_QUAD,
     inject_counterexample: bool = False,
 ) -> SuiteReport:
     nfuncs = max(2, trials // 50)
-    return _run_suite(
-        _Run("monotone", seed, trials, tuple(dims), nfuncs, quad, inject_counterexample)
-    )
+    return _run_suite(_Run("monotone", seed, trials, tuple(dims), nfuncs, inject_counterexample))
 
 
 def run_chentsov_suite(trials: int, dims: Sequence[int], seed: int) -> SuiteReport:
@@ -686,7 +672,6 @@ def run_verification(
     trials: int,
     seed: int,
     dims: Sequence[int] = (2, 3),
-    quad: QuadratureConfig = DEFAULT_QUAD,
     inject_counterexample: bool = False,
 ) -> VerificationReport:
     """Run one suite or all of them, in fixed order."""
@@ -696,9 +681,7 @@ def run_verification(
     for name in names:
         runner = _SUITE_RUNNERS[name]
         if name == "monotone":
-            reports.append(
-                runner(trials, dims, seed, quad, inject_counterexample=inject_counterexample)
-            )
+            reports.append(runner(trials, dims, seed, inject_counterexample=inject_counterexample))
         else:
             reports.append(runner(trials, dims, seed))
     wall = time.perf_counter() - start

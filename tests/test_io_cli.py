@@ -1,10 +1,13 @@
 """JSON formats and the command-line driver: golden outputs, exit codes,
-determinism, and the quadrature-tolerance environment override."""
+determinism, and every malformed number in a spec or matrix file exiting 2."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import monometric.verify
 from monometric import (
@@ -27,6 +30,35 @@ from monometric.io import (
     weight_to_json,
 )
 from monometric.sampling import random_step_weight
+
+
+def _weight_with_breakpoint(value):
+    return {"breakpoints": [0.0, value, 1.0], "values": [0.2, 0.7]}
+
+
+_WEIGHT = _weight_with_breakpoint(0.5)
+
+# one reader call per numeric field, the field filled with the given value
+_NUMERIC_FIELDS = {
+    "breakpoint": lambda v: weight_from_json(_weight_with_breakpoint(v)),
+    "weight value": lambda v: weight_from_json({"breakpoints": [0.0, 1.0], "values": [v]}),
+    "gamma": lambda v: monotone_from_json({"family": "gamma", "gamma": v}),
+    "beta": lambda v: monotone_from_json({"h": _WEIGHT, "beta": v}),
+    "bridge gamma": lambda v: mc_from_json({"kind": "bridge", "gamma": v}),
+    "c0": lambda v: mc_from_json({"kind": "canonical", "h": _WEIGHT, "c0": v}),
+    "matrix real part": lambda v: matrix_from_json([[[v, 0.0]]]),
+    "matrix imaginary part": lambda v: matrix_from_json([[[0.0, v]]]),
+}
+
+_ANY_JSON = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=8),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
 
 
 def write_json(path, payload):
@@ -101,6 +133,7 @@ class TestJsonFormats:
             {"breakpoints": [0.0, 1.0], "values": [2.0]},
             {"breakpoints": [0.0], "values": []},
             {"breakpoints": "bad", "values": [0.5]},
+            {"breakpoints": [0, math.nan, 1], "values": [0.5, 0.2]},
         ],
     )
     def test_weight_rejects_malformed(self, payload):
@@ -121,6 +154,8 @@ class TestJsonFormats:
             monotone_from_json({"family": "cubic"})
         with pytest.raises(DomainError):
             monotone_from_json({"gamma": 0.5})
+        with pytest.raises(DomainError):
+            monotone_from_json({"family": ["min"]})
 
     def test_mc_specs(self):
         assert mc_from_json({"kind": "bridge", "gamma": 0.5})(4.0, 9.0) == pytest.approx(1 / 6)
@@ -134,6 +169,16 @@ class TestJsonFormats:
     def test_mc_rejects_unknown_kind(self):
         with pytest.raises(DomainError):
             mc_from_json({"kind": "mystery"})
+
+    @pytest.mark.parametrize("field", sorted(_NUMERIC_FIELDS))
+    @given(value=_ANY_JSON)
+    @example(value=10**400)
+    @example(value=math.nan)
+    def test_any_json_value_in_a_numeric_field(self, field, value):
+        try:
+            assert _NUMERIC_FIELDS[field](value) is not None
+        except DomainError:
+            pass
 
     def test_channel_round_trip(self):
         from monometric import random_channel
@@ -287,6 +332,64 @@ class TestMetricCommand:
         assert "non-finite" in capsys.readouterr().err
 
 
+def _metric_argv(files, rho=None, c_spec=None):
+    rho, c_spec = rho or files["rho_half"], c_spec or files["bridge0"]
+    return ["metric", "--rho", rho, "--a", files["sigma_x"], "--c-spec", c_spec]
+
+
+# where a bad number goes: (argv given the spec file, spec payload given the value)
+_BAD_NUMBER_SITES = {
+    "eval-f h breakpoint": (
+        lambda path, files: ["eval-f", "--h-file", path, "--t", "2"],
+        _weight_with_breakpoint,
+    ),
+    "eval-c h breakpoint": (
+        lambda path, files: ["eval-c", "--h-file", path, "--x", "1", "--y", "2"],
+        _weight_with_breakpoint,
+    ),
+    "eval-c from-f gamma": (
+        lambda path, files: ["eval-c", "--from-f", path, "--x", "1", "--y", "2"],
+        lambda v: {"family": "gamma", "gamma": v},
+    ),
+    "eval-c from-f beta": (
+        lambda path, files: ["eval-c", "--from-f", path, "--x", "1", "--y", "2"],
+        lambda v: {"h": _WEIGHT, "beta": v},
+    ),
+    "metric c-spec gamma": (
+        lambda path, files: _metric_argv(files, c_spec=path),
+        lambda v: {"kind": "bridge", "gamma": v},
+    ),
+    "metric c-spec c0": (
+        lambda path, files: _metric_argv(files, c_spec=path),
+        lambda v: {"kind": "canonical", "h": _WEIGHT, "c0": v},
+    ),
+    "metric c-spec breakpoint": (
+        lambda path, files: _metric_argv(files, c_spec=path),
+        lambda v: {"kind": "canonical", "h": _weight_with_breakpoint(v)},
+    ),
+    "metric rho entry": (
+        lambda path, files: _metric_argv(files, rho=path),
+        lambda v: [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [v, 0.0]]],
+    ),
+}
+
+
+class TestMalformedNumbers:
+    @pytest.mark.parametrize("bad", ["abc", [1], None, 10**400], ids=["str", "list", "null", "400-digit"])
+    @pytest.mark.parametrize("site", list(_BAD_NUMBER_SITES))
+    def test_exits_2(self, site, bad, files, capsys):
+        argv, payload = _BAD_NUMBER_SITES[site]
+        path = write_json(files["tmp"] / "bad.json", payload(bad))
+        assert main(argv(path, files)) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_integer_past_the_parser_digit_limit_exits_2(self, files, capsys):
+        path = files["tmp"] / "huge.json"
+        path.write_text('{"kind": "bridge", "gamma": ' + "1" * 5000 + "}")
+        assert main(_metric_argv(files, c_spec=str(path))) == 2
+        assert "error:" in capsys.readouterr().err
+
+
 class TestBridgeTable:
     def test_golden_rows(self, capsys):
         assert main(["bridge-table", "--gammas", "0,1", "--x-grid", "1", "--y-grid", "1"]) == 0
@@ -377,17 +480,6 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(monometric.verify, "monotonicity_trial", rejected)
         spec = MetricSpec(c=BridgeMC(0.5))
+        run = monometric.verify._Run("channels", seed=0, trials=2, dims=(2, 3), prop=3)
         with pytest.raises(DegenerateSample):
-            monometric.verify._contraction_worst(spec, 0, 3, 0, 2, (2, 3))
-
-
-class TestEnvironmentOverride:
-    def test_loose_tolerance_still_close(self, files, capsys, monkeypatch):
-        monkeypatch.setenv("MONOMETRIC_QUAD_TOL", "1e-6")
-        assert main(["eval-f", "--h-file", files["const0"], "--beta", "auto", "--t", "3"]) == 0
-        assert float(capsys.readouterr().out) == pytest.approx(2.0, abs=1e-4)
-
-    @pytest.mark.parametrize("value", ["banana", "-1e-9", "0"])
-    def test_bad_value_exits_2(self, value, capsys, monkeypatch):
-        monkeypatch.setenv("MONOMETRIC_QUAD_TOL", value)
-        assert main(["eval-f", "--family", "gamma", "--gamma", "0.5", "--t", "4"]) == 2
+            monometric.verify._contraction_worst(run, spec, 0, 2)

@@ -7,7 +7,7 @@ import math
 import monometric.verify
 from monometric import BridgeMC, MetricSpec, TrialResult, eval_bridge
 from monometric.cli import main
-from monometric.verify import _contraction_worst, run_chentsov_suite, run_monotone_suite
+from monometric.verify import _contraction_worst, _Run, run_chentsov_suite, run_monotone_suite
 
 
 def test_nan_bridge_values_fail_the_properties_they_enter(monkeypatch):
@@ -26,7 +26,8 @@ def test_nan_slack_makes_the_contraction_worst_nan(monkeypatch):
     nan_trial = lambda *args: TrialResult(lhs=1.0, rhs=1.0, slack=math.nan)  # noqa: E731
     monkeypatch.setattr(monometric.verify, "monotonicity_trial", nan_trial)
     spec = MetricSpec(c=BridgeMC(0.5))
-    assert math.isnan(_contraction_worst(spec, 0, 3, 0, 2, (2, 3)))
+    run = _Run("channels", seed=0, trials=2, dims=(2, 3), prop=3)
+    assert math.isnan(_contraction_worst(run, spec, 0, 2))
 
 
 def test_valid_kernel_fails_the_falsification_canary(capsys, monkeypatch):
