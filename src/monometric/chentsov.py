@@ -44,8 +44,8 @@ def mc_kernel(lam, x: float, y: float):
 
 def _check_positive_pair(x: float, y: float) -> tuple[float, float]:
     x, y = float(x), float(y)
-    if not (x > 0.0 and y > 0.0):
-        raise DomainError(f"kernel arguments ({x}, {y}) must be positive")
+    if not (0.0 < x < math.inf and 0.0 < y < math.inf):
+        raise DomainError(f"kernel arguments ({x}, {y}) must be positive and finite")
     return x, y
 
 
@@ -65,8 +65,8 @@ def c_from_f(f: MonotoneFunction, x: float, y: float) -> float:
 
 def eval_canonical_c(c0: float, h: WeightFunction, x: float, y: float) -> float:
     """Integral-form kernel; (x, y) is replaced by (max, min) first."""
-    if not c0 > 0.0:
-        raise DomainError(f"scale constant {c0} not positive")
+    if not 0.0 < c0 < math.inf:
+        raise DomainError(f"scale constant {c0} not positive and finite")
     x, y = _check_positive_pair(x, y)
     hi, lo = (x, y) if x >= y else (y, x)
     return c0 / (hi + lo) * math.exp(-weighted_kernel_integral(h, hi / lo))
@@ -101,6 +101,10 @@ class CanonicalMC(MCFunction):
     c0: float
     h: WeightFunction
 
+    def __post_init__(self):
+        if not 0.0 < self.c0 < math.inf:
+            raise DomainError(f"scale constant {self.c0} not positive and finite")
+
     @classmethod
     def normalized(cls, h: WeightFunction) -> "CanonicalMC":
         return cls(c0=normalize_C0(h), h=h)
@@ -117,8 +121,9 @@ class FromMonotone(MCFunction):
         return c_from_f(self.f, x, y)
 
 
-def default_grid(n: int = 25, lo: float = 1e-3, hi: float = 1e3) -> list[float]:
-    return [float(v) for v in np.geomspace(lo, hi, n)]
+def default_grid(n: int = 25) -> list[float]:
+    """n log-spaced points from 1e-3 to 1e3."""
+    return [float(v) for v in np.geomspace(1e-3, 1e3, n)]
 
 
 def default_pair_grid(n: int = 25) -> list[tuple[float, float]]:

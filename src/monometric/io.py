@@ -14,7 +14,7 @@ from typing import Any
 import numpy as np
 
 from .channels import KrausChannel
-from .chentsov import BridgeMC, CanonicalMC, FromMonotone, MCFunction, normalize_C0
+from .chentsov import BridgeMC, CanonicalMC, FromMonotone, MCFunction
 from .errors import DomainError
 from .monotone import (
     CanonicalMonotone,
@@ -23,12 +23,15 @@ from .monotone import (
     Identity,
     MonotoneFunction,
     WeightFunction,
+    maximal_function,
+    minimal_function,
+    sqrt_function,
 )
 
 _FAMILY_BUILDERS = {
-    "min": lambda: GammaFamily(1.0),
-    "max": lambda: GammaFamily(0.0),
-    "sqrt": lambda: GammaFamily(0.5),
+    "min": minimal_function,
+    "max": maximal_function,
+    "sqrt": sqrt_function,
     "identity": Identity,
     "constant-one": ConstantOne,
 }
@@ -141,11 +144,8 @@ def mc_from_json(obj) -> MCFunction:
         h = weight_from_json(obj["h"])
         c0 = obj.get("c0", "auto")
         if c0 == "auto":
-            return CanonicalMC(c0=normalize_C0(h), h=h)
-        c0 = _number(c0, "c0")
-        if not c0 > 0.0:
-            raise DomainError(f"scale constant {c0} not positive")
-        return CanonicalMC(c0=c0, h=h)
+            return CanonicalMC.normalized(h)
+        return CanonicalMC(c0=_number(c0, "c0"), h=h)
     if kind == "from_f":
         if "f" not in obj:
             raise DomainError("from_f kernel needs an 'f' field")

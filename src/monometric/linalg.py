@@ -31,7 +31,7 @@ from .errors import DomainError, NoConvergence, NotHermitian
 
 MAX_DIM = 32
 MAX_SWEEPS = 100
-DEFAULT_HERM_TOL = 1e-10
+HERM_TOL = 1e-10
 # measured crossover: below this dimension rotating Python scalars one by
 # one beats one array update per step, from it up the array update wins
 SMALL_DIM = 12
@@ -58,7 +58,7 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return frobenius(m - dagger(m)) / (frobenius(m) + 1.0)
 
 
-def require_hermitian(m, tol: float = DEFAULT_HERM_TOL) -> np.ndarray:
+def require_hermitian(m) -> np.ndarray:
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise NotHermitian(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
@@ -66,9 +66,9 @@ def require_hermitian(m, tol: float = DEFAULT_HERM_TOL) -> np.ndarray:
         raise DomainError("matrix is empty")
     if not np.isfinite(a).all():
         raise DomainError("matrix has a non-finite entry")
-    if hermiticity_defect(a) > tol:
+    if hermiticity_defect(a) > HERM_TOL:
         raise NotHermitian(
-            f"symmetry defect {hermiticity_defect(a):.3e} exceeds tol {tol:.3e}"
+            f"symmetry defect {hermiticity_defect(a):.3e} exceeds tol {HERM_TOL:.3e}"
         )
     return a
 
@@ -85,7 +85,7 @@ class HermitianEigen:
         return (u * self.eigenvalues) @ dagger(u)
 
 
-def hermitian_eig(m, tol: float = DEFAULT_HERM_TOL) -> HermitianEigen:
+def hermitian_eig(m) -> HermitianEigen:
     """Diagonalize a Hermitian matrix by Jacobi rotations in round-robin order.
 
     Each sweep is the steps of ``_round_robin(n)``; a step's rotations
@@ -103,7 +103,7 @@ def hermitian_eig(m, tol: float = DEFAULT_HERM_TOL) -> HermitianEigen:
     non-finite input or n > MAX_DIM, and NoConvergence if the off-diagonal
     mass has not vanished after MAX_SWEEPS sweeps.
     """
-    a = require_hermitian(m, tol)
+    a = require_hermitian(m)
     n = a.shape[0]
     if n > MAX_DIM:
         raise DomainError(f"dimension {n} exceeds the desk-scale cap {MAX_DIM}")
@@ -259,30 +259,18 @@ def _jacobi_vectorized(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return work.diagonal().real.copy(), vecs
 
 
-def matrix_function(
-    m,
-    phi: Callable[[float], float],
-    tol: float = DEFAULT_HERM_TOL,
-    domain: tuple[float, float] | None = None,
-) -> np.ndarray:
+def matrix_function(m, phi: Callable[[float], float]) -> np.ndarray:
     """Spectral application U diag(phi(w)) U* of a scalar function.
 
-    ``domain``, when given, is an open interval (lo, hi); any eigenvalue
-    outside it raises DomainError before phi is called. The result is
-    re-symmetrized so it is Hermitian to the last bit.
+    The result is re-symmetrized so it is Hermitian to the last bit.
     """
-    dec = hermitian_eig(m, tol)
-    if domain is not None:
-        lo, hi = domain
-        for w in dec.eigenvalues:
-            if not (lo < w < hi):
-                raise DomainError(f"eigenvalue {w} outside domain ({lo}, {hi})")
+    dec = hermitian_eig(m)
     vals = np.array([float(phi(float(w))) for w in dec.eigenvalues])
     u = dec.eigenvectors
     out = (u * vals) @ dagger(u)
     return 0.5 * (out + dagger(out))
 
 
-def min_eigenvalue(m, tol: float = DEFAULT_HERM_TOL) -> float:
+def min_eigenvalue(m) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
-    return float(hermitian_eig(m, tol).eigenvalues[0])
+    return float(hermitian_eig(m).eigenvalues[0])

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, MonometricError, NotAState, NotHermitian
+from .errors import DimensionMismatch, DomainError, MonometricError, NotAState, NotHermitian
 from .linalg import HermitianEigen, as_matrix, hermitian_eig
 
 STATE_EIG_FLOOR = 1e-10
@@ -32,21 +32,16 @@ QUADRATIC_IMAG_TOL = 1e-11
 class DensityMatrix:
     """Validated strictly positive, trace-one Hermitian matrix.
 
-    ``eig`` is the eigendecomposition computed while validating, at the
-    state's own Hermiticity tolerance; ``metric_form`` reuses it, so a
-    state that validates is one the form can evaluate.
+    ``eig`` is the eigendecomposition computed while validating;
+    ``metric_form`` reuses it, so a state that validates is one the form
+    can evaluate.
     """
 
     matrix: np.ndarray
     eig: HermitianEigen = field(compare=False, repr=False)
 
     @classmethod
-    def from_matrix(
-        cls,
-        m,
-        herm_tol: float = 1e-10,
-        floor: float = STATE_EIG_FLOOR,
-    ) -> "DensityMatrix":
+    def from_matrix(cls, m, floor: float = STATE_EIG_FLOOR) -> "DensityMatrix":
         a = as_matrix(m)
         if a.shape[0] != a.shape[1]:
             raise NotAState(f"state must be square, got {a.shape}")
@@ -56,7 +51,7 @@ class DensityMatrix:
         if abs(tr - 1.0) > STATE_TRACE_TOL:
             raise NotAState(f"state trace {tr} not 1")
         try:
-            dec = hermitian_eig(a, tol=herm_tol)
+            dec = hermitian_eig(a)
         except NotHermitian as exc:
             raise NotAState(f"state not Hermitian: {exc}") from exc
         if dec.eigenvalues[0] <= floor:
@@ -93,7 +88,8 @@ def metric_form(spec: MetricSpec, rho, a, b) -> complex:
     """Evaluate K(A, B) at the state rho.
 
     Uses the eigendecomposition the state carries; a raw matrix is
-    validated (and so diagonalized) first.
+    validated (and so diagonalized) first. A kernel value with a nonzero
+    imaginary part raises DomainError; NaN and infinite values propagate.
     """
     state = _coerce_state(rho)
     am = as_matrix(a)
@@ -116,7 +112,12 @@ def metric_form(spec: MetricSpec, rho, a, b) -> complex:
     total = 0j
     for i, (wi, at_i, bt_i) in enumerate(zip(w, at, bt)):
         for j, (wj, x, y) in enumerate(zip(w, at_i, bt_i)):
-            k = diag / wi if i == j else float(c(wi, wj))
+            k = diag / wi if i == j else c(wi, wj)
+            if type(k) is not float:
+                z = complex(k)
+                if z.imag != 0.0:
+                    raise DomainError(f"kernel value {k} is not real")
+                k = z.real
             total += k * (x.conjugate() * y)
     return total
 

@@ -31,6 +31,8 @@ from .errors import DomainError
 from .linalg import hermitian_eig, min_eigenvalue
 
 SQRT2 = math.sqrt(2.0)
+# check_operator_monotone passes when min eig(f(B) - f(A)) >= -this
+OPERATOR_MONOTONE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -123,23 +125,21 @@ def eval_gamma_family(gamma: float, t: float) -> float:
     """
     if not 0.0 <= gamma <= 1.0:
         raise DomainError(f"family parameter {gamma} outside [0,1]")
-    if not t > 0.0:
-        raise DomainError(f"argument {t} not positive")
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"argument {t} not positive and finite")
     return t**gamma * ((1.0 + t) / 2.0) ** (1.0 - 2.0 * gamma)
 
 
 def eval_canonical_f(beta: float, h: WeightFunction, t: float) -> float:
-    """Evaluate the canonical (beta, h) representation at t > 0."""
+    """Evaluate the canonical (beta, h) representation at t in (0, oo)."""
     t = float(t)
-    if not t > 0.0:
-        raise DomainError(f"argument {t} not positive")
     return math.exp(beta) * (1.0 + t) / SQRT2 * math.exp(weighted_kernel_integral(h, t))
 
 
 def closed_form_kernel_integral(t: float) -> float:
     """log(2t/(1+t)^2): the h == 1 kernel integral in closed form."""
-    if not t > 0.0:
-        raise DomainError(f"argument {t} not positive")
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"argument {t} not positive and finite")
     return math.log(2.0 * t) - 2.0 * math.log1p(t)
 
 
@@ -160,8 +160,8 @@ class MonotoneFunction:
 
     def __call__(self, t: float) -> float:
         t = float(t)
-        if not t > 0.0:
-            raise DomainError(f"argument {t} not positive")
+        if not 0.0 < t < math.inf:
+            raise DomainError(f"argument {t} not positive and finite")
         return self._value(t)
 
 
@@ -214,6 +214,10 @@ class CanonicalMonotone(MonotoneFunction):
     beta: float
     h: WeightFunction
 
+    def __post_init__(self):
+        if not math.isfinite(self.beta):
+            raise DomainError(f"shift beta {self.beta} not finite")
+
     @classmethod
     def normalized(cls, h: WeightFunction) -> "CanonicalMonotone":
         return cls(beta=normalize_beta(h), h=h)
@@ -227,8 +231,8 @@ def eval_kubo_ando(atoms: Sequence[tuple[float, float]], t: float) -> float:
 
     The point at infinity contributes w*t; s=0 contributes w.
     """
-    if not t > 0.0:
-        raise DomainError(f"argument {t} not positive")
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"argument {t} not positive and finite")
     total = 0.0
     for s, w in atoms:
         if not w > 0.0:
@@ -300,8 +304,8 @@ def check_functional_equation(
     residuals = [0.0]
     for t in grid:
         t = float(t)
-        if not t > 0.0:
-            raise DomainError(f"grid point {t} not positive")
+        if not 0.0 < t < math.inf:
+            raise DomainError(f"grid point {t} not positive and finite")
         residuals.append(abs(f(t) - t * f(1.0 / t)))
     # np.max, unlike max(), passes a NaN residual through
     return float(np.max(residuals))
@@ -317,6 +321,10 @@ class ExpOrderFunction:
 
     beta: float
     h: WeightFunction
+
+    def __post_init__(self):
+        if not math.isfinite(self.beta):
+            raise DomainError(f"shift beta {self.beta} not finite")
 
     def __call__(self, x: float) -> float:
         return eval_exp_order(self, x)
@@ -409,7 +417,6 @@ def check_operator_monotone(
     trials: int,
     dims: Sequence[int],
     seed: int,
-    tol: float = 1e-9,
 ) -> OperatorMonotoneReport:
     """Sample ordered pairs A <= B and test f(A) <= f(B) spectrally.
 
@@ -446,11 +453,11 @@ def check_operator_monotone(
             worst, worst_trial, worst_dim = gap, trial, n
     return OperatorMonotoneReport(
         worst=worst,
-        passed=worst >= -tol,
+        passed=worst >= -OPERATOR_MONOTONE_TOL,
         trials=trials,
         dims=dims,
         seed=seed,
-        tol=tol,
+        tol=OPERATOR_MONOTONE_TOL,
         worst_trial=worst_trial,
         worst_dim=worst_dim,
     )

@@ -37,7 +37,7 @@ from .chentsov import (
     eval_canonical_c,
     normalize_C0,
 )
-from .errors import DegenerateSample, NotAState
+from .errors import DegenerateSample, DomainError, NotAState
 from .metric import DensityMatrix, MetricSpec, metric_form, metric_quadratic
 from .monotone import (
     CanonicalMonotone,
@@ -675,6 +675,13 @@ def run_verification(
     inject_counterexample: bool = False,
 ) -> VerificationReport:
     """Run one suite or all of them, in fixed order."""
+    if suite not in (*SUITE_NAMES, "all"):
+        raise DomainError(f"unknown suite {suite!r}")
+    if trials < 1:
+        raise DomainError("need at least one trial")
+    dims = tuple(dims)
+    if not dims or any(not 2 <= d <= 8 for d in dims):
+        raise DomainError(f"dims {dims} must be a non-empty list of integers in [2, 8]")
     names = SUITE_NAMES if suite == "all" else (suite,)
     start = time.perf_counter()
     reports = []
@@ -689,6 +696,6 @@ def run_verification(
         suites=tuple(reports),
         seed=seed,
         trials=trials,
-        dims=tuple(dims),
+        dims=dims,
         wall_time_s=wall,
     )

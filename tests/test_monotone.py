@@ -115,6 +115,21 @@ class TestCanonicalRepresentation:
         with pytest.raises(DomainError):
             eval_canonical_f(0.0, const_weight(0.5), 0.0)
 
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_rejects_non_finite_argument(self, t):
+        calls = (
+            GammaFamily(0.5),
+            CanonicalMonotone.normalized(step_weight(4)),
+            lambda t: eval_gamma_family(0.5, t),
+            lambda t: eval_canonical_f(0.0, const_weight(0.5), t),
+            closed_form_kernel_integral,
+            lambda t: eval_kubo_ando([(1.0, 1.0)], t),
+            lambda t: check_functional_equation(GammaFamily(0.5), [t]),
+        )
+        for call in calls:
+            with pytest.raises(DomainError):
+                call(t)
+
     def test_extreme_arguments_follow_functional_equation(self):
         # far outside [1e-8, 1e8] evaluation reroutes through f(t) = t f(1/t)
         f = CanonicalMonotone.normalized(step_weight(3))
@@ -286,6 +301,12 @@ class TestExpOrderClass:
         F = ExpOrderFunction(beta=0.0, h=const_weight(0.5))
         for x in (25.0, -25.0):
             assert eval_exp_order(F, x) == pytest.approx(0.5 * x, abs=1e-8)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_beta_rejected(self, beta):
+        for cls in (ExpOrderFunction, CanonicalMonotone):
+            with pytest.raises(DomainError):
+                cls(beta=beta, h=const_weight(0.5))
 
 
 class TestWeightExtension:

@@ -4,10 +4,18 @@ the falsification canary fails when the kernel it must catch is valid."""
 import json
 import math
 
+import pytest
+
 import monometric.verify
-from monometric import BridgeMC, MetricSpec, TrialResult, eval_bridge
+from monometric import BridgeMC, DomainError, MetricSpec, TrialResult, eval_bridge
 from monometric.cli import main
-from monometric.verify import _contraction_worst, _Run, run_chentsov_suite, run_monotone_suite
+from monometric.verify import (
+    _contraction_worst,
+    _Run,
+    run_chentsov_suite,
+    run_monotone_suite,
+    run_verification,
+)
 
 
 def test_nan_bridge_values_fail_the_properties_they_enter(monkeypatch):
@@ -45,3 +53,18 @@ def test_nan_monotone_function_fails_operator_monotonicity(capsys, monkeypatch):
     assert not props["operator-monotonicity"].passed
     assert math.isnan(props["operator-monotonicity"].worst)
     assert main(["verify", "--suite", "monotone", "--trials", "4"]) == 1
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"suite": "bogus", "trials": 1},
+        {"suite": "metric", "trials": 0},
+        {"suite": "metric", "trials": 1, "dims": ()},
+        {"suite": "metric", "trials": 1, "dims": (2, 9)},
+    ],
+    ids=["unknown-suite", "no-trials", "no-dims", "dim-9"],
+)
+def test_run_verification_rejects_bad_arguments(kwargs):
+    with pytest.raises(DomainError):
+        run_verification(seed=0, **kwargs)
