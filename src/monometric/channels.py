@@ -94,18 +94,20 @@ class TrialResult:
 
 
 def monotonicity_trial(
-    spec: MetricSpec, channel: KrausChannel, rho, a
+    spec: MetricSpec, channel: KrausChannel, rho, a, image: DensityMatrix | None = None
 ) -> TrialResult:
     """One contraction check: slack = K(A, A) - K(T(A), T(A)) at T(rho).
 
     Nonnegative slack is the contraction property; the image state must
     clear a 1e-8 eigenvalue floor or the trial raises NotAState for the
-    caller to resample.
+    caller to resample. A caller that validated the image state already,
+    ``T(rho)`` under ``floor=TRIAL_STATE_FLOOR``, passes it as ``image``.
     """
     state = rho if isinstance(rho, DensityMatrix) else DensityMatrix.from_matrix(rho)
     rhs = metric_quadratic(spec, state, a)
-    image = DensityMatrix.from_matrix(
-        apply_channel(channel, state.matrix), floor=TRIAL_STATE_FLOOR
-    )
+    if image is None:
+        image = DensityMatrix.from_matrix(
+            apply_channel(channel, state.matrix), floor=TRIAL_STATE_FLOOR
+        )
     lhs = metric_quadratic(spec, image, apply_channel(channel, as_matrix(a)))
     return TrialResult(lhs=lhs, rhs=rhs, slack=rhs - lhs)

@@ -136,13 +136,14 @@ def cmd_bridge_table(args) -> int:
     ys = _parse_grid(args.y_grid)
     if not gammas or not xs or not ys:
         raise DomainError("gamma list and both grids must be non-empty")
-    out = sys.stdout
-    out.write("gamma,x,y,c\n")
-    for g in gammas:
-        for x in xs:
-            for y in ys:
-                c = eval_bridge(g, x, y)
-                out.write(f"{fmt15(g)},{fmt15(x)},{fmt15(y)},{fmt15(c)}\n")
+    # every row is computed before any is written, so a failing run prints nothing
+    rows = [
+        f"{fmt15(g)},{fmt15(x)},{fmt15(y)},{fmt15(eval_bridge(g, x, y))}\n"
+        for g in gammas
+        for x in xs
+        for y in ys
+    ]
+    sys.stdout.write("gamma,x,y,c\n" + "".join(rows))
     return EXIT_OK
 
 

@@ -16,12 +16,12 @@ information of the diagonal data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, MonometricError, NotAState, NotHermitian
-from .linalg import HermitianEigen, as_matrix, hermitian_eig
+from .linalg import HermitianEigen, as_matrix, hermitian_eig, hermitian_eig_stack
 
 STATE_EIG_FLOOR = 1e-10
 STATE_TRACE_TOL = 1e-10
@@ -42,24 +42,81 @@ class DensityMatrix:
 
     @classmethod
     def from_matrix(cls, m, floor: float = STATE_EIG_FLOOR) -> "DensityMatrix":
-        a = as_matrix(m)
-        if a.shape[0] != a.shape[1]:
-            raise NotAState(f"state must be square, got {a.shape}")
-        if not np.isfinite(a).all():
-            raise NotAState("state has a non-finite entry")
-        tr = complex(np.trace(a))
-        if abs(tr - 1.0) > STATE_TRACE_TOL:
-            raise NotAState(f"state trace {tr} not 1")
+        (state,) = cls._validate(as_matrix(m)[None], floor)
+        if isinstance(state, NotAState):
+            raise state
+        return state
+
+    @classmethod
+    def from_matrices(
+        cls, ms: Sequence, floor: float = STATE_EIG_FLOOR
+    ) -> list["DensityMatrix | NotAState"]:
+        """``from_matrix`` on each matrix: per matrix, in order, the state or
+        the NotAState it would raise. Matrices of one shape are checked and
+        diagonalized together as one stack."""
+        mats = [as_matrix(m) for m in ms]
+        shapes: dict[tuple[int, int], list[int]] = {}
+        for i, a in enumerate(mats):
+            shapes.setdefault(a.shape, []).append(i)
+        out: list = [None] * len(mats)
+        for members in shapes.values():
+            stack = np.stack([mats[i] for i in members])
+            for i, state in zip(members, cls._validate(stack, floor)):
+                out[i] = state
+        return out
+
+    @classmethod
+    def _validate(cls, a: np.ndarray, floor: float) -> list["DensityMatrix | NotAState"]:
+        """Every state check on each member of a stack (B, n, n), in order:
+        square, finite, trace one, Hermitian, smallest eigenvalue above
+        ``floor``. A stack of one is diagonalized by ``hermitian_eig``."""
+        count, n, n2 = a.shape
+        if n != n2:
+            return [NotAState(f"state must be square, got {(n, n2)}") for _ in range(count)]
+        if np.isfinite(a).all():
+            finite = [True] * count
+            tr = a.trace(axis1=1, axis2=2).tolist()
+        else:
+            finite = np.isfinite(a).all(axis=(1, 2))
+            # zero the non-finite members, so no inf - inf reaches a trace
+            tr = np.where(finite[:, None, None], a, 0.0).trace(axis1=1, axis2=2).tolist()
+            finite = finite.tolist()
+        out: list = [None] * count
+        live = []
+        for i, (ok, t) in enumerate(zip(finite, tr)):
+            if not ok:
+                out[i] = NotAState("state has a non-finite entry")
+            elif abs(t - 1.0) > STATE_TRACE_TOL:
+                out[i] = NotAState(f"state trace {t} not 1")
+            else:
+                live.append(i)
+        if not live:
+            return out
         try:
-            dec = hermitian_eig(a)
+            if len(live) == 1:
+                decs = [hermitian_eig(a[live[0]])]
+            else:
+                stack = hermitian_eig_stack(a if len(live) == count else a[live])
+                decs = [HermitianEigen(w, u) for w, u in zip(stack.eigenvalues, stack.eigenvectors)]
         except NotHermitian as exc:
-            raise NotAState(f"state not Hermitian: {exc}") from exc
-        if dec.eigenvalues[0] <= floor:
-            raise NotAState(
-                f"smallest eigenvalue {dec.eigenvalues[0]:.3e} at or below "
-                f"floor {floor:.1e}"
-            )
-        return cls(matrix=a, eig=dec)
+            if len(live) > 1:
+                # a stack names only its first asymmetric member: check each alone
+                for i in live:
+                    (out[i],) = cls._validate(a[i : i + 1], floor)
+                return out
+            rejected = NotAState(f"state not Hermitian: {exc}")
+            rejected.__cause__ = exc
+            out[live[0]] = rejected
+            return out
+        for i, dec in zip(live, decs):
+            lo = dec.eigenvalues[0]
+            if lo <= floor:
+                out[i] = NotAState(
+                    f"smallest eigenvalue {lo:.3e} at or below floor {floor:.1e}"
+                )
+            else:
+                out[i] = cls(matrix=a[i], eig=dec)
+        return out
 
     @property
     def dim(self) -> int:

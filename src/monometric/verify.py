@@ -14,6 +14,14 @@ The one exception is operator-monotonicity: it hands the seed to
 Either way a report is a pure function of the command line; reruns are
 byte identical. Wall time is measured but kept out of the report body for
 exactly that reason.
+
+The contraction properties and unitary-equality draw their trials in
+order from these same streams, then validate and diagonalize the states
+and image states as stacks. Rejections and the NaN stop are taken in
+attempt order, and no attempt is drawn past the point where a one-by-one
+loop would stop, so the trials that run are the same. Only a sampler
+that gives up (DegenerateSample) while a batch is drawn raises before
+the earlier trials of that batch run.
 """
 
 from __future__ import annotations
@@ -26,7 +34,13 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import KrausChannel, apply_channel, monotonicity_trial, random_channel
+from .channels import (
+    TRIAL_STATE_FLOOR,
+    KrausChannel,
+    apply_channel,
+    monotonicity_trial,
+    random_channel,
+)
 from .chentsov import (
     BridgeMC,
     CanonicalMC,
@@ -547,13 +561,36 @@ def _continuity_smoke(run: _Run):
         yield abs(q2 - q1) / (delta * max(1.0, abs(q1)))
 
 
+def _trial_states(
+    channels: Sequence[KrausChannel], rhos: Sequence[np.ndarray]
+) -> Iterator[tuple[DensityMatrix, DensityMatrix | NotAState]]:
+    """Per contraction draw, in order: its state and its image state, or
+    the NotAState that rejects the image. States and images are validated
+    and diagonalized as stacks; a state's own NotAState is raised when its
+    draw is reached, as a draw-by-draw loop would raise it."""
+    states = DensityMatrix.from_matrices(rhos)
+    valid = [i for i, state in enumerate(states) if isinstance(state, DensityMatrix)]
+    images = dict(zip(valid, DensityMatrix.from_matrices(
+        [apply_channel(channels[i], states[i].matrix) for i in valid],
+        floor=TRIAL_STATE_FLOOR,
+    )))
+    for i, state in enumerate(states):
+        if isinstance(state, NotAState):
+            raise state
+        yield state, images[i]
+
+
 def _contraction_worst(run: _Run, spec: MetricSpec, variant: int, target_trials: int) -> float:
     """Worst (smallest) slack over accepted trials, NaN if any slack is
     NaN; attempt k draws from ``run.rng(variant, k)``, so rejected draws
     are skipped deterministically by advancing the attempt counter.
 
-    Raises DegenerateSample when CONTRACTION_DRAWS_PER_TRIAL draws per
-    wanted trial yield fewer than ``target_trials`` accepted ones.
+    Attempts are drawn in order, in chunks of the trials still wanted, so
+    no attempt is drawn past the point where a one-by-one loop would stop;
+    their states and image states are validated as stacks, and rejections
+    are taken in attempt order. Raises DegenerateSample when
+    CONTRACTION_DRAWS_PER_TRIAL draws per wanted trial yield fewer than
+    ``target_trials`` accepted ones.
     """
     worst = math.inf
     accepted = 0
@@ -565,20 +602,26 @@ def _contraction_worst(run: _Run, spec: MetricSpec, variant: int, target_trials:
                 f"{accepted} of {target_trials} contraction trials accepted "
                 f"after {max_attempts} draws"
             )
-        rng = run.rng(variant, attempt)
-        attempt += 1
-        n = run.dims[attempt % len(run.dims)]
-        channel = _draw_channel(rng, n)
-        rho = _draw_state(rng, n)
-        a = random_tangent(rng, n, hermitian=bool(rng.integers(0, 2)))
-        try:
-            result = monotonicity_trial(spec, channel, rho, a)
-        except NotAState:
-            continue
-        if math.isnan(result.slack):
-            return math.nan
-        accepted += 1
-        worst = min(worst, result.slack)
+        chunk = range(attempt, min(attempt + target_trials - accepted, max_attempts))
+        attempt = chunk.stop
+        channels, rhos, tangents = [], [], []
+        for k in chunk:
+            rng = run.rng(variant, k)
+            n = run.dims[(k + 1) % len(run.dims)]
+            channels.append(_draw_channel(rng, n))
+            rhos.append(random_density(rng, n))
+            tangents.append(random_tangent(rng, n, hermitian=bool(rng.integers(0, 2))))
+        for channel, a, (state, image) in zip(channels, tangents, _trial_states(channels, rhos)):
+            if isinstance(image, NotAState):
+                continue
+            try:
+                result = monotonicity_trial(spec, channel, state, a, image)
+            except NotAState:
+                continue
+            if math.isnan(result.slack):
+                return math.nan
+            accepted += 1
+            worst = min(worst, result.slack)
     return worst
 
 
@@ -595,11 +638,15 @@ def _trace_preservation(run: _Run):
 # unitary channels contract with equality
 @_property("channels", "unitary-equality", 1e-9)
 def _unitary_equality(run: _Run):
+    channels, rhos, tangents = [], [], []
     for rng, n in run.draws(run.trials):
-        channel = KrausChannel(operators=(random_unitary(rng, n),))
-        rho = _draw_state(rng, n)
-        a = random_tangent(rng, n, hermitian=bool(rng.integers(0, 2)))
-        yield abs(monotonicity_trial(_SPEC, channel, rho, a).slack)
+        channels.append(KrausChannel(operators=(random_unitary(rng, n),)))
+        rhos.append(random_density(rng, n))
+        tangents.append(random_tangent(rng, n, hermitian=bool(rng.integers(0, 2))))
+    for channel, a, (state, image) in zip(channels, tangents, _trial_states(channels, rhos)):
+        if isinstance(image, NotAState):
+            raise image
+        yield abs(monotonicity_trial(_SPEC, channel, state, a, image).slack)
 
 # pinching a diagonal state kills exactly the off-diagonal part
 @_property("channels", "pinching-contraction", 1e-9)

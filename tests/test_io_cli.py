@@ -449,6 +449,13 @@ class TestBridgeTable:
         assert main(["bridge-table", "--gammas", "0", "--x-grid", "log:1:2", "--y-grid", "1"]) == 2
         assert main(["bridge-table", "--gammas", "zero", "--x-grid", "1", "--y-grid", "1"]) == 2
 
+    def test_bad_value_after_the_first_row_prints_no_rows(self, capsys):
+        argv = ["bridge-table", "--gammas", "0.5", "--x-grid", "1,inf", "--y-grid", "1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
 
 class TestVerifyCommand:
     def test_single_suite_report_shape(self, capsys):

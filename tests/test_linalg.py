@@ -192,6 +192,111 @@ def test_both_ways_raise_when_sweeps_are_exhausted(way, n, monkeypatch):
         WAYS[way](random_hermitian(np.random.default_rng(n), n))
 
 
+@pytest.mark.parametrize("n", ALL_DIMS)
+def test_stack_members_match_the_scalar_way(n):
+    """Every kind of eigen_inputs in one stack: diagonal, identity, repeated,
+    already converged and 1e+-100-scaled members side by side."""
+    inputs = eigen_inputs(n)
+    stack = la.hermitian_eig_stack(np.stack(list(inputs.values())))
+    again = la.hermitian_eig_stack(np.stack(list(inputs.values())))
+    assert np.array_equal(stack.eigenvalues, again.eigenvalues)
+    assert np.array_equal(stack.eigenvectors, again.eigenvectors)
+    for j, (kind, m) in enumerate(inputs.items()):
+        scale = 1.0 + np.linalg.norm(m)
+        eigs, vecs = stack.eigenvalues[j], stack.eigenvectors[j]
+        assert np.all(np.diff(eigs) >= 0), kind
+        assert np.allclose(eigs, np.linalg.eigvalsh(m), rtol=0.0, atol=1e-12 * scale), kind
+        recon = (vecs * eigs) @ vecs.conj().T
+        assert np.linalg.norm(recon - m) <= RECON_TOL * scale, kind
+        assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(n)) <= RECON_TOL, kind
+        ref, ref_vecs = la._jacobi_scalar(m)
+        order = np.argsort(ref, kind="stable")
+        assert np.max(np.abs(eigs - ref[order])) <= WAYS_TOL * scale, kind
+        if kind in SIMPLE_SPECTRUM:
+            assert np.max(np.abs(vecs - ref_vecs[:, order])) <= 1e3 * WAYS_TOL, kind
+
+
+class TestStack:
+    def test_each_member_keeps_its_own_thresholds(self):
+        rng = np.random.default_rng(8)
+        small = 1e-3 * random_hermitian(rng, 4)
+        stack = np.stack([1e3 * random_hermitian(rng, 4), small, np.eye(4), 1e100 * small])
+        together = la.hermitian_eig_stack(stack)
+        alone = la.hermitian_eig_stack(small[None])
+        # a target shared with the 1e3-scaled member would stop the small
+        # one after no rotation at all
+        assert np.array_equal(together.eigenvalues[1], alone.eigenvalues[0])
+        assert np.array_equal(together.eigenvectors[1], alone.eigenvectors[0])
+        ref = np.linalg.eigvalsh(small)
+        assert np.allclose(alone.eigenvalues[0], ref, rtol=0.0, atol=WAYS_TOL)
+        ref_big = np.linalg.eigvalsh(stack[3])
+        assert np.allclose(together.eigenvalues[3], ref_big, rtol=0.0, atol=1e-12 * 1e100)
+
+    @pytest.mark.parametrize("count", (1, 3, 5, 7))
+    def test_stacks_of_one_and_of_odd_sizes(self, count):
+        rng = np.random.default_rng(count)
+        for n in (2, 3, 5):
+            ms = np.stack([random_hermitian(rng, n) for _ in range(count)])
+            dec = la.hermitian_eig_stack(ms)
+            assert dec.eigenvalues.shape == (count, n)
+            assert dec.eigenvectors.shape == (count, n, n)
+            for m, eigs in zip(ms, dec.eigenvalues):
+                assert np.allclose(eigs, np.linalg.eigvalsh(m), rtol=0.0, atol=1e-12 * (1 + np.linalg.norm(m)))
+            assert np.linalg.norm(dec.reconstruct() - ms) <= RECON_TOL * (1 + np.linalg.norm(ms))
+
+    @pytest.mark.parametrize("sweeps", (0, 1))
+    def test_no_convergence_when_sweeps_are_exhausted(self, sweeps, monkeypatch):
+        # at one sweep the diagonal member is done, the dense ones are not
+        monkeypatch.setattr(la, "MAX_SWEEPS", sweeps)
+        rng = np.random.default_rng(4)
+        ms = np.stack([np.diag([1.0, 2.0, 3.0]), random_hermitian(rng, 3), random_hermitian(rng, 3)])
+        with pytest.raises(NoConvergence):
+            la.hermitian_eig_stack(ms)
+
+    @pytest.mark.parametrize("sweeps", range(4))
+    def test_sweep_cap_as_in_the_scalar_way(self, sweeps, monkeypatch):
+        # a 2x2 member is diagonal after one sweep, but like the scalar way
+        # the stack only sees that at the check before the next sweep
+        monkeypatch.setattr(la, "MAX_SWEEPS", sweeps)
+        rng = np.random.default_rng(6)
+        for n in (2, 3):
+            ms = np.stack([random_hermitian(rng, n) for _ in range(3)])
+            alone = []
+            for m in ms:
+                try:
+                    la._jacobi_scalar(m)
+                    alone.append(True)
+                except NoConvergence:
+                    alone.append(False)
+            if all(alone):
+                la.hermitian_eig_stack(ms)
+            else:
+                with pytest.raises(NoConvergence):
+                    la.hermitian_eig_stack(ms)
+
+    def test_rejects_a_non_hermitian_member(self):
+        ms = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2)])
+        with pytest.raises(NotHermitian, match="stack member 1"):
+            la.hermitian_eig_stack(ms)
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf))
+    def test_rejects_a_non_finite_member(self, bad):
+        ms = np.stack([np.eye(2), np.eye(2), np.diag([1.0, bad])])
+        with pytest.raises(DomainError, match="stack member 2"):
+            la.hermitian_eig_stack(ms)
+
+    @pytest.mark.parametrize(
+        "ms", (np.eye(2), np.zeros((0, 2, 2)), np.zeros((2, 2, 3)), np.zeros((1, 2, 2, 2)))
+    )
+    def test_rejects_what_is_not_a_stack_of_square_matrices(self, ms):
+        with pytest.raises((DomainError, NotHermitian)):
+            la.hermitian_eig_stack(ms)
+
+    def test_rejects_oversized(self):
+        with pytest.raises(DomainError):
+            la.hermitian_eig_stack(np.eye(la.MAX_DIM + 1)[None])
+
+
 class TestNonFiniteInput:
     def test_require_hermitian_rejects_nan(self):
         with pytest.raises(DomainError):

@@ -74,6 +74,66 @@ class TestStateValidation:
             DensityMatrix.from_matrix(m, floor=1e-4)
 
 
+class TestStateStacks:
+    def test_each_matrix_gets_the_outcome_from_matrix_gives_it(self):
+        rng = np.random.default_rng(12)
+        nan_state = np.diag([math.nan, 0.5]).astype(complex)
+        inf_state = np.diag([math.inf, -math.inf, 1.0]).astype(complex)
+        cases = [
+            random_density(rng, 2),
+            np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex),  # not Hermitian
+            random_density(rng, 3),
+            np.diag([0.9, 0.9, 0.9]).astype(complex),  # trace
+            random_density(rng, 2),
+            nan_state,
+            np.diag([1.0, 0.0]).astype(complex),  # floor
+            random_density(rng, 3),
+            np.zeros((2, 3)),  # not square
+            inf_state,
+            random_density(rng, 2),
+        ]
+        outcomes = DensityMatrix.from_matrices(cases)
+        assert len(outcomes) == len(cases)
+        for m, out in zip(cases, outcomes):
+            try:
+                single = DensityMatrix.from_matrix(m)
+            except NotAState as exc:
+                assert isinstance(out, NotAState)
+                assert str(out) == str(exc)
+            else:
+                assert isinstance(out, DensityMatrix)
+                assert np.array_equal(out.matrix, single.matrix)
+                assert np.allclose(out.eig.eigenvalues, single.eig.eigenvalues, rtol=0.0, atol=1e-14)
+        assert sum(isinstance(out, DensityMatrix) for out in outcomes) == 5
+
+    def test_floor_applies_to_every_member(self):
+        ms = [np.diag([1.0 - x, x]).astype(complex) for x in (1e-6, 0.25, 1e-5, 0.5)]
+        outcomes = DensityMatrix.from_matrices(ms, floor=1e-4)
+        assert [isinstance(out, NotAState) for out in outcomes] == [True, False, True, False]
+
+    def test_one_stack_eigensolve_per_shape(self, monkeypatch):
+        calls = {"single": 0, "stack": 0}
+        single, stack = monometric.metric.hermitian_eig, monometric.metric.hermitian_eig_stack
+
+        def counted(key, fn):
+            def call(m):
+                calls[key] += 1
+                return fn(m)
+
+            return call
+
+        monkeypatch.setattr(monometric.metric, "hermitian_eig", counted("single", single))
+        monkeypatch.setattr(monometric.metric, "hermitian_eig_stack", counted("stack", stack))
+        rng = np.random.default_rng(2)
+        states = DensityMatrix.from_matrices([random_density(rng, 2 + k % 2) for k in range(6)])
+        assert calls == {"single": 0, "stack": 2}
+        a = random_tangent(rng, 3, hermitian=True)
+        assert metric_quadratic(BURES_SPEC, states[1], a) > 0.0
+        assert calls == {"single": 0, "stack": 2}
+        DensityMatrix.from_matrices([random_density(rng, 3)])
+        assert calls == {"single": 1, "stack": 2}
+
+
 class TestHandComputedValues:
     def test_qubit_off_diagonal(self):
         # both off-diagonal terms contribute c(1/2,1/2) = 2 each

@@ -33,7 +33,8 @@ from monometric import (
     tilde,
     to_monotone,
 )
-from monometric.monotone import weighted_kernel_integral
+from monometric.linalg import hermitian_eig, min_eigenvalue
+from monometric.monotone import _ordered_pair, weighted_kernel_integral
 from monometric.sampling import random_step_weight
 
 T_GRID = [float(t) for t in np.geomspace(1e-2, 1e2, 25)]
@@ -403,6 +404,68 @@ class TestOperatorMonotonicity:
         assert not report.passed
         assert math.isnan(report.worst)
         assert report.worst_dim in (2, 3) and 0 <= report.worst_trial < 20
+
+
+def per_trial_operator_monotone(f, trials, dims, seed):
+    """The trial-by-trial loop that the batched check replaces, kept as its
+    oracle: (worst, worst_trial, worst_dim)."""
+    worst, worst_trial, worst_dim = math.inf, -1, 0
+    for trial in range(trials):
+        rng = np.random.default_rng([seed, trial])
+        n = dims[trial % len(dims)]
+        a, b = _ordered_pair(rng, n)
+        dec_a = hermitian_eig(a)
+        dec_b = hermitian_eig(b)
+        vals_a = [f(w) for w in dec_a.eigenvalues]
+        vals_b = [f(w) for w in dec_b.eigenvalues]
+        if not np.isfinite(vals_a + vals_b).all():
+            return math.nan, trial, n
+        fa = (dec_a.eigenvectors * vals_a) @ dec_a.eigenvectors.conj().T
+        fb = (dec_b.eigenvectors * vals_b) @ dec_b.eigenvectors.conj().T
+        gap = min_eigenvalue(fb - fa)
+        if gap < worst:
+            worst, worst_trial, worst_dim = gap, trial, n
+    return worst, worst_trial, worst_dim
+
+
+class TestBatchedOperatorMonotonicity:
+    @pytest.mark.parametrize(
+        "name, f",
+        [
+            ("gamma", GammaFamily(0.3)),
+            ("canonical", CanonicalMonotone.normalized(step_weight(21))),
+            ("sqrt", sqrt_function()),
+            ("kubo-ando", KuboAndo(atoms=((0.5, 0.4), (math.inf, 0.6)))),
+            ("square", lambda t: t * t),
+            ("cube", lambda t: t**3),
+            # every gap is exactly 0: the first trial of the tie is reported
+            ("zero", lambda t: 0.0),
+        ],
+    )
+    @pytest.mark.parametrize("dims", [(2, 3, 4, 5), (3, 2, 3)])
+    def test_matches_the_per_trial_loop(self, name, f, dims):
+        report = check_operator_monotone(f, trials=60, dims=dims, seed=17)
+        worst, worst_trial, worst_dim = per_trial_operator_monotone(f, 60, dims, 17)
+        assert (report.worst_trial, report.worst_dim) == (worst_trial, worst_dim), name
+        assert report.worst == pytest.approx(worst, rel=1e-12, abs=1e-13), name
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf))
+    def test_non_finite_value_stops_at_the_same_trial(self, bad):
+        seen = []
+
+        def f(t):
+            seen.append(t)
+            return bad if t > 30.0 else math.sqrt(t)
+
+        report = check_operator_monotone(f, trials=60, dims=(2, 3, 4), seed=4)
+        batched_calls = len(seen)
+        seen.clear()
+        worst, worst_trial, worst_dim = per_trial_operator_monotone(f, 60, (2, 3, 4), 4)
+        assert math.isnan(report.worst) and math.isnan(worst)
+        assert (report.worst_trial, report.worst_dim) == (worst_trial, worst_dim)
+        assert 0 < worst_trial < 59
+        # f sees the same eigenvalues in the same order, up to rounding
+        assert batched_calls == len(seen)
 
 
 class TestEnvelope:

@@ -4,14 +4,32 @@ the falsification canary fails when the kernel it must catch is valid."""
 import json
 import math
 
+import numpy as np
 import pytest
 
 import monometric.verify
-from monometric import BridgeMC, DomainError, MetricSpec, TrialResult, eval_bridge
+from monometric import (
+    BridgeMC,
+    DegenerateSample,
+    DensityMatrix,
+    DomainError,
+    KrausChannel,
+    MetricSpec,
+    NotAState,
+    TrialResult,
+    eval_bridge,
+    monotonicity_trial,
+)
 from monometric.cli import main
+from monometric.sampling import random_tangent
 from monometric.verify import (
+    CONTRACTION_DRAWS_PER_TRIAL,
     _contraction_worst,
+    _draw_channel,
+    _draw_state,
+    _invalid_kernel,
     _Run,
+    _trial_states,
     run_chentsov_suite,
     run_monotone_suite,
     run_verification,
@@ -36,6 +54,88 @@ def test_nan_slack_makes_the_contraction_worst_nan(monkeypatch):
     spec = MetricSpec(c=BridgeMC(0.5))
     run = _Run("channels", seed=0, trials=2, dims=(2, 3), prop=3)
     assert math.isnan(_contraction_worst(run, spec, 0, 2))
+
+
+def per_attempt_contraction(run, spec, variant, target_trials):
+    """The attempt-by-attempt loop that the batched ``_contraction_worst``
+    replaces, kept as its oracle: every attempt's tangent, the accepted
+    attempts and the worst slack."""
+    tangents, accepted, worst = [], [], math.inf
+    attempt = 0
+    while len(accepted) < target_trials:
+        assert attempt < CONTRACTION_DRAWS_PER_TRIAL * target_trials
+        rng = run.rng(variant, attempt)
+        attempt += 1
+        n = run.dims[attempt % len(run.dims)]
+        channel = _draw_channel(rng, n)
+        rho = _draw_state(rng, n)
+        a = random_tangent(rng, n, hermitian=bool(rng.integers(0, 2)))
+        tangents.append(a)
+        try:
+            result = monotonicity_trial(spec, channel, rho, a)
+        except NotAState:
+            continue
+        accepted.append(attempt - 1)
+        worst = min(worst, result.slack)
+    return tangents, accepted, worst
+
+
+@pytest.mark.parametrize(
+    "spec, dims, trials",
+    [
+        (MetricSpec(c=BridgeMC(0.5)), (2, 3), 40),
+        (MetricSpec(c=BridgeMC(0.0)), (2, 3, 4), 25),
+        (MetricSpec(c=_invalid_kernel), (3, 2), 30),
+    ],
+    ids=["bridge", "bures-dims-2-4", "invalid-kernel"],
+)
+def test_batched_contraction_matches_the_per_attempt_loop(spec, dims, trials, monkeypatch):
+    run = _Run("channels", seed=5, trials=trials, dims=dims, prop=3)
+    tangents, accepted, worst = per_attempt_contraction(run, spec, 1, trials)
+    assert len(tangents) > len(accepted)  # some draws were rejected
+    seen = []
+    draws = []
+
+    def recorded_trial(spec, channel, rho, a, *image):
+        seen.append(a)
+        return monotonicity_trial(spec, channel, rho, a, *image)
+
+    def counted_channel(rng, n):
+        draws.append(n)
+        return _draw_channel(rng, n)
+
+    monkeypatch.setattr(monometric.verify, "monotonicity_trial", recorded_trial)
+    monkeypatch.setattr(monometric.verify, "_draw_channel", counted_channel)
+    batched = _contraction_worst(run, spec, 1, trials)
+    attempt_of = {a.tobytes(): k for k, a in enumerate(tangents)}
+    assert [attempt_of[a.tobytes()] for a in seen] == accepted
+    assert len(draws) == len(tangents)  # nothing drawn past the loop's last attempt
+    assert batched == pytest.approx(worst, rel=1e-9, abs=1e-10)
+
+
+def test_image_states_are_held_to_the_trial_floor():
+    identity = KrausChannel(operators=(np.eye(2, dtype=complex),))
+    rho = np.diag([1.0 - 1e-9, 1e-9]).astype(complex)  # above the state floor only
+    with pytest.raises(NotAState):
+        monotonicity_trial(MetricSpec(c=BridgeMC(0.5)), identity, rho, np.eye(2))
+    ((state, image),) = _trial_states([identity], [rho])
+    assert isinstance(state, DensityMatrix)
+    assert isinstance(image, NotAState)
+
+
+def test_rejecting_every_image_still_hits_the_draw_cap(monkeypatch):
+    draws = []
+
+    def counted_channel(rng, n):
+        draws.append(n)
+        return _draw_channel(rng, n)
+
+    monkeypatch.setattr(monometric.verify, "TRIAL_STATE_FLOOR", 1.0)
+    monkeypatch.setattr(monometric.verify, "_draw_channel", counted_channel)
+    run = _Run("channels", seed=0, trials=3, dims=(2, 3), prop=3)
+    with pytest.raises(DegenerateSample, match="0 of 3"):
+        _contraction_worst(run, MetricSpec(c=BridgeMC(0.5)), 0, 3)
+    assert len(draws) == CONTRACTION_DRAWS_PER_TRIAL * 3
 
 
 def test_valid_kernel_fails_the_falsification_canary(capsys, monkeypatch):
