@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSample, DimensionMismatch, DomainError
+from .errors import DegenerateSample, DimensionMismatch, DomainError, NotAState
 from .linalg import as_matrix, frobenius
 from .metric import DensityMatrix, MetricSpec, metric_quadratic
 from .sampling import ginibre, orthonormal_columns
@@ -94,14 +94,19 @@ class TrialResult:
 
 
 def monotonicity_trial(
-    spec: MetricSpec, channel: KrausChannel, rho, a, image: DensityMatrix | None = None
+    spec: MetricSpec,
+    channel: KrausChannel,
+    rho,
+    a,
+    image: DensityMatrix | NotAState | None = None,
 ) -> TrialResult:
     """One contraction check: slack = K(A, A) - K(T(A), T(A)) at T(rho).
 
     Nonnegative slack is the contraction property; the image state must
     clear a 1e-8 eigenvalue floor or the trial raises NotAState for the
     caller to resample. A caller that validated the image state already,
-    ``T(rho)`` under ``floor=TRIAL_STATE_FLOOR``, passes it as ``image``.
+    ``T(rho)`` under ``floor=TRIAL_STATE_FLOOR``, passes the outcome as
+    ``image``: the state, or the NotAState that rejected it, raised here.
     """
     state = rho if isinstance(rho, DensityMatrix) else DensityMatrix.from_matrix(rho)
     rhs = metric_quadratic(spec, state, a)
@@ -109,5 +114,7 @@ def monotonicity_trial(
         image = DensityMatrix.from_matrix(
             apply_channel(channel, state.matrix), floor=TRIAL_STATE_FLOOR
         )
+    elif isinstance(image, NotAState):
+        raise image
     lhs = metric_quadratic(spec, image, apply_channel(channel, as_matrix(a)))
     return TrialResult(lhs=lhs, rhs=rhs, slack=rhs - lhs)

@@ -15,7 +15,8 @@ iteration on a stack (B, n, n), each step as row and column updates of
 its disjoint pairs across all members, which pays off when many small
 matrices are diagonalized at once: the sampled trials of ``verify`` and
 ``check_operator_monotone``. All three ways run the same iteration, so
-each is an oracle for the others.
+each is an oracle for the others; the stack way rounds as the scalar way
+does, so each member comes out bit for bit as the scalar way gives it.
 
 No LAPACK routine is used anywhere in the package. The unitary steps
 multiply through numpy's BLAS, so outputs are deterministic on one
@@ -39,6 +40,9 @@ HERM_TOL = 1e-10
 # measured crossover: below this dimension rotating Python scalars one by
 # one beats one array update per step, from it up the array update wins
 SMALL_DIM = 12
+# measured crossover for a stack of B matrices of dimension n < SMALL_DIM:
+# below B n = SMALL_STACK the scalar way, matrix by matrix, beats one stack
+SMALL_STACK = 40
 
 
 def as_matrix(m) -> np.ndarray:
@@ -151,16 +155,23 @@ def hermitian_eig_stack(ms) -> HermitianEigen:
     step applied to the whole stack as row and column updates of its
     disjoint pairs. Every member keeps its own convergence target and skip
     bound and leaves the stack once converged, so it runs the sweeps it
-    would run alone. Returns eigenvalues (B, n), each row ascending, and
-    eigenvectors (B, n, n) as columns. Raises what ``hermitian_eig`` raises,
-    naming the first member that fails a check.
+    would run alone, and comes out bit for bit as ``_jacobi_scalar`` gives
+    it. A small stack, B n < SMALL_STACK with n < SMALL_DIM, is therefore
+    handed to ``_jacobi_scalar`` matrix by matrix, which is faster there.
+    Returns eigenvalues (B, n), each row ascending, and eigenvectors
+    (B, n, n) as columns. Raises what ``hermitian_eig`` raises, naming the
+    first member that fails a check.
     """
     a = require_hermitian(ms)
     if a.ndim != 3:
         raise DomainError(f"expected a stack of matrices, got ndim={a.ndim}")
-    if a.shape[-1] > MAX_DIM:
-        raise DomainError(f"dimension {a.shape[-1]} exceeds the desk-scale cap {MAX_DIM}")
-    eigs, vecs = _jacobi_stack(a)
+    count, n, _ = a.shape
+    if n > MAX_DIM:
+        raise DomainError(f"dimension {n} exceeds the desk-scale cap {MAX_DIM}")
+    if n < SMALL_DIM and count * n < SMALL_STACK:
+        eigs, vecs = (np.stack(out) for out in zip(*map(_jacobi_scalar, a)))
+    else:
+        eigs, vecs = _jacobi_stack(a)
     order = np.argsort(eigs, axis=-1, kind="stable")
     return HermitianEigen(
         eigenvalues=np.take_along_axis(eigs, order, axis=-1),
@@ -203,19 +214,25 @@ def _step_blocks(n: int) -> tuple[np.ndarray, ...]:
 
 
 @functools.lru_cache(maxsize=MAX_DIM + 1)
-def _stack_steps(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+def _stack_steps(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
     """Per round-robin step, flat indices into an n x n matrix: the step's
-    2x2 blocks as in ``_step_blocks``, rows p and q (2, pairs, n) and
-    columns p and q (2, pairs, n)."""
+    2x2 blocks as in ``_step_blocks``, rows p and q (2, pairs, n), columns
+    p and q (2, pairs, n), and the entries (r, c) whose row lies in a later
+    pair of the step than their column, with their mirrors (c, r)."""
     steps = []
     span = np.arange(n)
-    for block in _step_blocks(n):
+    for step, block in zip(_round_robin(n), _step_blocks(n)):
         p, q = block[0] // n, block[3] // n
         rows = np.stack((p[:, None] * n + span, q[:, None] * n + span))
         cols = np.stack((span * n + p[:, None], span * n + q[:, None]))
-        for index in (rows, cols):
+        order = np.full(n, -1)
+        for k, pair in enumerate(step):
+            order[list(pair)] = k
+        r, c = np.nonzero((order[:, None] > order) & (order >= 0))
+        later, mirror = r * n + c, c * n + r
+        for index in (rows, cols, later, mirror):
             index.flags.writeable = False
-        steps.append((block, rows, cols))
+        steps.append((block, rows, cols, later, mirror))
     return tuple(steps)
 
 
@@ -335,46 +352,56 @@ def _jacobi_vectorized(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _jacobi_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The round-robin iteration on a stack (B, n, n), step by step.
 
-    W and V are held as (n*n, B) arrays, entry-major, so that every
-    gathered row or column is a run of contiguous member values. A step
+    W and V are held as one array (n*n, W or V, B), entry-major, so that
+    every gathered row or column is a run of contiguous values. A step
     gathers rows p and q of W, rotates them (W <- J* W), does the same to
-    the columns of W and V (W <- W J, V <- V J), and sets each rotated 2x2
-    block in closed form: O(B n^2) per step. A pair whose pivot is at most
+    the columns of W and V at once (W <- W J, V <- V J), and sets each
+    rotated 2x2 block in closed form: O(B n^2) per step. Entries whose row
+    lies in a later pair of the step than their column then take the
+    conjugates of their mirrors, as when ``_jacobi_scalar`` rotates pair
+    after pair. A product k x of complex numbers is formed as kr x + ki ix,
+    which rounds each real term once, as Python's complex type does
+    (numpy's complex multiply may fuse them); so each member comes out bit
+    for bit as ``_jacobi_scalar`` makes it. A pair whose pivot is at most
     its member's skip bound gets the identity rotation, which leaves its
-    entries exactly as they were. Before each sweep the members that meet
-    their own target are stored and dropped. Returns unsorted eigenvalues
-    (B, n) and eigenvectors (B, n, n).
+    entries as they were. Before each sweep the members that meet their
+    own target are stored and dropped. Returns unsorted eigenvalues (B, n)
+    and eigenvectors (B, n, n).
     """
     count, n, _ = a.shape
     off_target, skip = _thresholds(a)
     upper = np.triu(a, 1)
-    full = upper + dagger(upper)
     diag = np.arange(n) * (n + 1)
-    w = full.reshape(count, n * n).T.copy()
-    w[diag] = a.reshape(count, n * n)[:, diag].real.T
-    v = np.zeros_like(w)
-    v[diag] = 1.0
+    m = np.zeros((n * n, 2, count), dtype=np.complex128)
+    m[:, 0] = (upper + dagger(upper)).reshape(count, n * n).T
+    m[diag, 0] = a.reshape(count, n * n)[:, diag].real.T
+    m[diag, 1] = 1.0
     eigs = np.empty((n, count))
-    vecs = np.empty_like(w)
+    vecs = np.empty((n * n, count), dtype=np.complex128)
     active = np.arange(count)
     above = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), 1))
     steps = _stack_steps(n)
     for _ in range(MAX_SWEEPS):
-        off = w[above]
-        off = np.sqrt(2.0 * np.sum(off.real**2 + off.imag**2, axis=0))
+        off = m[above, 0]
+        # summed in row order, as _jacobi_scalar sums: a plain sum over
+        # one member would be pairwise
+        off = np.sqrt(2.0 * np.cumsum(off.real**2 + off.imag**2, axis=0)[-1])
         done = off <= off_target
         if done.any():
-            eigs[:, active[done]] = w[diag][:, done].real
-            vecs[:, active[done]] = v[:, done]
+            eigs[:, active[done]] = m[diag, 0][:, done].real
+            vecs[:, active[done]] = m[:, 1][:, done]
             keep = ~done
             if not keep.any():
                 return eigs.T.copy(), vecs.T.reshape(count, n, n)
-            active, w, v = active[keep], w[:, keep], v[:, keep]
-            off_target, skip = off_target[keep], skip[keep]
-        for block, rows, cols in steps:
+            active, off_target, skip = active[keep], off_target[keep], skip[keep]
+            m = m[..., keep]
+        w = m[:, 0]
+        for block, rows, cols, later, mirror in steps:
             blk = w[block]
             b = blk[2]
-            ab = np.abs(b)
+            # abs as Python takes it; np.abs of a complex array may round
+            # differently
+            ab = np.hypot(b.real, b.imag)
             rotate = ab > skip
             if not rotate.any():
                 continue
@@ -387,22 +414,26 @@ def _jacobi_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             t[~rotate] = 0.0
             c = 1.0 / np.sqrt(1.0 + t * t)
             s = t * c
-            phase = np.where(rotate, b / safe, 1.0)
-            # rows x, y become conj(cp) x - s y and conj(sp) x + c y;
-            # columns the same with cp, sp unconjugated
-            k = np.stack((phase * c, phase * s))[:, :, None]
-            l = np.stack((-s, c))[:, :, None]
+            pr = np.where(rotate, b.real, 1.0) / safe
+            pi = np.where(rotate, b.imag, 0.0) / safe
+            # rows x, y become conj(cp) x - s y and conj(sp) x + c y, columns
+            # the same with cp, sp unconjugated; cp = phase c, sp = phase s
+            cs = np.concatenate((c[None], s[None]))[:, :, None]
+            kr, ki = pr[:, None] * cs, pi[:, None] * cs
+            l = np.concatenate((-s[None], c[None]))[:, :, None]
             g = w[rows]
-            w[rows] = k.conj() * g[:1] + l * g[1:]
-            for m in (w, v):
-                g = m[cols]
-                m[cols] = k * g[:1] + l * g[1:]
+            x = g[:1]
+            w[rows] = (kr * x - ki * (x * 1j)) + l * g[1:]
+            kr, ki, l = kr[..., None, :], ki[..., None, :], l[..., None, :]
+            g = m[cols]
+            x = g[:1]
+            m[cols] = (kr * x + ki * (x * 1j)) + l * g[1:]
             tab = t * ab
             blk[0] = app - tab
             blk[3] = aqq + tab
-            blk[1][rotate] = 0.0
-            blk[2][rotate] = 0.0
+            blk[1:3, rotate] = 0.0
             w[block] = blk
+            w[later] = w[mirror].conj()
     raise NoConvergence(f"Jacobi sweep cap {MAX_SWEEPS} hit at n={n}")
 
 

@@ -17,11 +17,14 @@ exactly that reason.
 
 The contraction properties and unitary-equality draw their trials in
 order from these same streams, then validate and diagonalize the states
-and image states as stacks. Rejections and the NaN stop are taken in
-attempt order, and no attempt is drawn past the point where a one-by-one
-loop would stop, so the trials that run are the same. Only a sampler
-that gives up (DegenerateSample) while a batch is drawn raises before
-the earlier trials of that batch run.
+and image states as stacks; the stack eigensolver gives each member bit
+for bit what it gives alone, so every value is as in a one-by-one loop.
+Rejections, errors and the NaN stop are taken in attempt order, and no
+attempt is drawn past the point where a one-by-one loop would stop, so
+the trials that run are the same. A stack that fails to converge is
+redone draw by draw, so its NoConvergence is raised at its own draw.
+Only a sampler that gives up (DegenerateSample) while a batch is drawn
+raises before the earlier trials of that batch run.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from .chentsov import (
     eval_canonical_c,
     normalize_C0,
 )
-from .errors import DegenerateSample, DomainError, NotAState
+from .errors import DegenerateSample, DomainError, NoConvergence, NotAState
 from .metric import DensityMatrix, MetricSpec, metric_form, metric_quadratic
 from .monotone import (
     CanonicalMonotone,
@@ -563,17 +566,25 @@ def _continuity_smoke(run: _Run):
 
 def _trial_states(
     channels: Sequence[KrausChannel], rhos: Sequence[np.ndarray]
-) -> Iterator[tuple[DensityMatrix, DensityMatrix | NotAState]]:
+) -> Iterator[tuple[DensityMatrix, DensityMatrix | NotAState | None]]:
     """Per contraction draw, in order: its state and its image state, or
     the NotAState that rejects the image. States and images are validated
     and diagonalized as stacks; a state's own NotAState is raised when its
-    draw is reached, as a draw-by-draw loop would raise it."""
-    states = DensityMatrix.from_matrices(rhos)
-    valid = [i for i, state in enumerate(states) if isinstance(state, DensityMatrix)]
-    images = dict(zip(valid, DensityMatrix.from_matrices(
-        [apply_channel(channels[i], states[i].matrix) for i in valid],
-        floor=TRIAL_STATE_FLOOR,
-    )))
+    draw is reached, as a draw-by-draw loop would raise it. If a stack
+    fails to converge, the draws are validated one by one instead, with
+    image None for ``monotonicity_trial`` to build, so the failure too is
+    raised at its own draw."""
+    try:
+        states = DensityMatrix.from_matrices(rhos)
+        valid = [i for i, state in enumerate(states) if isinstance(state, DensityMatrix)]
+        images = dict(zip(valid, DensityMatrix.from_matrices(
+            [apply_channel(channels[i], states[i].matrix) for i in valid],
+            floor=TRIAL_STATE_FLOOR,
+        )))
+    except NoConvergence:
+        for rho in rhos:
+            yield DensityMatrix.from_matrix(rho), None
+        return
     for i, state in enumerate(states):
         if isinstance(state, NotAState):
             raise state
@@ -612,8 +623,6 @@ def _contraction_worst(run: _Run, spec: MetricSpec, variant: int, target_trials:
             rhos.append(random_density(rng, n))
             tangents.append(random_tangent(rng, n, hermitian=bool(rng.integers(0, 2))))
         for channel, a, (state, image) in zip(channels, tangents, _trial_states(channels, rhos)):
-            if isinstance(image, NotAState):
-                continue
             try:
                 result = monotonicity_trial(spec, channel, state, a, image)
             except NotAState:
@@ -644,8 +653,6 @@ def _unitary_equality(run: _Run):
         rhos.append(random_density(rng, n))
         tangents.append(random_tangent(rng, n, hermitian=bool(rng.integers(0, 2))))
     for channel, a, (state, image) in zip(channels, tangents, _trial_states(channels, rhos)):
-        if isinstance(image, NotAState):
-            raise image
         yield abs(monotonicity_trial(_SPEC, channel, state, a, image).slack)
 
 # pinching a diagonal state kills exactly the off-diagonal part

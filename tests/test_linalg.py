@@ -197,23 +197,24 @@ def test_stack_members_match_the_scalar_way(n):
     """Every kind of eigen_inputs in one stack: diagonal, identity, repeated,
     already converged and 1e+-100-scaled members side by side."""
     inputs = eigen_inputs(n)
-    stack = la.hermitian_eig_stack(np.stack(list(inputs.values())))
-    again = la.hermitian_eig_stack(np.stack(list(inputs.values())))
-    assert np.array_equal(stack.eigenvalues, again.eigenvalues)
-    assert np.array_equal(stack.eigenvectors, again.eigenvectors)
+    ms = np.stack(list(inputs.values()))
+    stack_eigs, stack_vecs = la._jacobi_stack(ms)
+    dec = la.hermitian_eig_stack(ms)
     for j, (kind, m) in enumerate(inputs.items()):
+        # the stack rounds as the scalar way does, bit for bit
+        ref, ref_vecs = la._jacobi_scalar(m)
+        assert np.array_equal(stack_eigs[j], ref), kind
+        assert np.array_equal(stack_vecs[j], ref_vecs), kind
         scale = 1.0 + np.linalg.norm(m)
-        eigs, vecs = stack.eigenvalues[j], stack.eigenvectors[j]
+        eigs, vecs = dec.eigenvalues[j], dec.eigenvectors[j]
+        order = np.argsort(ref, kind="stable")
+        assert np.array_equal(eigs, ref[order]), kind
+        assert np.array_equal(vecs, ref_vecs[:, order]), kind
         assert np.all(np.diff(eigs) >= 0), kind
         assert np.allclose(eigs, np.linalg.eigvalsh(m), rtol=0.0, atol=1e-12 * scale), kind
         recon = (vecs * eigs) @ vecs.conj().T
         assert np.linalg.norm(recon - m) <= RECON_TOL * scale, kind
         assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(n)) <= RECON_TOL, kind
-        ref, ref_vecs = la._jacobi_scalar(m)
-        order = np.argsort(ref, kind="stable")
-        assert np.max(np.abs(eigs - ref[order])) <= WAYS_TOL * scale, kind
-        if kind in SIMPLE_SPECTRUM:
-            assert np.max(np.abs(vecs - ref_vecs[:, order])) <= 1e3 * WAYS_TOL, kind
 
 
 class TestStack:
@@ -221,22 +222,26 @@ class TestStack:
         rng = np.random.default_rng(8)
         small = 1e-3 * random_hermitian(rng, 4)
         stack = np.stack([1e3 * random_hermitian(rng, 4), small, np.eye(4), 1e100 * small])
-        together = la.hermitian_eig_stack(stack)
-        alone = la.hermitian_eig_stack(small[None])
+        together = la._jacobi_stack(stack)
+        alone = la._jacobi_stack(small[None])
         # a target shared with the 1e3-scaled member would stop the small
         # one after no rotation at all
-        assert np.array_equal(together.eigenvalues[1], alone.eigenvalues[0])
-        assert np.array_equal(together.eigenvectors[1], alone.eigenvectors[0])
+        assert np.array_equal(together[0][1], alone[0][0])
+        assert np.array_equal(together[1][1], alone[1][0])
         ref = np.linalg.eigvalsh(small)
-        assert np.allclose(alone.eigenvalues[0], ref, rtol=0.0, atol=WAYS_TOL)
+        assert np.allclose(np.sort(alone[0][0]), ref, rtol=0.0, atol=WAYS_TOL)
         ref_big = np.linalg.eigvalsh(stack[3])
-        assert np.allclose(together.eigenvalues[3], ref_big, rtol=0.0, atol=1e-12 * 1e100)
+        assert np.allclose(np.sort(together[0][3]), ref_big, rtol=0.0, atol=1e-12 * 1e100)
 
     @pytest.mark.parametrize("count", (1, 3, 5, 7))
     def test_stacks_of_one_and_of_odd_sizes(self, count):
         rng = np.random.default_rng(count)
         for n in (2, 3, 5):
             ms = np.stack([random_hermitian(rng, n) for _ in range(count)])
+            eigs, vecs = la._jacobi_stack(ms)
+            for j, m in enumerate(ms):
+                ref, ref_vecs = la._jacobi_scalar(m)
+                assert np.array_equal(eigs[j], ref) and np.array_equal(vecs[j], ref_vecs)
             dec = la.hermitian_eig_stack(ms)
             assert dec.eigenvalues.shape == (count, n)
             assert dec.eigenvectors.shape == (count, n, n)
@@ -244,12 +249,66 @@ class TestStack:
                 assert np.allclose(eigs, np.linalg.eigvalsh(m), rtol=0.0, atol=1e-12 * (1 + np.linalg.norm(m)))
             assert np.linalg.norm(dec.reconstruct() - ms) <= RECON_TOL * (1 + np.linalg.norm(ms))
 
+    def test_stopping_test_sums_in_row_order(self):
+        """A member whose off-diagonal norm, summed in row order as the
+        scalar way sums it, meets its target with one ulp to spare, while a
+        sum that adds the small entries first would miss it."""
+        n = 5
+        upper = np.triu_indices(n, 1)
+        big = 2.0**-46
+        # squares of the small entries fall below half an ulp of big**2
+        small = big * math.sqrt(0.45 * 2.0**-52)
+
+        def member(scale):
+            m = np.diag(scale * np.arange(1.0, n + 1)).astype(complex)
+            m[upper] = [big] + [small] * 7 + [0.0, 0.0]
+            return m + np.triu(m, 1).conj().T
+
+        in_order = big * big
+        for _ in range(7):
+            in_order += small * small
+        in_order = math.sqrt(2.0 * in_order)
+        small_first = math.sqrt(2.0 * (big * big + small * small * 7.0))
+        for step in range(-20, 20):
+            scale = math.sqrt(2.0) * big / 5e-15 / math.sqrt(55.0) * (1.0 + step * 2.0**-52)
+            target = float(la._thresholds(member(scale))[0])
+            if in_order <= target < small_first:
+                break
+        else:
+            pytest.fail("no scale splits the two sums")
+        m = member(scale)
+        ref, ref_vecs = la._jacobi_scalar(m)
+        assert np.array_equal(ref_vecs, np.eye(n))  # stopped before the first sweep
+        eigs, vecs = la._jacobi_stack(m[None])
+        assert np.array_equal(eigs[0], ref) and np.array_equal(vecs[0], ref_vecs)
+
+    @pytest.mark.parametrize("n", (2, 3, 5, 11, 12))
+    def test_small_stacks_go_matrix_by_matrix(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        ms = np.stack([random_hermitian(rng, n) for _ in range(la.SMALL_STACK)])
+        calls = []
+        stack_way = la._jacobi_stack
+        monkeypatch.setattr(la, "_jacobi_stack", lambda a: calls.append(len(a)) or stack_way(a))
+        for count in (1, 2, la.SMALL_STACK // n, la.SMALL_STACK // n + 1, la.SMALL_STACK):
+            calls.clear()
+            dec = la.hermitian_eig_stack(ms[:count])
+            by_stack = n >= la.SMALL_DIM or count * n >= la.SMALL_STACK
+            assert calls == ([count] if by_stack else []), count
+            # either way each member is what the scalar way gives
+            for m, eigs, vecs in zip(ms, dec.eigenvalues, dec.eigenvectors):
+                ref, ref_vecs = la._jacobi_scalar(m)
+                order = np.argsort(ref, kind="stable")
+                assert np.array_equal(eigs, ref[order])
+                assert np.array_equal(vecs, ref_vecs[:, order])
+
     @pytest.mark.parametrize("sweeps", (0, 1))
     def test_no_convergence_when_sweeps_are_exhausted(self, sweeps, monkeypatch):
         # at one sweep the diagonal member is done, the dense ones are not
         monkeypatch.setattr(la, "MAX_SWEEPS", sweeps)
         rng = np.random.default_rng(4)
         ms = np.stack([np.diag([1.0, 2.0, 3.0]), random_hermitian(rng, 3), random_hermitian(rng, 3)])
+        with pytest.raises(NoConvergence):
+            la._jacobi_stack(ms.astype(complex))
         with pytest.raises(NoConvergence):
             la.hermitian_eig_stack(ms)
 
@@ -269,10 +328,10 @@ class TestStack:
                 except NoConvergence:
                     alone.append(False)
             if all(alone):
-                la.hermitian_eig_stack(ms)
+                la._jacobi_stack(ms)
             else:
                 with pytest.raises(NoConvergence):
-                    la.hermitian_eig_stack(ms)
+                    la._jacobi_stack(ms)
 
     def test_rejects_a_non_hermitian_member(self):
         ms = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2)])

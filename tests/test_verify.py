@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import monometric.metric
 import monometric.verify
 from monometric import (
     BridgeMC,
@@ -15,6 +16,7 @@ from monometric import (
     DomainError,
     KrausChannel,
     MetricSpec,
+    NoConvergence,
     NotAState,
     TrialResult,
     eval_bridge,
@@ -93,12 +95,14 @@ def test_batched_contraction_matches_the_per_attempt_loop(spec, dims, trials, mo
     run = _Run("channels", seed=5, trials=trials, dims=dims, prop=3)
     tangents, accepted, worst = per_attempt_contraction(run, spec, 1, trials)
     assert len(tangents) > len(accepted)  # some draws were rejected
-    seen = []
+    called, seen = [], []
     draws = []
 
     def recorded_trial(spec, channel, rho, a, *image):
+        called.append(a)
+        result = monotonicity_trial(spec, channel, rho, a, *image)
         seen.append(a)
-        return monotonicity_trial(spec, channel, rho, a, *image)
+        return result
 
     def counted_channel(rng, n):
         draws.append(n)
@@ -108,9 +112,28 @@ def test_batched_contraction_matches_the_per_attempt_loop(spec, dims, trials, mo
     monkeypatch.setattr(monometric.verify, "_draw_channel", counted_channel)
     batched = _contraction_worst(run, spec, 1, trials)
     attempt_of = {a.tobytes(): k for k, a in enumerate(tangents)}
+    # every draw, rejected or not, goes through monotonicity_trial
+    assert [attempt_of[a.tobytes()] for a in called] == list(range(len(tangents)))
     assert [attempt_of[a.tobytes()] for a in seen] == accepted
     assert len(draws) == len(tangents)  # nothing drawn past the loop's last attempt
-    assert batched == pytest.approx(worst, rel=1e-9, abs=1e-10)
+    # stack members are diagonalized bit for bit as one by one
+    assert batched == worst
+
+
+def test_contraction_at_seed_307_is_the_per_attempt_loop():
+    """At this seed one contraction-bridge trial has slack -4.4e-10 against
+    the 1e-9 tolerance; a stack solver that rounds differently from the
+    scalar way pushed it past the tolerance."""
+    names = [entry[0] for entry in monometric.verify._SUITES["channels"]]
+    prop = names.index("contraction-bridge")
+    run = _Run("channels", seed=307, trials=200, dims=(2, 3), prop=prop)
+    for variant, g in enumerate((0.0, 0.5, 1.0)):
+        spec = MetricSpec(c=BridgeMC(g))
+        _, _, worst = per_attempt_contraction(run, spec, variant, 200)
+        assert _contraction_worst(run, spec, variant, 200) == worst
+    props = {p.name: p for p in run_verification("channels", 200, 307, (2, 3)).suites[0].properties}
+    assert props["contraction-bridge"].passed
+    assert props["contraction-bridge"].worst == pytest.approx(4.35534275311511e-10, rel=1e-6)
 
 
 def test_image_states_are_held_to_the_trial_floor():
@@ -121,6 +144,22 @@ def test_image_states_are_held_to_the_trial_floor():
     ((state, image),) = _trial_states([identity], [rho])
     assert isinstance(state, DensityMatrix)
     assert isinstance(image, NotAState)
+    with pytest.raises(NotAState) as raised:
+        monotonicity_trial(MetricSpec(c=BridgeMC(0.5)), identity, state, np.eye(2), image)
+    assert raised.value is image
+
+
+def test_a_stack_that_does_not_converge_is_redone_draw_by_draw(monkeypatch):
+    rhos = [np.diag([0.5, 0.5]).astype(complex), np.diag([0.25, 0.75]).astype(complex)]
+    identity = KrausChannel(operators=(np.eye(2, dtype=complex),))
+
+    def no_convergence(ms):
+        raise NoConvergence("stack")
+
+    monkeypatch.setattr(monometric.metric, "hermitian_eig_stack", no_convergence)
+    out = list(_trial_states([identity, identity], rhos))
+    assert [state.matrix.tolist() for state, _ in out] == [r.tolist() for r in rhos]
+    assert [image for _, image in out] == [None, None]
 
 
 def test_rejecting_every_image_still_hits_the_draw_cap(monkeypatch):
