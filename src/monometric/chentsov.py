@@ -50,11 +50,8 @@ def _check_positive_pair(x: float, y: float) -> tuple[float, float]:
 
 
 def eval_bridge(gamma: float, x: float, y: float) -> float:
-    """Closed-form family value."""
-    if not 0.0 <= gamma <= 1.0:
-        raise DomainError(f"family parameter {gamma} outside [0,1]")
-    x, y = _check_positive_pair(x, y)
-    return x ** (-gamma) * y ** (-gamma) * ((x + y) / 2.0) ** (2.0 * gamma - 1.0)
+    """``BridgeMC(gamma)(x, y)``: the closed-form family value."""
+    return BridgeMC(gamma)(x, y)
 
 
 def c_from_f(f: MonotoneFunction, x: float, y: float) -> float:
@@ -64,12 +61,8 @@ def c_from_f(f: MonotoneFunction, x: float, y: float) -> float:
 
 
 def eval_canonical_c(c0: float, h: WeightFunction, x: float, y: float) -> float:
-    """Integral-form kernel; (x, y) is replaced by (max, min) first."""
-    if not 0.0 < c0 < math.inf:
-        raise DomainError(f"scale constant {c0} not positive and finite")
-    x, y = _check_positive_pair(x, y)
-    hi, lo = (x, y) if x >= y else (y, x)
-    return c0 / (hi + lo) * math.exp(-weighted_kernel_integral(h, hi / lo))
+    """``CanonicalMC(c0, h)(x, y)``: the integral-form kernel value."""
+    return CanonicalMC(c0, h)(x, y)
 
 
 def normalize_C0(h: WeightFunction) -> float:
@@ -86,6 +79,8 @@ class MCFunction:
 
 @dataclass(frozen=True)
 class BridgeMC(MCFunction):
+    """Closed-form family x^-g y^-g ((x+y)/2)^(2g-1), g in [0,1]."""
+
     gamma: float
 
     def __post_init__(self):
@@ -93,11 +88,15 @@ class BridgeMC(MCFunction):
             raise DomainError(f"family parameter {self.gamma} outside [0,1]")
 
     def __call__(self, x: float, y: float) -> float:
-        return eval_bridge(self.gamma, x, y)
+        x, y = _check_positive_pair(x, y)
+        g = self.gamma
+        return x ** (-g) * y ** (-g) * ((x + y) / 2.0) ** (2.0 * g - 1.0)
 
 
 @dataclass(frozen=True)
 class CanonicalMC(MCFunction):
+    """Integral-form kernel; (x, y) is replaced by (max, min) first."""
+
     c0: float
     h: WeightFunction
 
@@ -110,7 +109,9 @@ class CanonicalMC(MCFunction):
         return cls(c0=normalize_C0(h), h=h)
 
     def __call__(self, x: float, y: float) -> float:
-        return eval_canonical_c(self.c0, self.h, x, y)
+        x, y = _check_positive_pair(x, y)
+        hi, lo = (x, y) if x >= y else (y, x)
+        return self.c0 / (hi + lo) * math.exp(-weighted_kernel_integral(self.h, hi / lo))
 
 
 @dataclass(frozen=True)

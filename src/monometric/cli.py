@@ -51,41 +51,32 @@ def fmt15(value: float) -> str:
     return out
 
 
-def _parse_grid(spec: str) -> list[float]:
+def _parse_list(raw: str, flag: str, kind=float) -> list:
+    """Comma list of numbers read by ``kind``; empty tokens are skipped."""
+    try:
+        return [kind(tok) for tok in raw.split(",") if tok]
+    except ValueError as exc:
+        raise DomainError(f"bad {flag} value in {raw!r}: {exc}") from exc
+
+
+def _parse_grid(spec: str, flag: str) -> list[float]:
     """Grid spec: 'a,b,c' literal, or 'log:LO:HI:N' / 'lin:LO:HI:N'."""
-    if spec.startswith(("log:", "lin:")):
-        parts = spec.split(":")
-        if len(parts) != 4:
-            raise DomainError(f"bad grid spec {spec!r}: want kind:lo:hi:n")
-        try:
-            lo, hi, n = float(parts[1]), float(parts[2]), int(parts[3])
-        except ValueError as exc:
-            raise DomainError(f"bad grid spec {spec!r}: {exc}") from exc
-        if n < 1:
-            raise DomainError(f"bad grid spec {spec!r}: need n >= 1")
-        if parts[0] == "log":
-            if not (lo > 0.0 and hi > 0.0):
-                raise DomainError(f"bad grid spec {spec!r}: log grid needs positive ends")
-            return [float(v) for v in np.geomspace(lo, hi, n)]
-        return [float(v) for v in np.linspace(lo, hi, n)]
+    if not spec.startswith(("log:", "lin:")):
+        return _parse_list(spec, flag)
+    parts = spec.split(":")
+    if len(parts) != 4:
+        raise DomainError(f"bad {flag} spec {spec!r}: want kind:lo:hi:n")
     try:
-        return [float(tok) for tok in spec.split(",") if tok]
+        lo, hi, n = float(parts[1]), float(parts[2]), int(parts[3])
     except ValueError as exc:
-        raise DomainError(f"bad grid value in {spec!r}: {exc}") from exc
-
-
-def _parse_float_list(raw: str, label: str) -> list[float]:
-    try:
-        return [float(tok) for tok in raw.split(",") if tok]
-    except ValueError as exc:
-        raise DomainError(f"bad {label} list {raw!r}: {exc}") from exc
-
-
-def _parse_int_list(raw: str, label: str) -> list[int]:
-    try:
-        return [int(tok) for tok in raw.split(",") if tok]
-    except ValueError as exc:
-        raise DomainError(f"bad {label} list {raw!r}: {exc}") from exc
+        raise DomainError(f"bad {flag} spec {spec!r}: {exc}") from exc
+    if n < 1:
+        raise DomainError(f"bad {flag} spec {spec!r}: need n >= 1")
+    if parts[0] == "log":
+        if not (lo > 0.0 and hi > 0.0):
+            raise DomainError(f"bad {flag} spec {spec!r}: log grid needs positive ends")
+        return [float(v) for v in np.geomspace(lo, hi, n)]
+    return [float(v) for v in np.linspace(lo, hi, n)]
 
 
 def cmd_eval_f(args) -> int:
@@ -131,9 +122,9 @@ def cmd_metric(args) -> int:
 
 
 def cmd_bridge_table(args) -> int:
-    gammas = _parse_float_list(args.gammas, "gamma")
-    xs = _parse_grid(args.x_grid)
-    ys = _parse_grid(args.y_grid)
+    gammas = _parse_list(args.gammas, "--gammas")
+    xs = _parse_grid(args.x_grid, "--x-grid")
+    ys = _parse_grid(args.y_grid, "--y-grid")
     if not gammas or not xs or not ys:
         raise DomainError("gamma list and both grids must be non-empty")
     # every row is computed before any is written, so a failing run prints nothing
@@ -152,7 +143,7 @@ def cmd_verify(args) -> int:
         suite=args.suite,
         trials=args.trials,
         seed=args.seed,
-        dims=_parse_int_list(args.dims, "dims"),
+        dims=_parse_list(args.dims, "--dims", int),
         inject_counterexample=args.inject_counterexample,
     )
     print(json.dumps(report_to_dict(report), indent=2, sort_keys=True))

@@ -11,12 +11,15 @@ pair once. ``hermitian_eig`` applies a step to one matrix in one of two
 ways, chosen by the dimension alone: below ``SMALL_DIM`` rotation by
 rotation on Python complex scalars, from ``SMALL_DIM`` up as one unitary
 J per step (W <- J* W J, V <- V J). ``hermitian_eig_stack`` runs the same
-iteration on a stack (B, n, n), each step as row and column updates of
-its disjoint pairs across all members, which pays off when many small
-matrices are diagonalized at once: the sampled trials of ``verify`` and
-``check_operator_monotone``. All three ways run the same iteration, so
-each is an oracle for the others; the stack way rounds as the scalar way
-does, so each member comes out bit for bit as the scalar way gives it.
+iteration on a stack (B, n, n) of small matrices, each step as row and
+column updates of its disjoint pairs across all members, which pays off
+when many of them are diagonalized at once: the sampled trials of
+``verify`` and ``check_operator_monotone``. All three ways run the same
+iteration, so each is an oracle for the others; the stack way rounds as
+the scalar way does. The stack way runs only below ``SMALL_DIM``, where
+``hermitian_eig`` takes the scalar way, and other stacks go matrix by
+matrix, so a member of any stack comes out bit for bit as
+``hermitian_eig`` gives that matrix alone.
 
 No LAPACK routine is used anywhere in the package. The unitary steps
 multiply through numpy's BLAS, so outputs are deterministic on one
@@ -142,8 +145,7 @@ def hermitian_eig(m) -> HermitianEigen:
     n = a.shape[0]
     if n > MAX_DIM:
         raise DomainError(f"dimension {n} exceeds the desk-scale cap {MAX_DIM}")
-    jacobi = _jacobi_scalar if n < SMALL_DIM else _jacobi_vectorized
-    eigs, vecs = jacobi(a)
+    eigs, vecs = _way(n)(a)
     order = np.argsort(eigs, kind="stable")
     return HermitianEigen(eigenvalues=eigs[order], eigenvectors=vecs[:, order])
 
@@ -151,13 +153,15 @@ def hermitian_eig(m) -> HermitianEigen:
 def hermitian_eig_stack(ms) -> HermitianEigen:
     """Diagonalize a stack (B, n, n) of Hermitian matrices at once.
 
-    Runs the iteration of ``hermitian_eig`` on every member, each round-robin
-    step applied to the whole stack as row and column updates of its
-    disjoint pairs. Every member keeps its own convergence target and skip
-    bound and leaves the stack once converged, so it runs the sweeps it
-    would run alone, and comes out bit for bit as ``_jacobi_scalar`` gives
-    it. A small stack, B n < SMALL_STACK with n < SMALL_DIM, is therefore
-    handed to ``_jacobi_scalar`` matrix by matrix, which is faster there.
+    Each member comes out bit for bit as ``hermitian_eig`` gives it alone.
+    Below ``SMALL_DIM``, a stack with B n >= SMALL_STACK runs the iteration
+    on every member at once, each round-robin step applied to the whole
+    stack as row and column updates of its disjoint pairs; every member
+    keeps its own convergence target and skip bound and leaves the stack
+    once converged, so it runs the sweeps it would run alone, and rounds
+    as ``_jacobi_scalar`` does. Every other stack goes matrix by matrix
+    the way ``hermitian_eig`` takes its dimension: a small stack is faster
+    so, and from ``SMALL_DIM`` up one unitary per step beats the stack.
     Returns eigenvalues (B, n), each row ascending, and eigenvectors
     (B, n, n) as columns. Raises what ``hermitian_eig`` raises, naming the
     first member that fails a check.
@@ -168,15 +172,22 @@ def hermitian_eig_stack(ms) -> HermitianEigen:
     count, n, _ = a.shape
     if n > MAX_DIM:
         raise DomainError(f"dimension {n} exceeds the desk-scale cap {MAX_DIM}")
-    if n < SMALL_DIM and count * n < SMALL_STACK:
-        eigs, vecs = (np.stack(out) for out in zip(*map(_jacobi_scalar, a)))
-    else:
+    if n < SMALL_DIM and count * n >= SMALL_STACK:
         eigs, vecs = _jacobi_stack(a)
+    else:
+        eigs, vecs = (np.stack(out) for out in zip(*map(_way(n), a)))
     order = np.argsort(eigs, axis=-1, kind="stable")
     return HermitianEigen(
         eigenvalues=np.take_along_axis(eigs, order, axis=-1),
         eigenvectors=np.take_along_axis(vecs, order[:, None, :], axis=-1),
     )
+
+
+def _way(n: int) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """How ``hermitian_eig`` diagonalizes one matrix of dimension n: rotation
+    by rotation on Python scalars below ``SMALL_DIM``, one unitary per step
+    from it up."""
+    return _jacobi_scalar if n < SMALL_DIM else _jacobi_vectorized
 
 
 @functools.lru_cache(maxsize=MAX_DIM + 1)

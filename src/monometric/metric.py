@@ -53,7 +53,9 @@ class DensityMatrix:
     ) -> list["DensityMatrix | NotAState"]:
         """``from_matrix`` on each matrix: per matrix, in order, the state or
         the NotAState it would raise. Matrices of one shape are checked and
-        diagonalized together as one stack."""
+        diagonalized together as one stack, and each state's
+        eigendecomposition is bit for bit the one ``from_matrix`` gives it,
+        whatever else is in the batch."""
         mats = [as_matrix(m) for m in ms]
         shapes: dict[tuple[int, int], list[int]] = {}
         for i, a in enumerate(mats):

@@ -118,22 +118,13 @@ def weighted_kernel_integral(h: WeightFunction, t: float) -> float:
 
 
 def eval_gamma_family(gamma: float, t: float) -> float:
-    """Closed-form family t^g ((1+t)/2)^(1-2g), g in [0,1].
-
-    g=0 is the maximal function (1+t)/2, g=1 the minimal 2t/(1+t),
-    g=1/2 the square root; all normalized to f(1)=1.
-    """
-    if not 0.0 <= gamma <= 1.0:
-        raise DomainError(f"family parameter {gamma} outside [0,1]")
-    if not 0.0 < t < math.inf:
-        raise DomainError(f"argument {t} not positive and finite")
-    return t**gamma * ((1.0 + t) / 2.0) ** (1.0 - 2.0 * gamma)
+    """``GammaFamily(gamma)(t)``: t^g ((1+t)/2)^(1-2g), g in [0,1]."""
+    return GammaFamily(gamma)(t)
 
 
 def eval_canonical_f(beta: float, h: WeightFunction, t: float) -> float:
-    """Evaluate the canonical (beta, h) representation at t in (0, oo)."""
-    t = float(t)
-    return math.exp(beta) * (1.0 + t) / SQRT2 * math.exp(weighted_kernel_integral(h, t))
+    """``CanonicalMonotone(beta, h)(t)``: the canonical representation at t."""
+    return CanonicalMonotone(beta, h)(t)
 
 
 def closed_form_kernel_integral(t: float) -> float:
@@ -152,7 +143,8 @@ class MonotoneFunction:
     """A positive operator monotone function on (0, oo).
 
     Subclasses implement ``_value``; ``__call__`` adds the shared domain
-    check. Instances are immutable and safe to share.
+    check, and a subclass with parameters checks them once, when it is
+    built. Instances are immutable and safe to share.
     """
 
     def _value(self, t: float) -> float:
@@ -167,7 +159,11 @@ class MonotoneFunction:
 
 @dataclass(frozen=True)
 class GammaFamily(MonotoneFunction):
-    """Member of the closed-form family; covers min, max and sqrt."""
+    """Closed-form family t^g ((1+t)/2)^(1-2g), g in [0,1].
+
+    g=0 is the maximal function (1+t)/2, g=1 the minimal 2t/(1+t),
+    g=1/2 the square root; all normalized to f(1)=1.
+    """
 
     gamma: float
 
@@ -176,7 +172,7 @@ class GammaFamily(MonotoneFunction):
             raise DomainError(f"family parameter {self.gamma} outside [0,1]")
 
     def _value(self, t: float) -> float:
-        return eval_gamma_family(self.gamma, t)
+        return t**self.gamma * ((1.0 + t) / 2.0) ** (1.0 - 2.0 * self.gamma)
 
 
 @dataclass(frozen=True)
@@ -223,31 +219,23 @@ class CanonicalMonotone(MonotoneFunction):
         return cls(beta=normalize_beta(h), h=h)
 
     def _value(self, t: float) -> float:
-        return eval_canonical_f(self.beta, self.h, t)
+        h_integral = weighted_kernel_integral(self.h, t)
+        return math.exp(self.beta) * (1.0 + t) / SQRT2 * math.exp(h_integral)
 
 
 def eval_kubo_ando(atoms: Sequence[tuple[float, float]], t: float) -> float:
-    """Discrete mixture sum w_i * t(1+s_i)/(t+s_i), s in [0, oo].
-
-    The point at infinity contributes w*t; s=0 contributes w.
-    """
-    if not 0.0 < t < math.inf:
-        raise DomainError(f"argument {t} not positive and finite")
-    total = 0.0
-    for s, w in atoms:
-        if not w > 0.0:
-            raise DomainError(f"atom weight {w} not positive")
-        if math.isinf(s):
-            total += w * t
-        elif s < 0.0:
-            raise DomainError(f"atom location {s} negative")
-        else:
-            total += w * t * (1.0 + s) / (t + s)
-    return total
+    """``KuboAndo(atoms)(t)``: the mixture sum w_i * t(1+s_i)/(t+s_i)."""
+    return KuboAndo(atoms)(t)
 
 
 @dataclass(frozen=True)
 class KuboAndo(MonotoneFunction):
+    """Discrete mixture sum w_i * t(1+s_i)/(t+s_i) over atoms (s_i, w_i).
+
+    Locations lie in [0, oo], weights in (0, oo). The point at infinity
+    contributes w*t; s=0 contributes w.
+    """
+
     atoms: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
@@ -257,13 +245,19 @@ class KuboAndo(MonotoneFunction):
         if not self.atoms:
             raise DomainError("need at least one atom")
         for s, w in self.atoms:
-            if not w > 0.0:
-                raise DomainError(f"atom weight {w} not positive")
-            if not math.isinf(s) and s < 0.0:
-                raise DomainError(f"atom location {s} negative")
+            if not 0.0 <= s <= math.inf:
+                raise DomainError(f"atom location {s} outside [0, inf]")
+            if not 0.0 < w < math.inf:
+                raise DomainError(f"atom weight {w} not positive and finite")
 
     def _value(self, t: float) -> float:
-        return eval_kubo_ando(self.atoms, t)
+        total = 0.0
+        for s, w in self.atoms:
+            if s == math.inf:
+                total += w * t
+            else:
+                total += w * t * (1.0 + s) / (t + s)
+        return total
 
 
 @dataclass(frozen=True)

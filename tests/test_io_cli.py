@@ -448,6 +448,10 @@ class TestBridgeTable:
     def test_malformed_grid_exits_2(self, capsys):
         assert main(["bridge-table", "--gammas", "0", "--x-grid", "log:1:2", "--y-grid", "1"]) == 2
         assert main(["bridge-table", "--gammas", "zero", "--x-grid", "1", "--y-grid", "1"]) == 2
+        assert "--gammas" in capsys.readouterr().err
+        assert main(["bridge-table", "--gammas", "0", "--x-grid", "1,abc", "--y-grid", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--x-grid" in captured.err
 
     def test_bad_value_after_the_first_row_prints_no_rows(self, capsys):
         argv = ["bridge-table", "--gammas", "0.5", "--x-grid", "1,inf", "--y-grid", "1"]

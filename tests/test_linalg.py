@@ -207,14 +207,36 @@ def test_stack_members_match_the_scalar_way(n):
         assert np.array_equal(stack_vecs[j], ref_vecs), kind
         scale = 1.0 + np.linalg.norm(m)
         eigs, vecs = dec.eigenvalues[j], dec.eigenvectors[j]
-        order = np.argsort(ref, kind="stable")
-        assert np.array_equal(eigs, ref[order]), kind
-        assert np.array_equal(vecs, ref_vecs[:, order]), kind
+        alone = hermitian_eig(m)
+        assert np.array_equal(eigs, alone.eigenvalues), kind
+        assert np.array_equal(vecs, alone.eigenvectors), kind
         assert np.all(np.diff(eigs) >= 0), kind
         assert np.allclose(eigs, np.linalg.eigvalsh(m), rtol=0.0, atol=1e-12 * scale), kind
         recon = (vecs * eigs) @ vecs.conj().T
         assert np.linalg.norm(recon - m) <= RECON_TOL * scale, kind
         assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(n)) <= RECON_TOL, kind
+
+
+def around_the_hand_off(n):
+    """Stack sizes on both sides of B n = SMALL_STACK, and a stack of one."""
+    k = la.SMALL_STACK // n
+    return sorted({count for count in (1, k - 1, k, k + 1) if count >= 1})
+
+
+@pytest.mark.parametrize("n", (2, 3, 8, 12, 16, 32))
+def test_stack_members_are_what_hermitian_eig_gives_alone(n):
+    """A matrix's eigendecomposition does not depend on the stack it is in,
+    below SMALL_DIM and from it up, where the stack way would round unlike
+    the one unitary per step of hermitian_eig."""
+    rng = np.random.default_rng([61, n])
+    counts = around_the_hand_off(n)
+    ms = np.stack([random_hermitian(rng, n) for _ in range(counts[-1])])
+    alone = [hermitian_eig(m) for m in ms]
+    for count in counts:
+        dec = la.hermitian_eig_stack(ms[:count])
+        for j in range(count):
+            assert np.array_equal(dec.eigenvalues[j], alone[j].eigenvalues), (count, j)
+            assert np.array_equal(dec.eigenvectors[j], alone[j].eigenvectors), (count, j)
 
 
 class TestStack:
@@ -292,14 +314,13 @@ class TestStack:
         for count in (1, 2, la.SMALL_STACK // n, la.SMALL_STACK // n + 1, la.SMALL_STACK):
             calls.clear()
             dec = la.hermitian_eig_stack(ms[:count])
-            by_stack = n >= la.SMALL_DIM or count * n >= la.SMALL_STACK
+            by_stack = n < la.SMALL_DIM and count * n >= la.SMALL_STACK
             assert calls == ([count] if by_stack else []), count
-            # either way each member is what the scalar way gives
+            # either way each member is what hermitian_eig gives alone
             for m, eigs, vecs in zip(ms, dec.eigenvalues, dec.eigenvectors):
-                ref, ref_vecs = la._jacobi_scalar(m)
-                order = np.argsort(ref, kind="stable")
-                assert np.array_equal(eigs, ref[order])
-                assert np.array_equal(vecs, ref_vecs[:, order])
+                alone = hermitian_eig(m)
+                assert np.array_equal(eigs, alone.eigenvalues)
+                assert np.array_equal(vecs, alone.eigenvectors)
 
     @pytest.mark.parametrize("sweeps", (0, 1))
     def test_no_convergence_when_sweeps_are_exhausted(self, sweeps, monkeypatch):

@@ -67,6 +67,14 @@ class TestStateValidation:
             with pytest.raises(NotAState):
                 DensityMatrix.from_matrix(m)
 
+    def test_an_eigenvalue_at_the_floor_is_rejected(self):
+        floor = monometric.metric.STATE_EIG_FLOOR
+        with pytest.raises(NotAState, match="at or below floor"):
+            DensityMatrix.from_matrix(np.diag([1.0 - floor, floor]).astype(complex))
+        ms = [np.diag([0.75, 0.25]).astype(complex), np.diag([0.5, 0.5]).astype(complex)]
+        outcomes = DensityMatrix.from_matrices(ms, floor=0.25)
+        assert [isinstance(out, NotAState) for out in outcomes] == [True, False]
+
     def test_floor_is_configurable(self):
         m = np.diag([1.0 - 1e-6, 1e-6]).astype(complex)
         DensityMatrix.from_matrix(m)  # fine at the default floor
@@ -132,6 +140,21 @@ class TestStateStacks:
         assert calls == {"single": 0, "stack": 2}
         DensityMatrix.from_matrices([random_density(rng, 3)])
         assert calls == {"single": 1, "stack": 2}
+
+
+@pytest.mark.parametrize("n", (2, 3, 8, 12, 16, 32))
+def test_a_state_does_not_depend_on_its_batch(n):
+    rng = np.random.default_rng([1, n])
+    k = monometric.linalg.SMALL_STACK // n
+    ms = [random_density(rng, n) for _ in range(k + 1)]
+    a = random_tangent(rng, n, hermitian=True)
+    spec = MetricSpec(c=BridgeMC(0.5))
+    alone = [DensityMatrix.from_matrix(m) for m in ms]
+    for count in sorted({max(k - 1, 2), max(k, 2), k + 1}):
+        for state, single in zip(DensityMatrix.from_matrices(ms[:count]), alone):
+            assert np.array_equal(state.eig.eigenvalues, single.eig.eigenvalues), count
+            assert np.array_equal(state.eig.eigenvectors, single.eig.eigenvectors), count
+            assert metric_quadratic(spec, state, a) == metric_quadratic(spec, single, a), count
 
 
 class TestHandComputedValues:

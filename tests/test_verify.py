@@ -186,6 +186,19 @@ def test_valid_kernel_fails_the_falsification_canary(capsys, monkeypatch):
     assert failing == ["falsification-power"]
 
 
+def test_the_canary_passes_only_strictly_below_its_tolerance(monkeypatch):
+    table = monometric.verify._SUITES["channels"]
+    (row,) = [row for row in table if row[0] == "falsification-power"]
+    name, tol, direction, _ = row
+    run = _Run("channels", seed=0, trials=1, dims=(2,))
+    for worst, passed in ((tol, False), (2.0 * tol, True)):
+        # the canary's table row alone, its residuals reduced to one value
+        only = [(name, tol, direction, lambda run, w=worst: [w])]
+        monkeypatch.setitem(monometric.verify._SUITES, "channels", only)
+        (result,) = monometric.verify._run_suite(run).properties
+        assert (result.worst, result.passed) == (worst, passed)
+
+
 def test_nan_monotone_function_fails_operator_monotonicity(capsys, monkeypatch):
     monkeypatch.setattr(monometric.verify, "GammaFamily", lambda g: (lambda t: math.nan))
     props = {p.name: p for p in run_monotone_suite(4, (2, 3), 0).properties}
