@@ -12,8 +12,9 @@ Three interchangeable representations:
 
 The integrand of ``CanonicalMC`` is the negative of the one of the
 canonical monotone representation at t = x/y, so its integral is
-``-weighted_kernel_integral(h, x/y)``, evaluated in closed form; the
-raw integrand ``mc_kernel`` is kept for the quadrature oracle.
+``-weighted_kernel_integral(h, x/y)``, evaluated in closed form as a
+sum over the breakpoints of h, with x/y and y/x giving the same value;
+the raw integrand ``mc_kernel`` is kept for the quadrature oracle.
 
 Canonical evaluation symmetrizes its arguments up front, so symmetry
 holds to the bit. ``FromMonotone`` deliberately does not: feeding it a

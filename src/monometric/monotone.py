@@ -9,20 +9,25 @@ parametrized by a real shift ``beta`` and a weight ``h: [0,1] -> [0,1]``.
 Weights are kept piecewise constant, which keeps every representation
 easy to serialize and makes the integral exact in closed form: the
 integrand splits into partial fractions 2u/(1+u^2) - 1/(u+t) - t/(1+ut),
-whose antiderivative is log((1+u^2) / ((u+t)(1+ut))), so the integral is
-a sum over the pieces. Adaptive quadrature is only the independent
-oracle that ``verify`` and the tests check this sum against. The module
-also provides the closed-form one-parameter family interpolating the
-minimal function 2t/(1+t) and the maximal one (1+t)/2, discrete
-Kubo-Ando mixtures, the sharp and tilde transforms, and the
-logarithmic-coordinates view (functions monotone for the exponential
-order) with its weight extension to the negative half-line.
+whose antiderivative is G(u) = log1p(u^2) - log(u+t) - log1p(ut). Summed
+by parts, the integral is a sum over the weight's breakpoints b_k of
+d_k * G(b_k), where d_k is the jump of h there (the value before minus
+the value after, h being 0 outside [0,1]). The log1p(b_k^2) part depends
+on h only and is kept with the weight; each argument costs two logs per
+nonzero jump. The integrand is invariant under t -> 1/t, so arguments
+above 1 are folded to 1/t first. Adaptive quadrature is only the
+independent oracle that ``verify`` and the tests check this sum against.
+The module also provides the closed-form one-parameter family
+interpolating the minimal function 2t/(1+t) and the maximal one
+(1+t)/2, discrete Kubo-Ando mixtures, the sharp and tilde transforms,
+and the logarithmic-coordinates view (functions monotone for the
+exponential order) with its weight extension to the negative half-line.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -41,10 +46,17 @@ class WeightFunction:
 
     ``breakpoints`` has one more entry than ``values``; piece i covers
     [breakpoints[i], breakpoints[i+1]) and the last piece is closed.
+    ``jumps`` holds the pairs (b_k, d_k) of the breakpoints where the
+    value changes, d_k being the value before b_k minus the value after
+    (0 outside [0,1]), and ``kernel_constant`` is sum d_k log1p(b_k^2);
+    both are derived once, for ``weighted_kernel_integral``, and take no
+    part in equality, hashing or repr.
     """
 
     breakpoints: tuple[float, ...]
     values: tuple[float, ...]
+    jumps: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
+    kernel_constant: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bp = tuple(float(b) for b in self.breakpoints)
@@ -59,6 +71,11 @@ class WeightFunction:
             raise DomainError("breakpoints must be strictly increasing")
         if any(not (0.0 <= v <= 1.0) for v in vals):
             raise DomainError("weight values must lie in [0,1]")
+        steps = zip(bp, (0.0, *vals), (*vals, 0.0))
+        jumps = tuple((b, before - after) for b, before, after in steps if before != after)
+        constant = sum((d * math.log1p(b * b) for b, d in jumps), 0.0)
+        object.__setattr__(self, "jumps", jumps)
+        object.__setattr__(self, "kernel_constant", constant)
 
     @classmethod
     def constant(cls, value: float) -> "WeightFunction":
@@ -96,25 +113,26 @@ def symmetric_kernel(lam, t: float):
     )
 
 
-def _kernel_antiderivative(u: float, t: float) -> float:
-    """log((1+u^2) / ((u+t)(1+u t))), an antiderivative of symmetric_kernel in u."""
-    return math.log1p(u * u) - math.log(u + t) - math.log1p(u * t)
-
-
 def weighted_kernel_integral(h: WeightFunction, t: float) -> float:
     """INT_0^1 symmetric_kernel(u, t) h(u) du in closed form.
 
-    Each piece [lo, hi) of value v contributes v * (G(hi) - G(lo)) with
-    G the antiderivative above; pieces with zero weight are skipped.
+    Summed by parts over the breakpoints: with G(u) = log1p(u^2) -
+    log(u+t) - log1p(u t) the antiderivative of the kernel in u, the
+    integral is sum d_k G(b_k) over the jumps (b_k, d_k) of h, that is
+    ``h.kernel_constant - sum d_k (log(b_k+t) + log1p(b_k t))``. The
+    integrand is invariant under t -> 1/t, so t > 1 is folded to 1/t
+    first: the values at t and at 1/t agree to the bit wherever
+    1/(1/t) == t.
     """
     t = float(t)
     if not 0.0 < t < math.inf:
         raise DomainError(f"argument {t} not positive and finite")
+    if t > 1.0:
+        t = 1.0 / t
     total = 0.0
-    for lo, hi, v in h.pieces():
-        if v != 0.0:
-            total += v * (_kernel_antiderivative(hi, t) - _kernel_antiderivative(lo, t))
-    return total
+    for b, d in h.jumps:
+        total += d * (math.log(b + t) + math.log1p(b * t))
+    return h.kernel_constant - total
 
 
 def eval_gamma_family(gamma: float, t: float) -> float:
@@ -220,7 +238,11 @@ class CanonicalMonotone(MonotoneFunction):
 
     def _value(self, t: float) -> float:
         h_integral = weighted_kernel_integral(self.h, t)
-        return math.exp(self.beta) * (1.0 + t) / SQRT2 * math.exp(h_integral)
+        try:
+            scale = math.exp(self.beta)
+        except OverflowError:
+            raise DomainError(f"shift beta {self.beta} overflows exp") from None
+        return scale * (1.0 + t) / SQRT2 * math.exp(h_integral)
 
 
 def eval_kubo_ando(atoms: Sequence[tuple[float, float]], t: float) -> float:

@@ -3,6 +3,8 @@ determinism, and every malformed number in a spec or matrix file exiting 2."""
 
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -236,6 +238,17 @@ class TestEvalF:
     def test_malformed_input_exits_2(self, argv, capsys):
         assert main(argv) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_overflowing_shift_exits_2_without_traceback(self, files):
+        # e^800 overflows a float; that is a domain error, not a crash
+        cmd = [
+            sys.executable, "-m", "monometric.cli",
+            "eval-f", "--h-file", files["const1"], "--beta", "800", "--t", "2",
+        ]
+        done = subprocess.run(cmd, capture_output=True, text=True)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
 
     def test_quadrature_failure_exits_3(self, capsys, monkeypatch):
         def broken(*args, **kwargs):

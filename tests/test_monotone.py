@@ -34,7 +34,9 @@ from monometric import (
     to_monotone,
 )
 from monometric.linalg import hermitian_eig, min_eigenvalue
-from monometric.monotone import _ordered_pair, weighted_kernel_integral
+from monometric.io import weight_from_json, weight_to_json
+from monometric.monotone import _ordered_pair, symmetric_kernel, weighted_kernel_integral
+from monometric.quadrature import integrate
 from monometric.sampling import random_step_weight
 
 T_GRID = [float(t) for t in np.geomspace(1e-2, 1e2, 25)]
@@ -162,6 +164,59 @@ class TestKernelIntegral:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             closed_form_kernel_integral(-2.0)
+
+
+# the telescoped sum over breakpoints and its t <-> 1/t fold
+EXTREME_T = (5e-324, 1e-300, 1e300, 1.7976931348623157e308)
+SUM_WEIGHTS = [const_weight(0.0), const_weight(1.0), *(step_weight(seed) for seed in range(6))]
+
+
+class TestTelescopedKernelIntegral:
+    def test_value_at_reciprocal_is_bitwise_equal(self):
+        ts = [float(t) for t in np.geomspace(1e-300, 1e300, 241)] + [0.3, 1.0, 7.0]
+        ts += [float(t) for t in np.random.default_rng(11).uniform(0.5, 2.0, 40)]
+        checked = 0
+        for t in ts:
+            if 1.0 / (1.0 / t) != t:
+                continue
+            checked += 1
+            for h in SUM_WEIGHTS:
+                assert weighted_kernel_integral(h, t) == weighted_kernel_integral(h, 1.0 / t), (h, t)
+        assert checked > 200
+
+    def test_splitting_a_piece_leaves_the_integral_bitwise(self):
+        whole = WeightFunction(breakpoints=(0.0, 0.3, 1.0), values=(0.2, 0.7))
+        split = WeightFunction(breakpoints=(0.0, 0.3, 0.6, 1.0), values=(0.2, 0.7, 0.7))
+        assert split.jumps == whole.jumps
+        for t in (*EXTREME_T, *T_GRID):
+            assert weighted_kernel_integral(split, t) == weighted_kernel_integral(whole, t)
+
+    def test_zero_pieces_at_either_end(self):
+        h = WeightFunction(breakpoints=(0.0, 0.2, 0.8, 1.0), values=(0.0, 0.6, 0.0))
+        assert h.jumps == ((0.2, -0.6), (0.8, 0.6))
+        for t in T_GRID:
+            expected = 0.6 * integrate(lambda u: symmetric_kernel(u, t), 0.2, 0.8)[0]
+            assert weighted_kernel_integral(h, t) == pytest.approx(expected, abs=1e-10)
+        for t in EXTREME_T:
+            assert math.isfinite(weighted_kernel_integral(h, t))
+
+    def test_finite_and_nonpositive_at_extreme_arguments(self):
+        for h in SUM_WEIGHTS:
+            for t in EXTREME_T:
+                value = weighted_kernel_integral(h, t)
+                assert math.isfinite(value) and value <= 0.0, (h, t)
+
+    def test_derived_fields_leave_equality_hash_repr_and_json_alone(self):
+        h = WeightFunction(breakpoints=(0.0, 0.4, 1.0), values=(0.2, 0.9))
+        twin = WeightFunction(breakpoints=[0, 0.4, 1], values=[0.2, 0.9])
+        assert h == twin and hash(h) == hash(twin)
+        assert hash(h) == hash((h.breakpoints, h.values))
+        assert h != WeightFunction(breakpoints=(0.0, 0.4, 1.0), values=(0.2, 0.8))
+        assert repr(h) == "WeightFunction(breakpoints=(0.0, 0.4, 1.0), values=(0.2, 0.9))"
+        assert weight_to_json(h) == {"breakpoints": [0.0, 0.4, 1.0], "values": [0.2, 0.9]}
+        back = weight_from_json(weight_to_json(h))
+        assert back == h and back.jumps == h.jumps
+        assert back.kernel_constant == h.kernel_constant
 
 
 class TestSharpTransform:
