@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateSample, DimensionMismatch, DomainError, NotAState
 from .linalg import as_matrix, frobenius
-from .metric import DensityMatrix, MetricSpec, metric_quadratic
+from .metric import DensityMatrix, MetricSpec, _coerce_state, metric_quadratic
 from .sampling import ginibre, orthonormal_columns
 
 TRACE_PRESERVATION_TOL = 1e-10
@@ -108,7 +108,7 @@ def monotonicity_trial(
     ``T(rho)`` under ``floor=TRIAL_STATE_FLOOR``, passes the outcome as
     ``image``: the state, or the NotAState that rejected it, raised here.
     """
-    state = rho if isinstance(rho, DensityMatrix) else DensityMatrix.from_matrix(rho)
+    state = _coerce_state(rho)
     rhs = metric_quadratic(spec, state, a)
     if image is None:
         image = DensityMatrix.from_matrix(

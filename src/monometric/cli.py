@@ -3,9 +3,9 @@
 Commands: eval-f, eval-c, metric, bridge-table, verify. Numeric output
 uses 15 significant digits; identical flags and seed give byte-identical
 stdout. Exit codes: 0 success, 1 verification failure, 2 malformed
-input, 3 quadrature failure, 4 invalid state, 5 a random sampler gave up
-(a channel or a contraction trial could not be drawn from well-formed
-flags).
+input (a result too large for a float included), 3 quadrature failure,
+4 invalid state, 5 a random sampler gave up (a channel or a contraction
+trial could not be drawn from well-formed flags).
 
 Every evaluation is in closed form; adaptive quadrature runs only inside
 ``verify``, as the oracle of the properties that integrate. ``eval-f`` and
@@ -51,6 +51,14 @@ def fmt15(value: float) -> str:
     return out
 
 
+def _finite(value):
+    """The value, checked before it is printed: a result too large for a
+    float (or NaN) from finite flags is malformed input, exit 2."""
+    if not np.isfinite(value):
+        raise DomainError(f"result {value} is not a finite float")
+    return value
+
+
 def _parse_list(raw: str, flag: str, kind=float) -> list:
     """Comma list of numbers read by ``kind``; empty tokens are skipped."""
     try:
@@ -88,7 +96,7 @@ def cmd_eval_f(args) -> int:
             spec["gamma"] = args.gamma
     else:
         spec = {"h": load_json_file(args.h_file), "beta": args.beta}
-    print(fmt15(monotone_from_json(spec)(args.t)))
+    print(fmt15(_finite(monotone_from_json(spec)(args.t))))
     return EXIT_OK
 
 
@@ -102,7 +110,7 @@ def cmd_eval_c(args) -> int:
         spec = {"kind": "canonical", "h": load_json_file(args.h_file), "c0": args.c0}
     else:
         spec = {"kind": "from_f", "f": load_json_file(args.from_f)}
-    print(fmt15(mc_from_json(spec)(args.x, args.y)))
+    print(fmt15(_finite(mc_from_json(spec)(args.x, args.y))))
     return EXIT_OK
 
 
@@ -114,9 +122,9 @@ def cmd_metric(args) -> int:
     kernel = mc_from_json(load_json_file(args.c_spec))
     spec = MetricSpec(c=kernel, diagonal_constant=args.big_c)
     if args.b is None:
-        print(fmt15(metric_quadratic(spec, rho, *tangents)))
+        print(fmt15(_finite(metric_quadratic(spec, rho, *tangents))))
     else:
-        value = metric_form(spec, rho, *tangents)
+        value = _finite(metric_form(spec, rho, *tangents))
         print(f"{fmt15(value.real)} {fmt15(value.imag)}")
     return EXIT_OK
 
@@ -129,7 +137,7 @@ def cmd_bridge_table(args) -> int:
         raise DomainError("gamma list and both grids must be non-empty")
     # every row is computed before any is written, so a failing run prints nothing
     rows = [
-        f"{fmt15(g)},{fmt15(x)},{fmt15(y)},{fmt15(eval_bridge(g, x, y))}\n"
+        f"{fmt15(g)},{fmt15(x)},{fmt15(y)},{fmt15(_finite(eval_bridge(g, x, y)))}\n"
         for g in gammas
         for x in xs
         for y in ys

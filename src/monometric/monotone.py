@@ -6,6 +6,12 @@ The central object is the canonical representation
            * exp INT_0^1 ((u^2-1)/(u^2+1)) * ((1+t^2)/((u+t)(1+u t))) h(u) du
 
 parametrized by a real shift ``beta`` and a weight ``h: [0,1] -> [0,1]``.
+The formula is written once, in log form, by ``CanonicalMonotone.log_value``:
+log f(t) = beta + (log((1+t)/sqrt(2)) + I(h, t)), the h part grouped
+first. f is its exponential, so f is finite exactly where log f fits a
+float (log f(t) at most about 709.78) and raises DomainError beyond. The
+exponential-order view F(x) = log f(e^x) and ``normalize_beta`` read the
+same sum, so a normalized f gives f(1) == 1.0 exactly.
 Weights are kept piecewise constant, which keeps every representation
 easy to serialize and makes the integral exact in closed form: the
 integrand splits into partial fractions 2u/(1+u^2) - 1/(u+t) - t/(1+ut),
@@ -153,8 +159,12 @@ def closed_form_kernel_integral(t: float) -> float:
 
 
 def normalize_beta(h: WeightFunction) -> float:
-    """Shift making the canonical representation hit f(1) = 1."""
-    return -math.log(SQRT2) - weighted_kernel_integral(h, 1.0)
+    """Shift making the canonical representation hit f(1) = 1.
+
+    It is minus ``log_value`` at beta = 0 and t = 1, so beta plus that
+    same h part is 0.0 and the normalized f(1) is exactly 1.0.
+    """
+    return -CanonicalMonotone(0.0, h).log_value(1.0)
 
 
 class MonotoneFunction:
@@ -223,7 +233,14 @@ def sqrt_function() -> MonotoneFunction:
 
 @dataclass(frozen=True)
 class CanonicalMonotone(MonotoneFunction):
-    """Canonical (beta, h) representation."""
+    """Canonical (beta, h) representation, the one owner of its formula.
+
+    ``log_value`` holds log f; f(t) is its exponential, finite exactly
+    where log f(t) fits a float (is at most about 709.78), and
+    DomainError where the exponential overflows.
+    ``ExpOrderFunction`` and ``normalize_beta`` evaluate through
+    ``log_value`` too.
+    """
 
     beta: float
     h: WeightFunction
@@ -236,13 +253,20 @@ class CanonicalMonotone(MonotoneFunction):
     def normalized(cls, h: WeightFunction) -> "CanonicalMonotone":
         return cls(beta=normalize_beta(h), h=h)
 
-    def _value(self, t: float) -> float:
+    def log_value(self, t: float) -> float:
+        """log f(t) = beta + (log((1+t)/sqrt(2)) + I(h, t)) for finite t > 0.
+
+        The h part is summed before beta is added, so the shift of
+        ``normalize_beta`` cancels it exactly at t = 1.
+        """
         h_integral = weighted_kernel_integral(self.h, t)
+        return self.beta + (math.log((1.0 + t) / SQRT2) + h_integral)
+
+    def _value(self, t: float) -> float:
         try:
-            scale = math.exp(self.beta)
+            return math.exp(self.log_value(t))
         except OverflowError:
-            raise DomainError(f"shift beta {self.beta} overflows exp") from None
-        return scale * (1.0 + t) / SQRT2 * math.exp(h_integral)
+            raise DomainError(f"f({t}) overflows a float") from None
 
 
 def eval_kubo_ando(atoms: Sequence[tuple[float, float]], t: float) -> float:
@@ -332,37 +356,47 @@ class ExpOrderFunction:
     """Monotone function for the exponential order, symmetric subclass.
 
     Stores the same (beta, h) data as the canonical multiplicative
-    representation; values relate by exp(F(log t)) = f(t).
+    representation and evaluates F(x) = log f(e^x) by the
+    ``CanonicalMonotone.log_value`` of the function it wraps, which is
+    built once, checks beta, and is what ``to_monotone`` returns. So
+    exp(F(log t)) and f(t) come from one formula, and F(x) is finite
+    wherever e^x is a positive finite float, even where f(e^x) overflows.
     """
 
     beta: float
     h: WeightFunction
+    _monotone: CanonicalMonotone = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not math.isfinite(self.beta):
-            raise DomainError(f"shift beta {self.beta} not finite")
+        object.__setattr__(self, "_monotone", CanonicalMonotone(self.beta, self.h))
 
     def __call__(self, x: float) -> float:
-        return eval_exp_order(self, x)
+        """F at real x, as log f(e^x).
+
+        The domain is where e^x is a positive finite float, about
+        -745 < x < 709.78; outside it DomainError is raised.
+        """
+        x = float(x)
+        try:
+            ex = math.exp(x)
+        except OverflowError:
+            ex = math.inf
+        if not 0.0 < ex < math.inf:
+            raise DomainError(f"argument {x} outside the range where e^x is a positive float")
+        return self._monotone.log_value(ex)
 
     def to_monotone(self) -> CanonicalMonotone:
-        return CanonicalMonotone(beta=self.beta, h=self.h)
+        return self._monotone
 
 
 def eval_exp_order(F: ExpOrderFunction, x: float) -> float:
-    """Evaluate F at real x, as log f(e^x).
+    """``F(x)``: log f(e^x) by ``CanonicalMonotone.log_value``, for real x.
 
-    The domain is where e^x is a positive finite float, about
-    -745 < x < 709.78; outside it DomainError is raised.
+    F is the log of the same sum whose exponential is f, so F(x) is
+    finite for every x in its domain while f(e^x) is finite exactly where
+    that log fits a float, at most about 709.78.
     """
-    x = float(x)
-    try:
-        ex = math.exp(x)
-    except OverflowError:
-        ex = math.inf
-    if not 0.0 < ex < math.inf:
-        raise DomainError(f"argument {x} outside the range where e^x is a positive float")
-    return F.beta + math.log((1.0 + ex) / SQRT2) + weighted_kernel_integral(F.h, ex)
+    return F(x)
 
 
 def to_monotone(F: ExpOrderFunction) -> CanonicalMonotone:

@@ -338,7 +338,8 @@ def _kernel_integral_closed_form(run: _Run):
         yield abs(val - closed_form_kernel_integral(t))
         yield abs(val - weighted_kernel_integral(h1, t))
 
-# additive and multiplicative views agree through t = e^x
+# additive and multiplicative views agree through t = e^x with f(t)
+# rebuilt from quadrature of the raw integrand over the weight's pieces
 @_property("monotone", "exp-order-consistency", 1e-9)
 def _exp_order_consistency(run: _Run):
     for rng, _ in run.draws(run.nfuncs):
@@ -346,9 +347,13 @@ def _exp_order_consistency(run: _Run):
         beta = normalize_beta(h)
         F = ExpOrderFunction(beta=beta, h=h)
         for t in _T_GRID:
-            a = math.exp(eval_exp_order(F, math.log(t)))
-            b = eval_canonical_f(beta, h, t)
-            yield abs(a - b)
+            integral = sum(
+                v * integrate(lambda lam: symmetric_kernel(lam, t), lo, hi)[0]
+                for lo, hi, v in h.pieces()
+            )
+            oracle = math.exp(beta) * (1.0 + t) / math.sqrt(2.0) * math.exp(integral)
+            yield abs(math.exp(eval_exp_order(F, math.log(t))) - oracle)
+            yield abs(eval_canonical_f(beta, h, t) - oracle)
 
 # additive functional equation F(x) = x + F(-x)
 @_property("monotone", "exp-order-symmetry", 1e-9)

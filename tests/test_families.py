@@ -17,12 +17,14 @@ from monometric import (
     CanonicalMC,
     CanonicalMonotone,
     DomainError,
+    ExpOrderFunction,
     GammaFamily,
     KuboAndo,
     WeightFunction,
     eval_bridge,
     eval_canonical_c,
     eval_canonical_f,
+    eval_exp_order,
     eval_gamma_family,
     eval_kubo_ando,
 )
@@ -58,6 +60,11 @@ FAMILIES = {
         eval_canonical_f,
         list(itertools.product(EDGE, WEIGHTS, EDGE)),
     ),
+    "exp-order": (
+        lambda beta, h, x: ExpOrderFunction(beta, h)(x),
+        lambda beta, h, x: eval_exp_order(ExpOrderFunction(beta, h), x),
+        list(itertools.product(EDGE, WEIGHTS, EDGE)),
+    ),
     "kubo-ando": (
         lambda atoms, t: KuboAndo(atoms)(t),
         eval_kubo_ando,
@@ -77,8 +84,8 @@ FAMILIES = {
 
 
 def outcome(fn, args):
-    """The bits of fn(*args), or the exception type it raised. A finite
-    shift beta whose exponential overflows raises DomainError."""
+    """The bits of fn(*args), or the exception type it raised. A value
+    too large for a float, from finite parameters, raises DomainError."""
     try:
         return struct.pack("<d", fn(*args))
     except DomainError as exc:

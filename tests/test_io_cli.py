@@ -250,6 +250,13 @@ class TestEvalF:
         assert done.stdout == ""
         assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
 
+    def test_overflowing_value_exits_2_and_prints_nothing(self, files, capsys):
+        # log f(1e10) = 709 + log((1 + 1e10)/sqrt(2)) is past log of the largest float
+        assert main(["eval-f", "--h-file", files["const0"], "--beta", "709", "--t", "1e10"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_quadrature_failure_exits_3(self, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise QuadratureFailure("forced for the exit-code test")
@@ -391,6 +398,14 @@ def _nan_tangent(files):
     return write_json(files["tmp"] / "nan_a.json", [[[0.0, 0.0], [math.nan, 0.0]], [[1.0, 0.0], [0.0, 0.0]]])
 
 
+def _big_tangent(files):
+    return write_json(files["tmp"] / "big_a.json", [[[0.0, 0.0], [1e200, 0.0]], [[1e200, 0.0], [0.0, 0.0]]])
+
+
+def _big_metric_argv(files):
+    return ["metric", "--rho", files["rho_half"], "--a", _big_tangent(files), "--c-spec", files["bridge0"]]
+
+
 # flags and tangents that parse as numbers but are not finite
 _NON_FINITE_ARGV = {
     "metric tangent a": lambda files: [
@@ -404,6 +419,20 @@ _NON_FINITE_ARGV = {
     "eval-f beta nan": lambda files: ["eval-f", "--h-file", files["const1"], "--beta", "nan", "--t", "2"],
     "eval-c x inf": lambda files: ["eval-c", "--bridge", "1", "--x", "inf", "--y", "1"],
     "bridge-table x inf": lambda files: ["bridge-table", "--gammas", "0.5", "--x-grid", "inf", "--y-grid", "1"],
+    # finite flags whose result is too large for a float
+    "eval-c bridge overflow": lambda files: ["eval-c", "--bridge", "1", "--x", "1e-300", "--y", "1e-300"],
+    "eval-c canonical overflow": lambda files: [
+        "eval-c", "--h-file", files["const0"], "--c0", "1e300", "--x", "1e-300", "--y", "1e-300"
+    ],
+    "eval-c from-f overflow": lambda files: [
+        "eval-c", "--from-f", write_json(files["tmp"] / "min.json", {"family": "gamma", "gamma": 1.0}),
+        "--x", "1e-200", "--y", "1e-310",
+    ],
+    "bridge-table overflow": lambda files: [
+        "bridge-table", "--gammas", "1", "--x-grid", "1e-300", "--y-grid", "1e-300"
+    ],
+    "metric overflow": lambda files: _big_metric_argv(files),
+    "metric form overflow": lambda files: _big_metric_argv(files) + ["--b", _big_tangent(files)],
 }
 
 

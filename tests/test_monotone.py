@@ -114,6 +114,30 @@ class TestCanonicalRepresentation:
             f = CanonicalMonotone.normalized(h)
             assert f(1.0) == pytest.approx(1.0, abs=1e-10)
 
+    def test_normalized_value_at_one_is_exact(self):
+        # the shift is minus the h part of log f(1), summed the same way;
+        # log f(1) is checked too, as exp rounds a log below 1.1e-16 to 1
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            h = random_step_weight(rng)
+            f = CanonicalMonotone.normalized(h)
+            assert f(1.0) == 1.0
+            assert ExpOrderFunction(f.beta, h)(0.0) == 0.0
+
+    def test_finite_wherever_log_f_fits_a_float(self):
+        # e^710 overflows a float, f(1e-10) = e^710 sqrt(2) t/(1+t) does not
+        t = 1e-10
+        log_f = 710.0 + 0.5 * LOG2 + math.log(t) - math.log1p(t)
+        got = CanonicalMonotone(710.0, const_weight(1.0))(t)
+        assert got == pytest.approx(math.exp(log_f), rel=1e-12)
+
+    def test_overflowing_value_raises_while_its_log_stays_finite(self):
+        # log f(1e10) = 709 + log((1 + 1e10)/sqrt(2)) is past log of the largest float
+        with pytest.raises(DomainError):
+            CanonicalMonotone(709.0, const_weight(0.0))(1e10)
+        F = ExpOrderFunction(709.0, const_weight(0.0))
+        assert F(math.log(1e10)) == pytest.approx(709.0 + math.log1p(1e10) - 0.5 * LOG2, rel=1e-14)
+
     def test_rejects_nonpositive_argument(self):
         with pytest.raises(DomainError):
             eval_canonical_f(0.0, const_weight(0.5), 0.0)
