@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSample, DimensionMismatch, DomainError, NotAState
-from .linalg import as_matrix, frobenius
+from .linalg import _trial_dims, as_matrix, frobenius
 from .metric import DensityMatrix, MetricSpec, _coerce_state, metric_quadratic
 from .sampling import ginibre, orthonormal_columns
 
@@ -69,8 +69,7 @@ def random_channel(n: int, m: int, k: int, seed: int) -> KrausChannel:
     cut into k row blocks. A degenerate draw is redrawn up to 10 times
     before giving up.
     """
-    if not (2 <= n <= 8 and 2 <= m <= 8):
-        raise DomainError(f"dimensions ({n}, {m}) outside [2, 8]")
+    n, m = _trial_dims((n, m))
     if k < 1:
         raise DomainError("need at least one operator")
     if m * k < n:

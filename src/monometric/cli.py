@@ -32,6 +32,7 @@ from .errors import (
     QuadratureFailure,
 )
 from .io import load_json_file, matrix_from_json, mc_from_json, monotone_from_json
+from .linalg import TRIAL_DIMS
 from .metric import DensityMatrix, MetricSpec, metric_form, metric_quadratic
 from .verify import report_to_dict, run_verification
 
@@ -201,7 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", default="all", help="monotone|chentsov|metric|channels|all")
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dims", default="2,3", help="comma list of dimensions in [2,8]")
+    p.add_argument(
+        "--dims", default="2,3", help=f"comma list of dimensions in [{TRIAL_DIMS[0]},{TRIAL_DIMS[-1]}]"
+    )
     p.add_argument(
         "--inject-counterexample",
         action="store_true",

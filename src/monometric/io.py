@@ -1,9 +1,10 @@
 """JSON formats shared by the CLI: matrices, weights, kernels, channels.
 
 Complex matrices travel as nested arrays of [re, im] pairs. All loaders
-raise DomainError on malformed structure and on any number that float()
-rejects, so the CLI can map every input problem to one exit code. The CLI
-reads its function and kernel flags through the same spec readers.
+raise DomainError on malformed structure, on a boolean where a number
+belongs and on any number that float() rejects, so the CLI can map every
+input problem to one exit code. The CLI reads its function and kernel
+flags through the same spec readers.
 """
 
 from __future__ import annotations
@@ -38,7 +39,10 @@ _FAMILY_BUILDERS = {
 
 
 def _number(value, label: str) -> float:
-    """float(value); whatever float() rejects is a DomainError."""
+    """float(value); a JSON boolean, or whatever float() rejects, is a
+    DomainError."""
+    if isinstance(value, bool):
+        raise DomainError(f"{label} is not a number: {value!r}")
     try:
         return float(value)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -46,6 +47,39 @@ SMALL_DIM = 12
 # measured crossover for a stack of B matrices of dimension n < SMALL_DIM:
 # below B n = SMALL_STACK the scalar way, matrix by matrix, beats one stack
 SMALL_STACK = 40
+# a matrix with an entry above this is diagonalized scaled down by a power
+# of two: far above the 1e100 scale of ordinary input, far below the about
+# 1e154 / n where its squared Frobenius norm overflows
+RESCALE_ABOVE = 2.0**400
+# dimensions of sampled trials: desk scale, where every check stays cheap
+TRIAL_DIMS = range(2, 9)
+
+
+def _trial_count(trials) -> int:
+    """``trials`` as an int, if it is an integer of at least one."""
+    try:
+        count = operator.index(trials)
+    except TypeError:
+        count = 0
+    if count < 1:
+        raise DomainError(f"need a whole number of trials, at least one, got {trials!r}")
+    return count
+
+
+def _trial_dims(dims) -> tuple[int, ...]:
+    """``dims`` as a tuple of ints, if it is a non-empty sequence of integers
+    in TRIAL_DIMS: the dimensions of sampled trials, in ``verify``,
+    ``check_operator_monotone`` and ``random_channel``."""
+    try:
+        out = tuple(operator.index(d) for d in dims)
+    except TypeError:
+        out = ()
+    if not out or any(d not in TRIAL_DIMS for d in out):
+        raise DomainError(
+            f"trial dimensions {dims!r} must be a non-empty list of integers in "
+            f"[{TRIAL_DIMS[0]}, {TRIAL_DIMS[-1]}]"
+        )
+    return out
 
 
 def as_matrix(m) -> np.ndarray:
@@ -116,9 +150,13 @@ class HermitianEigen:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
+    def apply(self, values) -> np.ndarray:
+        """U diag(values) U*: values (n,) for one matrix, (B, n) for a stack."""
         u = self.eigenvectors
-        return (u * self.eigenvalues[..., None, :]) @ dagger(u)
+        return (u * np.asarray(values)[..., None, :]) @ dagger(u)
+
+    def reconstruct(self) -> np.ndarray:
+        return self.apply(self.eigenvalues)
 
 
 def hermitian_eig(m) -> HermitianEigen:
@@ -131,23 +169,18 @@ def hermitian_eig(m) -> HermitianEigen:
     its pivot has modulus at most ``off_target / (2n)``, and the iteration
     stops once the off-diagonal Frobenius norm is at most ``off_target =
     5e-15 * max(||M||_F, 1)``, tested before each sweep. Only the upper
-    triangle and the real part of the diagonal are read.
+    triangle and the real part of the diagonal are read. A matrix with an
+    entry above ``RESCALE_ABOVE`` is diagonalized scaled by a power of two
+    and its eigenvalues scaled back.
 
     Eigenvalues come back sorted ascending; ties keep the order in which
     the iteration produced them. Outputs are deterministic on one machine.
     Raises NotHermitian on asymmetric input, DomainError on an empty or
-    non-finite input or n > MAX_DIM, and NoConvergence if the off-diagonal
-    mass has not vanished after MAX_SWEEPS sweeps.
+    non-finite input, an eigenvalue beyond the float range or n > MAX_DIM,
+    and NoConvergence if the off-diagonal mass has not vanished after
+    MAX_SWEEPS sweeps.
     """
-    a = require_hermitian(m)
-    if a.ndim != 2:
-        raise DomainError(f"expected a 2D matrix, got ndim={a.ndim}")
-    n = a.shape[0]
-    if n > MAX_DIM:
-        raise DomainError(f"dimension {n} exceeds the desk-scale cap {MAX_DIM}")
-    eigs, vecs = _way(n)(a)
-    order = np.argsort(eigs, kind="stable")
-    return HermitianEigen(eigenvalues=eigs[order], eigenvectors=vecs[:, order])
+    return _eig(m, 2)
 
 
 def hermitian_eig_stack(ms) -> HermitianEigen:
@@ -166,17 +199,48 @@ def hermitian_eig_stack(ms) -> HermitianEigen:
     (B, n, n) as columns. Raises what ``hermitian_eig`` raises, naming the
     first member that fails a check.
     """
-    a = require_hermitian(ms)
-    if a.ndim != 3:
-        raise DomainError(f"expected a stack of matrices, got ndim={a.ndim}")
-    count, n, _ = a.shape
+    return _eig(ms, 3)
+
+
+def _eig(m, ndim: int) -> HermitianEigen:
+    """The one entry of ``hermitian_eig`` (ndim 2) and ``hermitian_eig_stack``
+    (ndim 3): rescale, check, diagonalize the chosen way, scale back, sort.
+
+    A member with an entry above ``RESCALE_ABOVE`` is scaled by the power of
+    two that brings its largest entry into [1, 2); other members keep their
+    bits.
+    """
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim != ndim:
+        kind = "a 2D matrix" if ndim == 2 else "a stack of matrices"
+        raise DomainError(f"expected {kind}, got ndim={a.ndim}")
+    big = np.abs(a).max(axis=(-2, -1), initial=0.0)
+    over = big > RESCALE_ABOVE
+    scaled = over.any()
+    if scaled:
+        # scaled as pairs of reals: a complex product could turn -0.0 into 0.0
+        shift = np.where(over, np.frexp(big)[1] - 1, 0)
+        parts = np.ascontiguousarray(a).view(np.float64)
+        a = (parts * np.ldexp(1.0, -shift)[..., None, None]).view(np.complex128)
+    require_hermitian(a)
+    n = a.shape[-1]
     if n > MAX_DIM:
         raise DomainError(f"dimension {n} exceeds the desk-scale cap {MAX_DIM}")
-    if n < SMALL_DIM and count * n >= SMALL_STACK:
+    if ndim == 2:
+        eigs, vecs = _way(n)(a)
+    elif n < SMALL_DIM and len(a) * n >= SMALL_STACK:
         eigs, vecs = _jacobi_stack(a)
     else:
         eigs, vecs = (np.stack(out) for out in zip(*map(_way(n), a)))
+    if scaled:
+        with np.errstate(over="ignore"):
+            eigs = np.ldexp(eigs, shift[..., None])
+        if not np.isfinite(eigs).all():
+            raise DomainError("an eigenvalue is beyond the float range")
     order = np.argsort(eigs, axis=-1, kind="stable")
+    if ndim == 2:
+        # fancy indexing: cheaper than take_along_axis for one matrix
+        return HermitianEigen(eigenvalues=eigs[order], eigenvectors=vecs[:, order])
     return HermitianEigen(
         eigenvalues=np.take_along_axis(eigs, order, axis=-1),
         eigenvectors=np.take_along_axis(vecs, order[:, None, :], axis=-1),
@@ -454,9 +518,7 @@ def matrix_function(m, phi: Callable[[float], float]) -> np.ndarray:
     The result is re-symmetrized so it is Hermitian to the last bit.
     """
     dec = hermitian_eig(m)
-    vals = np.array([float(phi(float(w))) for w in dec.eigenvalues])
-    u = dec.eigenvectors
-    out = (u * vals) @ dagger(u)
+    out = dec.apply(np.array([float(phi(float(w))) for w in dec.eigenvalues]))
     return 0.5 * (out + dagger(out))
 
 

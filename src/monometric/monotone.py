@@ -39,7 +39,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .linalg import dagger, hermitian_eig_stack
+from .linalg import _trial_count, _trial_dims, hermitian_eig_stack
 
 SQRT2 = math.sqrt(2.0)
 # check_operator_monotone passes when min eig(f(B) - f(A)) >= -this
@@ -471,54 +471,40 @@ def check_operator_monotone(
     """Sample ordered pairs A <= B and test f(A) <= f(B) spectrally.
 
     Per-trial generators are derived from (seed, trial index), so any
-    single trial can be reproduced in isolation. The trials of one
-    dimension are diagonalized together: all A, all B, then all
-    f(B) - f(A), each as one stack, while f is applied eigenvalue by
+    single trial can be reproduced in isolation. With d = len(dims), trial
+    k is member k // d of stack k % d: each entry of dims has one stack of
+    A, one of B and one of f(B) - f(A), while f is applied eigenvalue by
     eigenvalue in trial order. The report carries the most negative
     eigenvalue of f(B) - f(A) seen and the first trial where it occurred.
     A non-finite value of f stops the check at that trial with worst NaN,
     which does not pass.
     """
-    if trials < 1:
-        raise DomainError("need at least one trial")
-    dims = tuple(int(d) for d in dims)
-    if any(not 2 <= d <= 8 for d in dims):
-        raise DomainError("dims must lie in [2, 8]")
-    # per trial, its dimension and its place in that dimension's stacks
-    slots = []
-    pairs: dict[int, list] = {}
+    trials = _trial_count(trials)
+    dims = _trial_dims(dims)
+    d = len(dims)
+    decs = []  # per entry of dims, the decompositions of its A and B stacks
+    for i, n in enumerate(dims[:trials]):
+        pairs = [_ordered_pair(np.random.default_rng([seed, k]), n) for k in range(i, trials, d)]
+        decs.append([hermitian_eig_stack(np.stack(side)) for side in zip(*pairs)])
+    values = [([], []) for _ in decs]
     for trial in range(trials):
-        n = dims[trial % len(dims)]
-        members = pairs.setdefault(n, [])
-        slots.append((n, len(members)))
-        members.append(_ordered_pair(np.random.default_rng([seed, trial]), n))
-    decs = {
-        n: tuple(hermitian_eig_stack(np.stack(side)) for side in zip(*members))
-        for n, members in pairs.items()
-    }
-    values: dict[int, tuple[list, list]] = {n: ([], []) for n in pairs}
-    for trial, (n, j) in enumerate(slots):
-        dec_a, dec_b = decs[n]
-        vals_a = [f(w) for w in dec_a.eigenvalues[j]]
-        vals_b = [f(w) for w in dec_b.eigenvalues[j]]
+        dec_a, dec_b = decs[trial % d]
+        vals_a = [f(w) for w in dec_a.eigenvalues[trial // d]]
+        vals_b = [f(w) for w in dec_b.eigenvalues[trial // d]]
         if not np.isfinite(vals_a + vals_b).all():
             # a non-finite value of f fails the check; it is no matrix to diagonalize
-            worst, worst_trial, worst_dim = math.nan, trial, n
+            worst, worst_trial = math.nan, trial
             break
-        values[n][0].append(vals_a)
-        values[n][1].append(vals_b)
+        values[trial % d][0].append(vals_a)
+        values[trial % d][1].append(vals_b)
     else:
-        gaps = {}
-        for n, (dec_a, dec_b) in decs.items():
-            fa, fb = (
-                (dec.eigenvectors * np.array(vals)[:, None, :]) @ dagger(dec.eigenvectors)
-                for dec, vals in zip((dec_a, dec_b), values[n])
-            )
-            gaps[n] = hermitian_eig_stack(fb - fa).eigenvalues[:, 0]
-        gap = [gaps[n][j] for n, j in slots]
+        gaps = [
+            hermitian_eig_stack(dec_b.apply(vals_b) - dec_a.apply(vals_a)).eigenvalues[:, 0]
+            for (dec_a, dec_b), (vals_a, vals_b) in zip(decs, values)
+        ]
+        gap = [gaps[k % d][k // d] for k in range(trials)]
         worst_trial = int(np.argmin(gap))
         worst = float(gap[worst_trial])
-        worst_dim = slots[worst_trial][0]
     return OperatorMonotoneReport(
         worst=worst,
         passed=worst >= -OPERATOR_MONOTONE_TOL,
@@ -527,5 +513,5 @@ def check_operator_monotone(
         seed=seed,
         tol=OPERATOR_MONOTONE_TOL,
         worst_trial=worst_trial,
-        worst_dim=worst_dim,
+        worst_dim=dims[worst_trial % d],
     )

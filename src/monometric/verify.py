@@ -55,6 +55,7 @@ from .chentsov import (
     normalize_C0,
 )
 from .errors import DegenerateSample, DomainError, NoConvergence, NotAState
+from .linalg import _trial_count, _trial_dims
 from .metric import DensityMatrix, MetricSpec, metric_form, metric_quadratic
 from .monotone import (
     CanonicalMonotone,
@@ -736,11 +737,8 @@ def run_verification(
     """Run one suite or all of them, in fixed order."""
     if suite not in (*SUITE_NAMES, "all"):
         raise DomainError(f"unknown suite {suite!r}")
-    if trials < 1:
-        raise DomainError("need at least one trial")
-    dims = tuple(dims)
-    if not dims or any(not 2 <= d <= 8 for d in dims):
-        raise DomainError(f"dims {dims} must be a non-empty list of integers in [2, 8]")
+    trials = _trial_count(trials)
+    dims = _trial_dims(dims)
     names = SUITE_NAMES if suite == "all" else (suite,)
     start = time.perf_counter()
     reports = []

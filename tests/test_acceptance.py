@@ -292,8 +292,17 @@ def test_10_exp_order_consistency(report):
     for beta, h in weights:
         F = ExpOrderFunction(beta, h)
         for t in default_grid():
+            # f rebuilt from quadrature over h's pieces: both views share
+            # one closed-form sum, so neither is the other's oracle
+            integral = sum(
+                v * integrate(lambda lam: symmetric_kernel(lam, t), lo, hi)[0]
+                for lo, hi, v in h.pieces()
+            )
+            oracle = math.exp(beta) * (1.0 + t) / math.sqrt(2.0) * math.exp(integral)
             got = math.exp(eval_exp_order(F, math.log(t)))
-            worst_conj = max(worst_conj, abs(got - eval_canonical_f(beta, h, t)))
+            worst_conj = max(
+                worst_conj, abs(got - oracle), abs(eval_canonical_f(beta, h, t) - oracle)
+            )
         for x in np.linspace(-5.0, 5.0, 41):
             residual = eval_exp_order(F, float(x)) - float(x) - eval_exp_order(F, float(-x))
             worst_sym = max(worst_sym, abs(residual))

@@ -116,6 +116,11 @@ class TestRandomChannel:
         with pytest.raises(DomainError):
             random_channel(2, 2, 0, seed=0)
 
+    @pytest.mark.parametrize("n, m", [(2.5, 2), (2, 3.0), ("2", 2)])
+    def test_rejects_non_integer_dimensions(self, n, m):
+        with pytest.raises(DomainError):
+            random_channel(n, m, 2, seed=0)
+
 
 class TestMonotonicityTrial:
     def test_unitary_channel_is_equality(self):

@@ -351,6 +351,18 @@ class TestMetricCommand:
         assert code == 4
         assert "non-finite" in capsys.readouterr().err
 
+    def test_huge_indefinite_state_exits_4(self, files, capsys):
+        # eigenvalues 0.5 +- 1e160: its squared norm overflows a float
+        huge_rho = write_json(
+            files["tmp"] / "huge_rho.json",
+            [[[0.5, 0.0], [1e160, 0.0]], [[1e160, 0.0], [0.5, 0.0]]],
+        )
+        code = main(["metric", "--rho", huge_rho, "--a", files["sigma_x"], "--c-spec", files["bridge0"]])
+        out, err = capsys.readouterr()
+        assert code == 4
+        assert out == ""
+        assert "smallest eigenvalue" in err
+
 
 def _metric_argv(files, rho=None, c_spec=None):
     rho, c_spec = rho or files["rho_half"], c_spec or files["bridge0"]
@@ -443,13 +455,31 @@ def test_non_finite_input_exits_2(case, files, capsys):
 
 
 class TestMalformedNumbers:
-    @pytest.mark.parametrize("bad", ["abc", [1], None, 10**400], ids=["str", "list", "null", "400-digit"])
+    @pytest.mark.parametrize(
+        "bad", ["abc", [1], None, 10**400, True, False], ids=["str", "list", "null", "400-digit", "true", "false"]
+    )
     @pytest.mark.parametrize("site", list(_BAD_NUMBER_SITES))
     def test_exits_2(self, site, bad, files, capsys):
         argv, payload = _BAD_NUMBER_SITES[site]
         path = write_json(files["tmp"] / "bad.json", payload(bad))
         assert main(argv(path, files)) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "site, payload",
+        [
+            ("metric c-spec gamma", {"kind": "bridge", "gamma": True}),
+            ("metric rho entry", [[[True, False], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]),
+            ("eval-f h breakpoint", {"breakpoints": [False, True], "values": [True]}),
+        ],
+        ids=["bridge-gamma", "matrix-entry", "weight"],
+    )
+    def test_json_booleans_are_not_numbers(self, site, payload, files, capsys):
+        argv, _ = _BAD_NUMBER_SITES[site]
+        path = write_json(files["tmp"] / "bool.json", payload)
+        assert main(argv(path, files)) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "is not a number" in err
 
     def test_integer_past_the_parser_digit_limit_exits_2(self, files, capsys):
         path = files["tmp"] / "huge.json"

@@ -2,14 +2,17 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import monometric.linalg as la
 from monometric import (
+    DensityMatrix,
     DomainError,
     NoConvergence,
+    NotAState,
     NotHermitian,
     hermitian_eig,
     matrix_function,
@@ -375,6 +378,94 @@ class TestStack:
     def test_rejects_oversized(self):
         with pytest.raises(DomainError):
             la.hermitian_eig_stack(np.eye(la.MAX_DIM + 1)[None])
+
+
+HUGE_SCALES = (1e160, 1e200, 1e300)
+
+
+class TestRescale:
+    """Matrices whose squared Frobenius norm overflows are diagonalized
+    scaled down by a power of two."""
+
+    @pytest.mark.parametrize("n", (2, 3, 8, 16, 32))
+    @pytest.mark.parametrize("scale", HUGE_SCALES)
+    def test_eigenvalues_match_numpy(self, scale, n):
+        m = scale * random_hermitian(np.random.default_rng([83, n]), n)
+        ref = np.linalg.eigvalsh(m)
+        dec = hermitian_eig(m)
+        assert np.allclose(dec.eigenvalues, ref, rtol=0.0, atol=1e-12 * np.max(np.abs(ref)))
+        u = dec.eigenvectors
+        assert np.linalg.norm(u.conj().T @ u - np.eye(n)) <= RECON_TOL
+
+    @pytest.mark.parametrize("n", (2, 3, 8, 16, 32))
+    def test_stack_members_are_what_they_are_alone(self, n):
+        """Huge, ordinary and tiny members side by side, in a stack big
+        enough for the stack way below SMALL_DIM."""
+        rng = np.random.default_rng([89, n])
+        scales = (*HUGE_SCALES, 1.0, 1e100, 1e-100) * max(1, la.SMALL_STACK // (6 * n) + 1)
+        ms = np.stack([s * random_hermitian(rng, n) for s in scales])
+        dec = la.hermitian_eig_stack(ms)
+        for j, m in enumerate(ms):
+            alone = hermitian_eig(m)
+            assert np.array_equal(dec.eigenvalues[j], alone.eigenvalues), j
+            assert np.array_equal(dec.eigenvectors[j], alone.eigenvectors), j
+
+    @pytest.mark.parametrize("n", (2, 3, 12))
+    def test_power_of_two_scale_is_exact(self, n):
+        """A matrix with its largest entry in [1, 2), scaled by 2^k, gives
+        2^k times its eigenvalues and the same eigenvectors, bit for bit."""
+        m = random_hermitian(np.random.default_rng([97, n]), n)
+        m = m * 2.0 ** -math.frexp(np.abs(m).max())[1] * 2.0
+        base = hermitian_eig(m)
+        for k in (500, 700, 1000):
+            big = hermitian_eig(m * 2.0**k)
+            assert np.array_equal(big.eigenvalues, base.eigenvalues * 2.0**k), k
+            assert np.array_equal(big.eigenvectors, base.eigenvectors), k
+
+    @pytest.mark.parametrize("n", (2, 12))
+    def test_below_the_bound_keeps_its_bits(self, n):
+        m = random_hermitian(np.random.default_rng([101, n]), n)
+        m = m * (0.5 * la.RESCALE_ABOVE / np.abs(m).max())
+        eigs, vecs = la._way(n)(m)
+        order = np.argsort(eigs, kind="stable")
+        dec = hermitian_eig(m)
+        assert np.array_equal(dec.eigenvalues, eigs[order])
+        assert np.array_equal(dec.eigenvectors, vecs[:, order])
+
+    def test_eigenvalue_beyond_the_float_range_is_a_domain_error(self):
+        m = np.full((2, 2), 1e308)
+        with pytest.raises(DomainError, match="float range"):
+            hermitian_eig(m)
+        with pytest.raises(DomainError, match="float range"):
+            la.hermitian_eig_stack(np.stack([np.eye(2), m]))
+
+    def test_huge_indefinite_state_is_rejected_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotAState, match="smallest eigenvalue"):
+                DensityMatrix.from_matrix([[0.5, 1e160], [1e160, 0.5]])
+
+
+class TestApply:
+    def test_one_matrix(self):
+        rng = np.random.default_rng(29)
+        m = random_hermitian(rng, 4)
+        dec = hermitian_eig(m)
+        values = rng.standard_normal(4)
+        u = dec.eigenvectors
+        assert np.array_equal(dec.apply(values), (u * values) @ u.conj().T)
+        assert np.array_equal(dec.apply(list(values)), dec.apply(values))
+        assert np.linalg.norm(dec.apply(dec.eigenvalues) - m) <= RECON_TOL * (1 + np.linalg.norm(m))
+
+    def test_stack_members_as_alone(self):
+        rng = np.random.default_rng(37)
+        ms = np.stack([random_hermitian(rng, 3) for _ in range(20)])
+        dec = la.hermitian_eig_stack(ms)
+        values = rng.standard_normal((20, 3))
+        out = dec.apply(values)
+        for j, m in enumerate(ms):
+            alone = hermitian_eig(m)
+            assert np.array_equal(out[j], alone.apply(values[j])), j
 
 
 class TestNonFiniteInput:

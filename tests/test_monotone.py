@@ -54,6 +54,15 @@ def step_weight(seed):
     return random_step_weight(np.random.default_rng(seed))
 
 
+def quadrature_f(beta, h, t):
+    """f(t) rebuilt from adaptive quadrature of the raw integrand over h's
+    pieces: independent of the closed-form sum that f and F share."""
+    integral = sum(
+        v * integrate(lambda lam: symmetric_kernel(lam, t), lo, hi)[0] for lo, hi, v in h.pieces()
+    )
+    return math.exp(beta) * (1.0 + t) / math.sqrt(2.0) * math.exp(integral)
+
+
 class TestGammaFamily:
     def test_sqrt_member(self):
         assert eval_gamma_family(0.5, 4.0) == pytest.approx(2.0)
@@ -365,9 +374,9 @@ class TestExpOrderClass:
             beta = normalize_beta(h)
             F = ExpOrderFunction(beta=beta, h=h)
             for t in (0.05, 0.4, 1.0, 6.0, 80.0):
-                assert math.exp(eval_exp_order(F, math.log(t))) == pytest.approx(
-                    eval_canonical_f(beta, h, t), rel=1e-9
-                )
+                oracle = quadrature_f(beta, h, t)
+                assert math.exp(eval_exp_order(F, math.log(t))) == pytest.approx(oracle, rel=1e-9)
+                assert eval_canonical_f(beta, h, t) == pytest.approx(oracle, rel=1e-9)
 
     def test_to_monotone_shares_parameters(self):
         F = ExpOrderFunction(beta=0.1, h=step_weight(5))
@@ -375,7 +384,9 @@ class TestExpOrderClass:
         assert f.beta == F.beta
         assert f.h == F.h
         for t in (0.3, 1.0, 3.0):
-            assert f(t) == pytest.approx(math.exp(eval_exp_order(F, math.log(t))), rel=1e-9)
+            oracle = quadrature_f(F.beta, F.h, t)
+            assert f(t) == pytest.approx(oracle, rel=1e-9)
+            assert math.exp(eval_exp_order(F, math.log(t))) == pytest.approx(oracle, rel=1e-9)
 
     def test_guarded_large_arguments(self):
         F = ExpOrderFunction(beta=0.0, h=const_weight(0.5))
@@ -485,6 +496,34 @@ class TestOperatorMonotonicity:
         assert report.worst_dim in (2, 3) and 0 <= report.worst_trial < 20
 
 
+# arguments every trial-running receiver rejects: check_operator_monotone,
+# run_verification
+BAD_TRIAL_ARGUMENTS = {
+    "no-trials": {"trials": 0},
+    "fractional-trials": {"trials": 2.5},
+    "no-dims": {"dims": ()},
+    "dim-9": {"dims": (2, 9)},
+    "fractional-dim": {"dims": (2.7,)},
+    "half-dim": {"dims": (2.5,)},
+    "string-dim": {"dims": ("2",)},
+    "dims-not-a-list": {"dims": 3},
+}
+
+
+@pytest.mark.parametrize("bad", BAD_TRIAL_ARGUMENTS)
+def test_check_operator_monotone_rejects_bad_arguments(bad):
+    kwargs = {"trials": 3, "dims": (2, 3), **BAD_TRIAL_ARGUMENTS[bad]}
+    with pytest.raises(DomainError):
+        check_operator_monotone(GammaFamily(0.5), seed=0, **kwargs)
+
+
+def test_check_operator_monotone_with_fewer_trials_than_dims():
+    report = check_operator_monotone(GammaFamily(0.5), trials=2, dims=(2, 3, 4, 5), seed=1)
+    assert report.dims == (2, 3, 4, 5) and report.worst_dim in (2, 3)
+    worst, worst_trial, worst_dim = per_trial_operator_monotone(GammaFamily(0.5), 2, (2, 3, 4, 5), 1)
+    assert (report.worst, report.worst_trial, report.worst_dim) == (worst, worst_trial, worst_dim)
+
+
 def per_trial_operator_monotone(f, trials, dims, seed):
     """The trial-by-trial loop that the batched check replaces, kept as its
     oracle: (worst, worst_trial, worst_dim)."""
@@ -521,7 +560,7 @@ class TestBatchedOperatorMonotonicity:
             ("zero", lambda t: 0.0),
         ],
     )
-    @pytest.mark.parametrize("dims", [(2, 3, 4, 5), (3, 2, 3)])
+    @pytest.mark.parametrize("dims", [(2, 3, 4, 5), (3, 2, 3), (2, 2, 3)])
     def test_matches_the_per_trial_loop(self, name, f, dims):
         report = check_operator_monotone(f, trials=60, dims=dims, seed=17)
         worst, worst_trial, worst_dim = per_trial_operator_monotone(f, 60, dims, 17)

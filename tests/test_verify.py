@@ -214,8 +214,12 @@ def test_nan_monotone_function_fails_operator_monotonicity(capsys, monkeypatch):
         {"suite": "metric", "trials": 0},
         {"suite": "metric", "trials": 1, "dims": ()},
         {"suite": "metric", "trials": 1, "dims": (2, 9)},
+        {"suite": "metric", "trials": 2.5},
+        {"suite": "metric", "trials": 1, "dims": (2.5,)},
+        {"suite": "metric", "trials": 1, "dims": ("2",)},
+        {"suite": "metric", "trials": 1, "dims": (2.7,)},
     ],
-    ids=["unknown-suite", "no-trials", "no-dims", "dim-9"],
+    ids=["unknown-suite", "no-trials", "no-dims", "dim-9", "fractional-trials", "half-dim", "string-dim", "fractional-dim"],
 )
 def test_run_verification_rejects_bad_arguments(kwargs):
     with pytest.raises(DomainError):
