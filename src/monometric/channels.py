@@ -35,11 +35,18 @@ class KrausChannel:
         shape = ops[0].shape
         if any(k.shape != shape for k in ops):
             raise DimensionMismatch("all operators must share one shape")
+        if not all(np.isfinite(k).all() for k in ops):
+            raise DomainError("channel operator has a non-finite entry")
+        # SUM K*K = I bounds every entry's modulus by 1; a larger entry fails
+        # trace preservation, and its square could overflow in the Gram sum
+        big = max(float(np.abs(k).max(initial=0.0)) for k in ops)
+        if big > 2.0:
+            raise DomainError(f"operator entry of modulus {big:.3e} breaks trace preservation")
         object.__setattr__(self, "operators", ops)
         n = self.in_dim
         gram = sum(k.conj().T @ k for k in ops)
         defect = frobenius(gram - np.eye(n))
-        if defect > TRACE_PRESERVATION_TOL:
+        if not defect <= TRACE_PRESERVATION_TOL:
             raise DomainError(f"trace preservation defect {defect:.3e}")
 
     @property

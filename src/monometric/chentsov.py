@@ -16,8 +16,12 @@ canonical monotone representation at t = x/y, so its integral is
 sum over the breakpoints of h, with x/y and y/x giving the same value;
 the raw integrand ``mc_kernel`` is kept for the quadrature oracle.
 
-Canonical evaluation symmetrizes its arguments up front, so symmetry
-holds to the bit. ``FromMonotone`` deliberately does not: feeding it a
+Both ``BridgeMC`` and ``CanonicalMC`` are symmetric to the bit:
+canonical evaluation orders its arguments up front, and the closed form
+multiplies and adds x and y in ways that IEEE arithmetic commutes. They
+declare it with the class attribute ``symmetric = True``, which lets
+``metric_form`` call them once per unordered pair of eigenvalues.
+``FromMonotone`` opts out (``symmetric`` stays False): feeding it a
 non-symmetric f must produce a visibly asymmetric kernel.
 """
 
@@ -72,7 +76,13 @@ def normalize_C0(h: WeightFunction) -> float:
 
 
 class MCFunction:
-    """Base for callable kernels c(x, y)."""
+    """Base for callable kernels c(x, y).
+
+    ``symmetric`` is a class attribute, not a field: a subclass sets it to
+    True only when c(x, y) == c(y, x) holds to the bit for every pair.
+    """
+
+    symmetric = False
 
     def __call__(self, x: float, y: float) -> float:
         raise NotImplementedError
@@ -83,6 +93,7 @@ class BridgeMC(MCFunction):
     """Closed-form family x^-g y^-g ((x+y)/2)^(2g-1), g in [0,1]."""
 
     gamma: float
+    symmetric = True
 
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
@@ -100,6 +111,7 @@ class CanonicalMC(MCFunction):
 
     c0: float
     h: WeightFunction
+    symmetric = True
 
     def __post_init__(self):
         if not 0.0 < self.c0 < math.inf:

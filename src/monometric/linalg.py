@@ -100,8 +100,20 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def _norms(m: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a stack."""
-    return np.sqrt(np.add.reduce(np.abs(m) ** 2, axis=(-2, -1)))
+    """Frobenius norm of each matrix of a stack.
+
+    A member with an entry above ``RESCALE_ABOVE`` is summed scaled by the
+    power of two that brings its largest entry into [1, 2), so no square
+    overflows, and its norm is scaled back; other members keep their bits.
+    """
+    a = np.abs(m)
+    if not a.max(initial=0.0) > RESCALE_ABOVE:
+        return np.sqrt(np.add.reduce(a**2, axis=(-2, -1)))
+    big = a.max(axis=(-2, -1), keepdims=True)
+    shift = np.where(big > RESCALE_ABOVE, np.frexp(big)[1] - 1, 0)
+    norms = np.sqrt(np.add.reduce(np.ldexp(a, -shift) ** 2, axis=(-2, -1)))
+    with np.errstate(over="ignore"):
+        return np.ldexp(norms, shift[..., 0, 0])
 
 
 def hermiticity_defect(m: np.ndarray):

@@ -11,6 +11,12 @@ quadratic form, which is real for any kernel values whatsoever since
 every term then carries |At_ij|^2. With a Fisher-adjusted kernel
 (c(1,1) = 1) and C = 1 the diagonal sum is just the classical Fisher
 information of the diagonal data.
+
+A kernel that declares ``symmetric = True`` (``BridgeMC``, ``CanonicalMC``)
+is called once per unordered pair of eigenvalues, n(n-1)/2 calls per form,
+and its value is used for both orders; any other kernel, a plain function
+included, is called at all n(n-1) ordered pairs. The sum runs in the same
+order either way, so the form has the same bits.
 """
 
 from __future__ import annotations
@@ -164,21 +170,45 @@ def metric_form(spec: MetricSpec, rho, a, b) -> complex:
     w = dec.eigenvalues.tolist()
     at = (uh @ am @ u).tolist()
     bt = (uh @ bm @ u).tolist()
-    c = spec.c
-    diag = float(spec.diagonal_constant)
+    kern = _kernel_values(spec, w)
     # conj(at)*bt is grouped first: at B = A the product is exactly real,
     # so the quadratic form stays real to the bit even for wild kernels
     total = 0j
-    for i, (wi, at_i, bt_i) in enumerate(zip(w, at, bt)):
-        for j, (wj, x, y) in enumerate(zip(w, at_i, bt_i)):
-            k = diag / wi if i == j else c(wi, wj)
+    for k_i, at_i, bt_i in zip(kern, at, bt):
+        for k, x, y in zip(k_i, at_i, bt_i):
+            total += k * (x.conjugate() * y)
+    return total
+
+
+def _kernel_values(spec: MetricSpec, w: list[float]) -> list[list[float]]:
+    """The form's coefficients: C / w_i on the diagonal, c(w_i, w_j) off it,
+    each checked to be real.
+
+    The kernel is called in row order. A kernel whose ``symmetric`` is
+    True is called once per unordered pair, at i < j, and its value is
+    mirrored to (j, i); any other kernel is called at every ordered pair.
+    """
+    c = spec.c
+    diag = float(spec.diagonal_constant)
+    mirror = getattr(c, "symmetric", False) is True
+    n = len(w)
+    kern = [[0.0] * n for _ in range(n)]
+    for i, wi in enumerate(w):
+        row = kern[i]
+        row[i] = diag / wi
+        for j in range(i + 1 if mirror else 0, n):
+            if j == i:
+                continue
+            k = c(wi, w[j])
             if type(k) is not float:
                 z = complex(k)
                 if z.imag != 0.0:
                     raise DomainError(f"kernel value {k} is not real")
                 k = z.real
-            total += k * (x.conjugate() * y)
-    return total
+            row[j] = k
+            if mirror:
+                kern[j][i] = k
+    return kern
 
 
 def metric_quadratic(spec: MetricSpec, rho, a) -> float:

@@ -24,7 +24,10 @@ attempt is drawn past the point where a one-by-one loop would stop, so
 the trials that run are the same. A stack that fails to converge is
 redone draw by draw, so its NoConvergence is raised at its own draw.
 Only a sampler that gives up (DegenerateSample) while a batch is drawn
-raises before the earlier trials of that batch run.
+raises before the earlier trials of that batch run. The metric properties
+likewise draw every trial's state first, each from its trial's own
+stream, and validate them as stacks (``_trial_base_states``); each trial
+then draws its tangents and unitaries after its state, as before.
 """
 
 from __future__ import annotations
@@ -208,14 +211,10 @@ def _run_suite(run: _Run) -> SuiteReport:
     return SuiteReport(run.suite, tuple(results))
 
 
-def _draw_state(rng: np.random.Generator, n: int) -> DensityMatrix:
-    return DensityMatrix.from_matrix(random_density(rng, n))
-
-
-def _draw_diagonal_state(rng: np.random.Generator, n: int) -> DensityMatrix:
+def _diagonal_density(rng: np.random.Generator, n: int) -> np.ndarray:
     w = rng.uniform(0.1, 1.0, n)
     w = w / w.sum()
-    return DensityMatrix.from_matrix(np.diag(w).astype(complex))
+    return np.diag(w).astype(complex)
 
 
 def _draw_channel(rng: np.random.Generator, n: int) -> KrausChannel:
@@ -489,8 +488,7 @@ def _canonical_vs_bridge(run: _Run):
 # positive on nonzero tangents, zero at zero
 @_property("metric", "positivity", 0.0)
 def _positivity(run: _Run):
-    for rng, n in run.draws(run.trials):
-        rho = _draw_state(rng, n)
+    for rng, n, rho in _trial_base_states(run, run.trials):
         a = random_tangent(rng, n, hermitian=bool(rng.integers(0, 2)))
         q = metric_quadratic(_SPEC, rho, a)
         yield -q if q != 0.0 else math.inf
@@ -499,8 +497,7 @@ def _positivity(run: _Run):
 # adjoint-pair symmetry K(A,B) = K(B*,A*)
 @_property("metric", "symmetry-axiom", 1e-11)
 def _symmetry_axiom(run: _Run):
-    for rng, n in run.draws(run.trials):
-        rho = _draw_state(rng, n)
+    for rng, n, rho in _trial_base_states(run, run.trials):
         a = random_tangent(rng, n, hermitian=False)
         b = random_tangent(rng, n, hermitian=False)
         v1 = metric_form(_SPEC, rho, a, b)
@@ -510,8 +507,7 @@ def _symmetry_axiom(run: _Run):
 # Hermitian form: K(A,B) = conj K(B,A)
 @_property("metric", "conjugate-symmetry", 1e-11)
 def _conjugate_symmetry(run: _Run):
-    for rng, n in run.draws(run.trials):
-        rho = _draw_state(rng, n)
+    for rng, n, rho in _trial_base_states(run, run.trials):
         a = random_tangent(rng, n, hermitian=False)
         b = random_tangent(rng, n, hermitian=False)
         yield abs(metric_form(_SPEC, rho, a, b) - np.conj(metric_form(_SPEC, rho, b, a)))
@@ -519,8 +515,7 @@ def _conjugate_symmetry(run: _Run):
 # linear in the second slot, conjugate-linear in the first
 @_property("metric", "sesquilinearity", 1e-10)
 def _sesquilinearity(run: _Run):
-    for rng, n in run.draws(run.trials):
-        rho = _draw_state(rng, n)
+    for rng, n, rho in _trial_base_states(run, run.trials):
         a1 = random_tangent(rng, n, hermitian=False)
         a2 = random_tangent(rng, n, hermitian=False)
         b = random_tangent(rng, n, hermitian=False)
@@ -544,16 +539,14 @@ def _rotation_residual(rho: DensityMatrix, a: np.ndarray, u: np.ndarray) -> floa
 # unitary conjugation leaves the quadratic form unchanged
 @_property("metric", "unitary-covariance", 1e-9)
 def _unitary_covariance(run: _Run):
-    for rng, n in run.draws(run.trials):
-        rho = _draw_state(rng, n)
+    for rng, n, rho in _trial_base_states(run, run.trials):
         a = random_tangent(rng, n, hermitian=bool(rng.integers(0, 2)))
         yield _rotation_residual(rho, a, random_unitary(rng, n))
 
 # diagonal data rotated into a dense basis evaluates identically
 @_property("metric", "basis-independence", 1e-9)
 def _basis_independence(run: _Run):
-    for rng, n in run.draws(run.trials):
-        rho = _draw_diagonal_state(rng, n)
+    for rng, n, rho in _trial_base_states(run, run.trials, _diagonal_density):
         a = random_tangent(rng, n, hermitian=True)
         yield _rotation_residual(rho, a, random_unitary(rng, n))
 
@@ -561,13 +554,36 @@ def _basis_independence(run: _Run):
 @_property("metric", "continuity-smoke", 1e3)
 def _continuity_smoke(run: _Run):
     delta = 1e-6
-    for rng, n in run.draws(min(run.trials, 20)):
-        rho = _draw_state(rng, n)
+    for rng, n, rho in _trial_base_states(run, min(run.trials, 20)):
         a = random_tangent(rng, n, hermitian=True)
         q1 = metric_quadratic(_SPEC, rho, a)
         perturbed = (1.0 - delta) * rho.matrix + delta * np.eye(n) / n
         q2 = metric_quadratic(_SPEC, DensityMatrix.from_matrix(perturbed), a)
         yield abs(q2 - q1) / (delta * max(1.0, abs(q1)))
+
+
+def _trial_base_states(
+    run: _Run, count: int, draw: Callable[[np.random.Generator, int], np.ndarray] = random_density
+) -> Iterator[tuple[np.random.Generator, int, DensityMatrix]]:
+    """Per trial of ``run.draws(count)``, in order: its generator, its
+    dimension and its state, which ``draw`` makes first from that
+    generator, so what the trial draws next comes after it as in a
+    trial-by-trial loop. The states are validated and diagonalized as
+    stacks; a trial's NotAState is raised when its trial is reached. If a
+    stack fails to converge, the states are validated one by one instead,
+    so the failure too is raised at its own trial."""
+    trials = list(run.draws(count))
+    matrices = [draw(rng, n) for rng, n in trials]
+    try:
+        states = DensityMatrix.from_matrices(matrices)
+    except NoConvergence:
+        for (rng, n), m in zip(trials, matrices):
+            yield rng, n, DensityMatrix.from_matrix(m)
+        return
+    for (rng, n), state in zip(trials, states):
+        if isinstance(state, NotAState):
+            raise state
+        yield rng, n, state
 
 
 def _trial_states(
@@ -667,7 +683,7 @@ def _pinching_contraction(run: _Run):
     for rng, n in run.draws(min(run.trials, 50)):
         projectors = tuple(np.diag(e) for e in np.eye(n, dtype=complex))
         channel = KrausChannel(operators=projectors)
-        rho = _draw_diagonal_state(rng, n)
+        rho = DensityMatrix.from_matrix(_diagonal_density(rng, n))
         a = random_tangent(rng, n, hermitian=True)
         np.fill_diagonal(a, 0.0)
         result = monotonicity_trial(_SPEC, channel, rho, a)

@@ -1,6 +1,8 @@
 """Kraus maps: validation, application, random generation, and the
 contraction inequality that defines metric monotonicity."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,21 @@ class TestKrausValidation:
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
             KrausChannel(operators=())
+
+    @pytest.mark.parametrize(
+        "op, reason",
+        [
+            (np.array([[np.nan, 0.0], [0.0, 1.0]]), "non-finite"),
+            (np.array([[1.0, np.inf], [0.0, 1.0]]), "non-finite"),
+            (1e160 * np.eye(2), "modulus"),
+        ],
+        ids=["nan", "inf", "huge"],
+    )
+    def test_rejects_non_finite_and_huge_operators_without_warnings(self, op, reason):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=reason):
+                KrausChannel(operators=(op,))
 
 
 class TestApplyChannel:

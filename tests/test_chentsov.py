@@ -260,3 +260,48 @@ class TestStructuralLaws:
         assert c(2.0, 1.0) == pytest.approx(0.5)
         report = check_mc_axioms(c, [(1.0, 2.0)])
         assert report.symmetry_max > 0.1
+
+
+def pieces_weight(pieces):
+    """A weight of ``pieces`` equal-width pieces with seeded values."""
+    values = np.random.default_rng([29, pieces]).uniform(0.0, 1.0, pieces)
+    return WeightFunction(
+        breakpoints=tuple(float(b) for b in np.linspace(0.0, 1.0, pieces + 1)),
+        values=tuple(float(v) for v in values),
+    )
+
+
+# extreme magnitudes, the smallest subnormal and ratios of 1e+-10 about 1
+EDGE_AXIS = (5e-324, 1e-300, 1e-10, 1.0, 1.5, 1e10, 1e300)
+EDGE_PAIRS = [(x, y) for x in EDGE_AXIS for y in EDGE_AXIS]
+
+
+def outcome(c, x, y):
+    """The value's bits, or the error's type and message."""
+    try:
+        return c(x, y).hex()
+    except (ArithmeticError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+SYMMETRIC_KERNELS = {
+    **{f"bridge-{g}": BridgeMC(g) for g in (0.0, 0.25, 0.5, 1.0)},
+    **{f"canonical-{p}": CanonicalMC.normalized(pieces_weight(p)) for p in (1, 8, 16)},
+}
+
+
+@pytest.mark.parametrize("c", SYMMETRIC_KERNELS.values(), ids=SYMMETRIC_KERNELS.keys())
+def test_symmetric_families_are_symmetric_to_the_bit(c):
+    """``metric_form`` calls these kernels once per unordered pair."""
+    assert c.symmetric is True
+    evaluated = 0
+    for x, y in EDGE_PAIRS:
+        assert outcome(c, x, y) == outcome(c, y, x), (x, y)
+        evaluated += isinstance(outcome(c, x, y), str)
+    assert evaluated >= len(EDGE_PAIRS) // 2  # most of the grid evaluates
+
+
+def test_symmetric_is_a_class_attribute_not_a_field():
+    assert FromMonotone(GammaFamily(0.5)).symmetric is False
+    c = BridgeMC(0.5)
+    assert "symmetric" not in repr(c) and c == BridgeMC(0.5)

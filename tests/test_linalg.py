@@ -446,6 +446,38 @@ class TestRescale:
                 DensityMatrix.from_matrix([[0.5, 1e160], [1e160, 0.5]])
 
 
+class TestHugeNorms:
+    """Norms of matrices whose squares overflow are summed scaled by a
+    power of two."""
+
+    @pytest.mark.parametrize("scale", HUGE_SCALES)
+    def test_norms_match_numpy_on_scaled_input(self, scale):
+        rng = np.random.default_rng(103)
+        m = random_hermitian(rng, 3)
+        skew = m + 1e-12 * rng.standard_normal((3, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert la.frobenius(scale * m) == pytest.approx(scale * np.linalg.norm(m), rel=1e-15)
+            assert require_hermitian(scale * m) is not None
+            defect = la.hermiticity_defect(scale * skew)
+            ref = np.linalg.norm(skew - skew.conj().T) / np.linalg.norm(skew)
+            assert defect == pytest.approx(ref, rel=1e-12)
+            stack = la._norms(np.stack([scale * m, m, np.zeros((3, 3))]))
+            assert stack.tolist() == [la.frobenius(scale * m), la.frobenius(m), 0.0]
+
+    def test_nearly_hermitian_huge_matrix_is_accepted_as_the_eigensolver_accepts_it(self):
+        m = np.array([[1e200, 1e180], [1e180 * (1 + 1e-13), 1e200]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert require_hermitian(m) is not None
+            assert hermitian_eig(m).eigenvalues.tolist() == pytest.approx([1e200 - 1e180, 1e200 + 1e180])
+
+    def test_below_the_bound_keeps_its_bits(self):
+        m = random_hermitian(np.random.default_rng(107), 4)
+        m *= 0.5 * la.RESCALE_ABOVE / np.abs(m).max()
+        assert la.frobenius(m) == math.sqrt(float(np.add.reduce(np.abs(m) ** 2, axis=(0, 1))))
+
+
 class TestApply:
     def test_one_matrix(self):
         rng = np.random.default_rng(29)

@@ -13,6 +13,8 @@ from monometric import (
     DensityMatrix,
     DimensionMismatch,
     DomainError,
+    FromMonotone,
+    Identity,
     MetricSpec,
     NotAState,
     eval_bridge,
@@ -268,6 +270,81 @@ class TestReference:
         rho = DensityMatrix.from_matrix(random_density(np.random.default_rng(3), 3))
         metric_form(BURES_SPEC, rho, np.eye(3), np.eye(3))
         assert calls == {"defect": 1, "eig": 1}
+
+
+
+def ordered_pair_form(spec, rho, a, b):
+    """K(A, B) with one kernel call per ordered pair, in row order: the loop
+    the form ran before it called symmetric kernels once per unordered
+    pair, kept as its oracle."""
+    u = rho.eig.eigenvectors
+    w = rho.eig.eigenvalues.tolist()
+    at = (u.conj().T @ a @ u).tolist()
+    bt = (u.conj().T @ b @ u).tolist()
+    total = 0j
+    for i, (wi, at_i, bt_i) in enumerate(zip(w, at, bt)):
+        for j, (wj, x, y) in enumerate(zip(w, at_i, bt_i)):
+            k = spec.diagonal_constant / wi if i == j else float(spec.c(wi, wj))
+            total += k * (x.conjugate() * y)
+    return total
+
+
+class CountedKernel:
+    """A kernel that records its calls and declares what ``c`` declares,
+    if ``c`` declares anything."""
+
+    def __init__(self, c):
+        self.c = c
+        self.calls = 0
+        if hasattr(c, "symmetric"):
+            self.symmetric = c.symmetric
+
+    def __call__(self, x, y):
+        self.calls += 1
+        return self.c(x, y)
+
+
+FORM_KERNELS = {
+    "bridge": BridgeMC(0.25),
+    "canonical": CanonicalMC.normalized(random_step_weight(np.random.default_rng(5), 16)),
+    "from-identity": FromMonotone(Identity()),
+    "plain": _invalid_kernel,
+}
+
+
+class TestOneCallPerUnorderedPair:
+    @pytest.mark.parametrize("n", (2, 3, 8, 16, 32))
+    def test_form_is_the_ordered_pair_loop(self, n):
+        rng = np.random.default_rng([43, n])
+        rho = DensityMatrix.from_matrix(random_density(rng, n))
+        h1, h2 = (random_tangent(rng, n, hermitian=True) for _ in range(2))
+        n1, n2 = (random_tangent(rng, n, hermitian=False) for _ in range(2))
+        for name, c in FORM_KERNELS.items():
+            spec = MetricSpec(c=c, diagonal_constant=1.5)
+            for a, b in ((h1, h1), (n1, n1), (h2, n2), (n2, h1)):
+                got = metric_form(spec, rho, a, b)
+                want = ordered_pair_form(spec, rho, a, b)
+                assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), name
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 8))
+    def test_kernel_calls_per_form(self, n):
+        rng = np.random.default_rng([47, n])
+        rho = DensityMatrix.from_matrix(random_density(rng, n))
+        a = random_tangent(rng, n, hermitian=False)
+        for name, c in FORM_KERNELS.items():
+            counted = CountedKernel(c)
+            metric_form(MetricSpec(c=counted), rho, a, a)
+            pairs = n * (n - 1)
+            assert counted.calls == (pairs // 2 if name in ("bridge", "canonical") else pairs), name
+
+    def test_a_kernel_that_is_not_symmetric_gives_an_asymmetric_form(self):
+        """c(x, y) = 1/x: K(A, B) with A = E_01 and B = E_10 reads c at
+        (w_0, w_1), with A and B swapped at (w_1, w_0)."""
+        rho = DensityMatrix.from_matrix(np.diag([0.2, 0.8]).astype(complex))
+        e01 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        spec = MetricSpec(c=FromMonotone(Identity()))
+        assert metric_form(spec, rho, e01, e01) == pytest.approx(1.0 / 0.2)
+        assert metric_form(spec, rho, e01.T, e01.T) == pytest.approx(1.0 / 0.8)
 
 
 class TestSesquilinearAxioms:

@@ -23,16 +23,17 @@ from monometric import (
     monotonicity_trial,
 )
 from monometric.cli import main
-from monometric.sampling import random_tangent
+from monometric.sampling import random_density, random_tangent
 from monometric.verify import (
     CONTRACTION_DRAWS_PER_TRIAL,
     _contraction_worst,
     _draw_channel,
-    _draw_state,
     _invalid_kernel,
     _Run,
+    _trial_base_states,
     _trial_states,
     run_chentsov_suite,
+    run_metric_suite,
     run_monotone_suite,
     run_verification,
 )
@@ -70,7 +71,7 @@ def per_attempt_contraction(run, spec, variant, target_trials):
         attempt += 1
         n = run.dims[attempt % len(run.dims)]
         channel = _draw_channel(rng, n)
-        rho = _draw_state(rng, n)
+        rho = DensityMatrix.from_matrix(random_density(rng, n))
         a = random_tangent(rng, n, hermitian=bool(rng.integers(0, 2)))
         tangents.append(a)
         try:
@@ -160,6 +161,70 @@ def test_a_stack_that_does_not_converge_is_redone_draw_by_draw(monkeypatch):
     out = list(_trial_states([identity, identity], rhos))
     assert [state.matrix.tolist() for state, _ in out] == [r.tolist() for r in rhos]
     assert [image for _, image in out] == [None, None]
+
+
+def one_by_one(cls, ms, floor=monometric.metric.STATE_EIG_FLOOR):
+    """``DensityMatrix.from_matrices`` as a loop of ``from_matrix``."""
+    out = []
+    for m in ms:
+        try:
+            out.append(cls.from_matrix(m, floor))
+        except NotAState as exc:
+            out.append(exc)
+    return out
+
+
+@pytest.mark.parametrize("trials, dims, seed", [(30, (2, 3), 42), (9, (2, 3, 5), 5)])
+def test_metric_suite_with_stacked_states_is_the_one_by_one_loop(trials, dims, seed, monkeypatch):
+    stacked = run_metric_suite(trials, dims, seed)
+    monkeypatch.setattr(DensityMatrix, "from_matrices", classmethod(one_by_one))
+    assert run_metric_suite(trials, dims, seed) == stacked
+
+
+def test_metric_suite_diagonalizes_base_states_as_stacks(monkeypatch):
+    """One ``hermitian_eig`` per rotated and perturbed state only: the
+    seven properties' base states go through stacks."""
+    calls = []
+    eig = monometric.metric.hermitian_eig
+    monkeypatch.setattr(monometric.metric, "hermitian_eig", lambda m: calls.append(m) or eig(m))
+    trials = 30
+    assert run_metric_suite(trials, (2, 3), 42).passed
+    # unitary-covariance and basis-independence rotate each state, and
+    # continuity-smoke perturbs each of its states
+    assert len(calls) == 2 * trials + min(trials, 20)
+
+
+@pytest.mark.parametrize("bad_trial", (0, 3, 6))
+def test_a_trial_state_is_rejected_when_its_trial_is_reached(bad_trial):
+    drawn = []
+
+    def draw(rng, n):
+        drawn.append(n)
+        m = random_density(rng, n)
+        return 2.0 * m if len(drawn) - 1 == bad_trial else m  # trace 2
+
+    run = _Run("metric", seed=3, trials=7, dims=(2, 3))
+    reached = []
+    with pytest.raises(NotAState, match="trace"):
+        for _, n, _ in _trial_base_states(run, 7, draw):
+            reached.append(n)
+    assert len(drawn) == 7
+    assert reached == [run.dims[k % 2] for k in range(bad_trial)]
+
+
+def test_base_states_that_do_not_converge_as_a_stack_are_redone_one_by_one(monkeypatch):
+    run = _Run("metric", seed=3, trials=6, dims=(2, 3))
+    stacked = list(_trial_base_states(run, 6))
+
+    def no_convergence(ms):
+        raise NoConvergence("stack")
+
+    monkeypatch.setattr(monometric.metric, "hermitian_eig_stack", no_convergence)
+    alone = list(_trial_base_states(run, 6))
+    assert [n for _, n, _ in alone] == [n for _, n, _ in stacked]
+    for (_, _, a), (_, _, b) in zip(alone, stacked):
+        assert np.array_equal(a.eig.eigenvalues, b.eig.eigenvalues)
+        assert np.array_equal(a.eig.eigenvectors, b.eig.eigenvectors)
 
 
 def test_rejecting_every_image_still_hits_the_draw_cap(monkeypatch):
