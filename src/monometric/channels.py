@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSample, DimensionMismatch, DomainError, NotAState
+from .errors import DegenerateSample, DimensionMismatch, DomainError, MonometricError, unwrap
 from .linalg import _trial_dims, as_matrix, frobenius
 from .metric import DensityMatrix, MetricSpec, _coerce_state, metric_quadratic
 from .sampling import ginibre, orthonormal_columns
@@ -104,7 +104,7 @@ def monotonicity_trial(
     channel: KrausChannel,
     rho,
     a,
-    image: DensityMatrix | NotAState | None = None,
+    image: DensityMatrix | MonometricError | None = None,
 ) -> TrialResult:
     """One contraction check: slack = K(A, A) - K(T(A), T(A)) at T(rho).
 
@@ -112,7 +112,7 @@ def monotonicity_trial(
     clear a 1e-8 eigenvalue floor or the trial raises NotAState for the
     caller to resample. A caller that validated the image state already,
     ``T(rho)`` under ``floor=TRIAL_STATE_FLOOR``, passes the outcome as
-    ``image``: the state, or the NotAState that rejected it, raised here.
+    ``image``: the state, or the error that rejected it, raised here.
     """
     state = _coerce_state(rho)
     rhs = metric_quadratic(spec, state, a)
@@ -120,7 +120,5 @@ def monotonicity_trial(
         image = DensityMatrix.from_matrix(
             apply_channel(channel, state.matrix), floor=TRIAL_STATE_FLOOR
         )
-    elif isinstance(image, NotAState):
-        raise image
-    lhs = metric_quadratic(spec, image, apply_channel(channel, as_matrix(a)))
+    lhs = metric_quadratic(spec, unwrap(image), apply_channel(channel, as_matrix(a)))
     return TrialResult(lhs=lhs, rhs=rhs, slack=rhs - lhs)

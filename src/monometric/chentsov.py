@@ -102,7 +102,11 @@ class BridgeMC(MCFunction):
     def __call__(self, x: float, y: float) -> float:
         x, y = _check_positive_pair(x, y)
         g = self.gamma
-        return x ** (-g) * y ** (-g) * ((x + y) / 2.0) ** (2.0 * g - 1.0)
+        try:
+            return x ** (-g) * y ** (-g) * ((x + y) / 2.0) ** (2.0 * g - 1.0)
+        except OverflowError:
+            # a power beyond the float range reads inf, as an overflowing product does
+            return math.inf
 
 
 @dataclass(frozen=True)

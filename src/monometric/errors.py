@@ -31,3 +31,11 @@ class NotAState(MonometricError):
 
 class DegenerateSample(MonometricError):
     """Random sampling repeatedly produced rank-deficient data."""
+
+
+def unwrap(outcome):
+    """``outcome`` itself, unless it is an error, which is raised: one
+    matrix's outcome from ``hermitian_eig_each`` or ``from_matrices``."""
+    if isinstance(outcome, MonometricError):
+        raise outcome
+    return outcome

@@ -13,13 +13,14 @@ rotation on Python complex scalars, from ``SMALL_DIM`` up as one unitary
 J per step (W <- J* W J, V <- V J). ``hermitian_eig_stack`` runs the same
 iteration on a stack (B, n, n) of small matrices, each step as row and
 column updates of its disjoint pairs across all members, which pays off
-when many of them are diagonalized at once: the sampled trials of
-``verify`` and ``check_operator_monotone``. All three ways run the same
+when many of them are diagonalized at once. All three ways run the same
 iteration, so each is an oracle for the others; the stack way rounds as
 the scalar way does. The stack way runs only below ``SMALL_DIM``, where
 ``hermitian_eig`` takes the scalar way, and other stacks go matrix by
 matrix, so a member of any stack comes out bit for bit as
-``hermitian_eig`` gives that matrix alone.
+``hermitian_eig`` gives that matrix alone. ``hermitian_eig_each``, the
+one place that batches, gives the sampled trials of ``verify`` and
+``check_operator_monotone`` each matrix's own outcome.
 
 No LAPACK routine is used anywhere in the package. The unitary steps
 multiply through numpy's BLAS, so outputs are deterministic on one
@@ -36,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NoConvergence, NotHermitian
+from .errors import DomainError, MonometricError, NoConvergence, NotHermitian
 
 MAX_DIM = 32
 MAX_SWEEPS = 100
@@ -116,9 +117,30 @@ def _norms(m: np.ndarray) -> np.ndarray:
         return np.ldexp(norms, shift[..., 0, 0])
 
 
+def _scaled_down(a: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """``a`` with each member that has an entry above ``RESCALE_ABOVE``
+    scaled by the power of two that brings its largest entry into [1, 2),
+    and the exponents per member, 0 where nothing is scaled; ``a`` itself
+    and None when no member is scaled."""
+    big = np.abs(a).max(axis=(-2, -1), initial=0.0)
+    over = big > RESCALE_ABOVE
+    if not over.any():
+        return a, None
+    shift = np.where(over, np.frexp(big)[1] - 1, 0)
+    # scaled as pairs of reals: a complex product could turn -0.0 into 0.0
+    parts = np.ascontiguousarray(a).view(np.float64)
+    return (parts * np.ldexp(1.0, -shift)[..., None, None]).view(np.complex128), shift
+
+
 def hermiticity_defect(m: np.ndarray):
-    """Relative Frobenius defect ||M - M*|| / (||M|| + 1), per matrix of a stack."""
-    return _norms(m - dagger(m)) / (_norms(m) + 1.0)
+    """Relative Frobenius defect ||M - M*|| / (||M|| + 1), per matrix of a stack.
+
+    A member with an entry above ``RESCALE_ABOVE`` is scaled down, the 1
+    with it, before the subtraction could overflow; others keep their bits.
+    """
+    a, shift = _scaled_down(m)
+    diff, norm = (np.sqrt(np.add.reduce(np.abs(x) ** 2, axis=(-2, -1))) for x in (a - dagger(a), a))
+    return diff / (norm + (1.0 if shift is None else np.ldexp(1.0, -shift)))
 
 
 def require_hermitian(m) -> np.ndarray:
@@ -214,26 +236,44 @@ def hermitian_eig_stack(ms) -> HermitianEigen:
     return _eig(ms, 3)
 
 
+def hermitian_eig_each(ms) -> list[HermitianEigen | MonometricError]:
+    """Per matrix, in order, what ``hermitian_eig`` gives it alone: its
+    decomposition, or the error it raises. Matrices of one shape go as one
+    ``hermitian_eig_stack`` (a lone one by ``hermitian_eig``), and a stack
+    that raises is redone member by member. Stack members are bit for bit
+    what ``hermitian_eig`` gives alone, so the grouping changes no value."""
+    mats = [np.asarray(m, dtype=np.complex128) for m in ms]
+    shapes: dict[tuple[int, ...], list[int]] = {}
+    for i, a in enumerate(mats):
+        shapes.setdefault(a.shape, []).append(i)
+    out: list = [None] * len(mats)
+    for members in shapes.values():
+        if len(members) > 1:
+            try:
+                dec = hermitian_eig_stack(np.stack([mats[i] for i in members]))
+            except MonometricError:
+                pass
+            else:
+                for i, w, u in zip(members, dec.eigenvalues, dec.eigenvectors):
+                    out[i] = HermitianEigen(w, u)
+                continue
+        for i in members:
+            try:
+                out[i] = hermitian_eig(mats[i])
+            except MonometricError as exc:
+                out[i] = exc
+    return out
+
+
 def _eig(m, ndim: int) -> HermitianEigen:
     """The one entry of ``hermitian_eig`` (ndim 2) and ``hermitian_eig_stack``
-    (ndim 3): rescale, check, diagonalize the chosen way, scale back, sort.
-
-    A member with an entry above ``RESCALE_ABOVE`` is scaled by the power of
-    two that brings its largest entry into [1, 2); other members keep their
-    bits.
-    """
+    (ndim 3): rescale (``_scaled_down``), check, diagonalize the chosen way,
+    scale back, sort."""
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != ndim:
         kind = "a 2D matrix" if ndim == 2 else "a stack of matrices"
         raise DomainError(f"expected {kind}, got ndim={a.ndim}")
-    big = np.abs(a).max(axis=(-2, -1), initial=0.0)
-    over = big > RESCALE_ABOVE
-    scaled = over.any()
-    if scaled:
-        # scaled as pairs of reals: a complex product could turn -0.0 into 0.0
-        shift = np.where(over, np.frexp(big)[1] - 1, 0)
-        parts = np.ascontiguousarray(a).view(np.float64)
-        a = (parts * np.ldexp(1.0, -shift)[..., None, None]).view(np.complex128)
+    a, shift = _scaled_down(a)
     require_hermitian(a)
     n = a.shape[-1]
     if n > MAX_DIM:
@@ -244,7 +284,7 @@ def _eig(m, ndim: int) -> HermitianEigen:
         eigs, vecs = _jacobi_stack(a)
     else:
         eigs, vecs = (np.stack(out) for out in zip(*map(_way(n), a)))
-    if scaled:
+    if shift is not None:
         with np.errstate(over="ignore"):
             eigs = np.ldexp(eigs, shift[..., None])
         if not np.isfinite(eigs).all():

@@ -26,8 +26,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, MonometricError, NotAState, NotHermitian
-from .linalg import HermitianEigen, as_matrix, hermitian_eig, hermitian_eig_stack
+from .errors import DimensionMismatch, DomainError, MonometricError, NotAState, NotHermitian, unwrap
+from .linalg import HermitianEigen, as_matrix, hermitian_eig, hermitian_eig_each
 
 STATE_EIG_FLOOR = 1e-10
 STATE_TRACE_TOL = 1e-10
@@ -48,83 +48,41 @@ class DensityMatrix:
 
     @classmethod
     def from_matrix(cls, m, floor: float = STATE_EIG_FLOOR) -> "DensityMatrix":
-        (state,) = cls._validate(as_matrix(m)[None], floor)
-        if isinstance(state, NotAState):
-            raise state
-        return state
+        a = as_matrix(m)
+        try:
+            state = _rejection(a) or cls._outcome(a, hermitian_eig(a), floor)
+        except NotHermitian as exc:
+            state = cls._outcome(a, exc, floor)
+        return unwrap(state)
 
     @classmethod
     def from_matrices(
         cls, ms: Sequence, floor: float = STATE_EIG_FLOOR
-    ) -> list["DensityMatrix | NotAState"]:
+    ) -> list["DensityMatrix | MonometricError"]:
         """``from_matrix`` on each matrix: per matrix, in order, the state or
-        the NotAState it would raise. Matrices of one shape are checked and
-        diagonalized together as one stack, and each state's
-        eigendecomposition is bit for bit the one ``from_matrix`` gives it,
-        whatever else is in the batch."""
+        the error it would raise. The matrices ``_rejection`` passes go
+        through ``hermitian_eig_each``, so each state's eigendecomposition is
+        bit for bit the one ``from_matrix`` gives it, whatever the batch."""
         mats = [as_matrix(m) for m in ms]
-        shapes: dict[tuple[int, int], list[int]] = {}
-        for i, a in enumerate(mats):
-            shapes.setdefault(a.shape, []).append(i)
-        out: list = [None] * len(mats)
-        for members in shapes.values():
-            stack = np.stack([mats[i] for i in members])
-            for i, state in zip(members, cls._validate(stack, floor)):
-                out[i] = state
-        return out
+        rejections = [_rejection(a) for a in mats]
+        decs = iter(hermitian_eig_each([a for a, r in zip(mats, rejections) if r is None]))
+        return [r or cls._outcome(a, next(decs), floor) for a, r in zip(mats, rejections)]
 
     @classmethod
-    def _validate(cls, a: np.ndarray, floor: float) -> list["DensityMatrix | NotAState"]:
-        """Every state check on each member of a stack (B, n, n), in order:
-        square, finite, trace one, Hermitian, smallest eigenvalue above
-        ``floor``. A stack of one is diagonalized by ``hermitian_eig``."""
-        count, n, n2 = a.shape
-        if n != n2:
-            return [NotAState(f"state must be square, got {(n, n2)}") for _ in range(count)]
-        if np.isfinite(a).all():
-            finite = [True] * count
-            tr = a.trace(axis1=1, axis2=2).tolist()
-        else:
-            finite = np.isfinite(a).all(axis=(1, 2))
-            # zero the non-finite members, so no inf - inf reaches a trace
-            tr = np.where(finite[:, None, None], a, 0.0).trace(axis1=1, axis2=2).tolist()
-            finite = finite.tolist()
-        out: list = [None] * count
-        live = []
-        for i, (ok, t) in enumerate(zip(finite, tr)):
-            if not ok:
-                out[i] = NotAState("state has a non-finite entry")
-            elif abs(t - 1.0) > STATE_TRACE_TOL:
-                out[i] = NotAState(f"state trace {t} not 1")
-            else:
-                live.append(i)
-        if not live:
-            return out
-        try:
-            if len(live) == 1:
-                decs = [hermitian_eig(a[live[0]])]
-            else:
-                stack = hermitian_eig_stack(a if len(live) == count else a[live])
-                decs = [HermitianEigen(w, u) for w, u in zip(stack.eigenvalues, stack.eigenvectors)]
-        except NotHermitian as exc:
-            if len(live) > 1:
-                # a stack names only its first asymmetric member: check each alone
-                for i in live:
-                    (out[i],) = cls._validate(a[i : i + 1], floor)
-                return out
-            rejected = NotAState(f"state not Hermitian: {exc}")
-            rejected.__cause__ = exc
-            out[live[0]] = rejected
-            return out
-        for i, dec in zip(live, decs):
-            lo = dec.eigenvalues[0]
-            if lo <= floor:
-                out[i] = NotAState(
-                    f"smallest eigenvalue {lo:.3e} at or below floor {floor:.1e}"
-                )
-            else:
-                out[i] = cls(matrix=a[i], eig=dec)
-        return out
+    def _outcome(cls, a: np.ndarray, dec, floor: float) -> "DensityMatrix | MonometricError":
+        """What a matrix that ``_rejection`` passes makes of ``dec``, its
+        eigendecomposition or error: the state; a NotAState if it is not
+        Hermitian or has an eigenvalue at or below ``floor``; or the error."""
+        if isinstance(dec, NotHermitian):
+            rejected = NotAState(f"state not Hermitian: {dec}")
+            rejected.__cause__ = dec
+            return rejected
+        if isinstance(dec, MonometricError):
+            return dec
+        lo = dec.eigenvalues[0]
+        if lo <= floor:
+            return NotAState(f"smallest eigenvalue {lo:.3e} at or below floor {floor:.1e}")
+        return cls(matrix=a, eig=dec)
 
     @property
     def dim(self) -> int:
@@ -141,6 +99,20 @@ class MetricSpec:
 
     c: Callable[[float, float], float]
     diagonal_constant: float = 1.0
+
+
+def _rejection(a: np.ndarray) -> NotAState | None:
+    """The NotAState of a matrix that is not square, not finite or not of
+    trace one, checked in that order; None if it is all three."""
+    n, n2 = a.shape
+    if n != n2:
+        return NotAState(f"state must be square, got {(n, n2)}")
+    if not np.isfinite(a).all():
+        return NotAState("state has a non-finite entry")
+    t = complex(a.trace())
+    if abs(t - 1.0) > STATE_TRACE_TOL:
+        return NotAState(f"state trace {t} not 1")
+    return None
 
 
 def _coerce_state(rho) -> DensityMatrix:

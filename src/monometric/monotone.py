@@ -32,14 +32,15 @@ exponential order) with its weight extension to the negative half-line.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError
-from .linalg import _trial_count, _trial_dims, hermitian_eig_stack
+from .errors import DomainError, unwrap
+from .linalg import _trial_count, _trial_dims, hermitian_eig_each
 
 SQRT2 = math.sqrt(2.0)
 # check_operator_monotone passes when min eig(f(B) - f(A)) >= -this
@@ -471,38 +472,32 @@ def check_operator_monotone(
     """Sample ordered pairs A <= B and test f(A) <= f(B) spectrally.
 
     Per-trial generators are derived from (seed, trial index), so any
-    single trial can be reproduced in isolation. With d = len(dims), trial
-    k is member k // d of stack k % d: each entry of dims has one stack of
-    A, one of B and one of f(B) - f(A), while f is applied eigenvalue by
-    eigenvalue in trial order. The report carries the most negative
+    single trial can be reproduced in isolation; trial k has dimension
+    dims[k mod len(dims)]. Every A and B is diagonalized by one
+    ``hermitian_eig_each``, and every f(B) - f(A) by another, while f is
+    applied eigenvalue by eigenvalue in trial order; a trial's error is
+    raised when its trial is reached. The report carries the most negative
     eigenvalue of f(B) - f(A) seen and the first trial where it occurred.
     A non-finite value of f stops the check at that trial with worst NaN,
     which does not pass.
     """
     trials = _trial_count(trials)
     dims = _trial_dims(dims)
-    d = len(dims)
-    decs = []  # per entry of dims, the decompositions of its A and B stacks
-    for i, n in enumerate(dims[:trials]):
-        pairs = [_ordered_pair(np.random.default_rng([seed, k]), n) for k in range(i, trials, d)]
-        decs.append([hermitian_eig_stack(np.stack(side)) for side in zip(*pairs)])
-    values = [([], []) for _ in decs]
-    for trial in range(trials):
-        dec_a, dec_b = decs[trial % d]
-        vals_a = [f(w) for w in dec_a.eigenvalues[trial // d]]
-        vals_b = [f(w) for w in dec_b.eigenvalues[trial // d]]
+    sizes = list(itertools.islice(itertools.cycle(dims), trials))
+    pairs = [_ordered_pair(np.random.default_rng([seed, k]), n) for k, n in enumerate(sizes)]
+    decs = hermitian_eig_each([m for pair in pairs for m in pair])
+    diffs = []
+    for trial, pair in enumerate(zip(decs[::2], decs[1::2])):
+        dec_a, dec_b = map(unwrap, pair)
+        vals_a = [f(w) for w in dec_a.eigenvalues]
+        vals_b = [f(w) for w in dec_b.eigenvalues]
         if not np.isfinite(vals_a + vals_b).all():
             # a non-finite value of f fails the check; it is no matrix to diagonalize
             worst, worst_trial = math.nan, trial
             break
-        values[trial % d][0].append(vals_a)
-        values[trial % d][1].append(vals_b)
+        diffs.append(dec_b.apply(vals_b) - dec_a.apply(vals_a))
     else:
-        gaps = [
-            hermitian_eig_stack(dec_b.apply(vals_b) - dec_a.apply(vals_a)).eigenvalues[:, 0]
-            for (dec_a, dec_b), (vals_a, vals_b) in zip(decs, values)
-        ]
-        gap = [gaps[k % d][k // d] for k in range(trials)]
+        gap = [unwrap(dec).eigenvalues[0] for dec in hermitian_eig_each(diffs)]
         worst_trial = int(np.argmin(gap))
         worst = float(gap[worst_trial])
     return OperatorMonotoneReport(
@@ -513,5 +508,5 @@ def check_operator_monotone(
         seed=seed,
         tol=OPERATOR_MONOTONE_TOL,
         worst_trial=worst_trial,
-        worst_dim=dims[worst_trial % d],
+        worst_dim=sizes[worst_trial],
     )

@@ -16,18 +16,17 @@ byte identical. Wall time is measured but kept out of the report body for
 exactly that reason.
 
 The contraction properties and unitary-equality draw their trials in
-order from these same streams, then validate and diagonalize the states
-and image states as stacks; the stack eigensolver gives each member bit
-for bit what it gives alone, so every value is as in a one-by-one loop.
+order from these same streams, then validate the states and image states
+together with ``DensityMatrix.from_matrices``, which gives each matrix
+bit for bit its own outcome, so every value is as in a one-by-one loop.
 Rejections, errors and the NaN stop are taken in attempt order, and no
 attempt is drawn past the point where a one-by-one loop would stop, so
-the trials that run are the same. A stack that fails to converge is
-redone draw by draw, so its NoConvergence is raised at its own draw.
-Only a sampler that gives up (DegenerateSample) while a batch is drawn
-raises before the earlier trials of that batch run. The metric properties
-likewise draw every trial's state first, each from its trial's own
-stream, and validate them as stacks (``_trial_base_states``); each trial
-then draws its tangents and unitaries after its state, as before.
+the trials that run are the same. Only a sampler that gives up
+(DegenerateSample) while a batch is drawn raises before the earlier
+trials of that batch run. The metric properties likewise draw every
+trial's state first, each from its trial's own stream, and validate them
+together (``_trial_base_states``); each trial then draws its tangents and
+unitaries after its state, as before.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ from .chentsov import (
     eval_canonical_c,
     normalize_C0,
 )
-from .errors import DegenerateSample, DomainError, NoConvergence, NotAState
+from .errors import DegenerateSample, DomainError, MonometricError, NotAState, unwrap
 from .linalg import _trial_count, _trial_dims
 from .metric import DensityMatrix, MetricSpec, metric_form, metric_quadratic
 from .monotone import (
@@ -568,49 +567,30 @@ def _trial_base_states(
     """Per trial of ``run.draws(count)``, in order: its generator, its
     dimension and its state, which ``draw`` makes first from that
     generator, so what the trial draws next comes after it as in a
-    trial-by-trial loop. The states are validated and diagonalized as
-    stacks; a trial's NotAState is raised when its trial is reached. If a
-    stack fails to converge, the states are validated one by one instead,
-    so the failure too is raised at its own trial."""
+    trial-by-trial loop. The states are validated together by
+    ``DensityMatrix.from_matrices``; a trial's error is raised when its
+    trial is reached."""
     trials = list(run.draws(count))
-    matrices = [draw(rng, n) for rng, n in trials]
-    try:
-        states = DensityMatrix.from_matrices(matrices)
-    except NoConvergence:
-        for (rng, n), m in zip(trials, matrices):
-            yield rng, n, DensityMatrix.from_matrix(m)
-        return
+    states = DensityMatrix.from_matrices([draw(rng, n) for rng, n in trials])
     for (rng, n), state in zip(trials, states):
-        if isinstance(state, NotAState):
-            raise state
-        yield rng, n, state
+        yield rng, n, unwrap(state)
 
 
 def _trial_states(
     channels: Sequence[KrausChannel], rhos: Sequence[np.ndarray]
-) -> Iterator[tuple[DensityMatrix, DensityMatrix | NotAState | None]]:
+) -> Iterator[tuple[DensityMatrix, DensityMatrix | MonometricError]]:
     """Per contraction draw, in order: its state and its image state, or
-    the NotAState that rejects the image. States and images are validated
-    and diagonalized as stacks; a state's own NotAState is raised when its
-    draw is reached, as a draw-by-draw loop would raise it. If a stack
-    fails to converge, the draws are validated one by one instead, with
-    image None for ``monotonicity_trial`` to build, so the failure too is
-    raised at its own draw."""
-    try:
-        states = DensityMatrix.from_matrices(rhos)
-        valid = [i for i, state in enumerate(states) if isinstance(state, DensityMatrix)]
-        images = dict(zip(valid, DensityMatrix.from_matrices(
-            [apply_channel(channels[i], states[i].matrix) for i in valid],
-            floor=TRIAL_STATE_FLOOR,
-        )))
-    except NoConvergence:
-        for rho in rhos:
-            yield DensityMatrix.from_matrix(rho), None
-        return
-    for i, state in enumerate(states):
-        if isinstance(state, NotAState):
-            raise state
-        yield state, images[i]
+    the error that rejects the image. States and images are validated
+    together by ``DensityMatrix.from_matrices``; a state's own error is
+    raised when its draw is reached, as a draw-by-draw loop would raise it."""
+    states = DensityMatrix.from_matrices(rhos)
+    images = iter(DensityMatrix.from_matrices(
+        [apply_channel(c, s.matrix) for c, s in zip(channels, states)
+         if isinstance(s, DensityMatrix)],
+        floor=TRIAL_STATE_FLOOR,
+    ))
+    for state in states:
+        yield unwrap(state), next(images)
 
 
 def _contraction_worst(run: _Run, spec: MetricSpec, variant: int, target_trials: int) -> float:

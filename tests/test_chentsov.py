@@ -305,3 +305,24 @@ def test_symmetric_is_a_class_attribute_not_a_field():
     assert FromMonotone(GammaFamily(0.5)).symmetric is False
     c = BridgeMC(0.5)
     assert "symmetric" not in repr(c) and c == BridgeMC(0.5)
+
+
+def _bridge_formula(g, x, y):
+    return x ** (-g) * y ** (-g) * ((x + y) / 2.0) ** (2.0 * g - 1.0)
+
+
+@pytest.mark.parametrize("g", (0.0, 0.25, 0.5, 0.97, 1.0))
+def test_bridge_power_overflow_reads_inf(g):
+    """A power beyond the float range reads inf, as an overflowing product
+    does; every other value keeps the formula's bits."""
+    c = BridgeMC(g)
+    for x, y in EDGE_PAIRS:
+        try:
+            expected = _bridge_formula(g, x, y)
+        except OverflowError:
+            expected = math.inf
+        assert c(x, y).hex() == expected.hex(), (x, y)
+    if g == 0.0:
+        assert c(5e-324, 5e-324) == math.inf
+    if g == 1.0:
+        assert c(1e-300, 1e-300) == math.inf

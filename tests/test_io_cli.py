@@ -290,6 +290,14 @@ class TestEvalC:
         code = main(["eval-c", "--bridge", "0.5", "--from-f", "x.json", "--x", "1", "--y", "1"])
         assert code == 2
 
+    @pytest.mark.parametrize("g, x", [("0", "5e-324"), ("1", "1e-300")])
+    def test_overflowing_bridge_power_exits_2_and_prints_nothing(self, g, x, capsys):
+        # at g = 0, ((x + y)/2)^-1 is past the float range; at g = 1 the product is
+        assert main(["eval-c", "--bridge", g, "--x", x, "--y", x]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestMetricCommand:
     def test_qubit_off_diagonal(self, files, capsys):

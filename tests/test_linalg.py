@@ -11,6 +11,7 @@ import monometric.linalg as la
 from monometric import (
     DensityMatrix,
     DomainError,
+    MonometricError,
     NoConvergence,
     NotAState,
     NotHermitian,
@@ -380,6 +381,75 @@ class TestStack:
             la.hermitian_eig_stack(np.eye(la.MAX_DIM + 1)[None])
 
 
+def assert_outcome_alone(out, m):
+    """``out`` is what ``hermitian_eig`` gives ``m`` alone, bit for bit, or
+    an error of the type and message it raises."""
+    try:
+        alone = hermitian_eig(m)
+    except MonometricError as exc:
+        assert (type(out), str(out)) == (type(exc), str(exc))
+        return
+    assert np.array_equal(out.eigenvalues, alone.eigenvalues)
+    assert np.array_equal(out.eigenvectors, alone.eigenvectors)
+
+
+class TestEigEach:
+    def test_interleaved_shapes_come_back_in_order_as_alone(self):
+        # 20 matrices each of n = 2, 3, 8: every shape takes the stack way
+        rng = np.random.default_rng(71)
+        ms = [random_hermitian(rng, n) for _ in range(20) for n in (2, 3, 8)]
+        outs = la.hermitian_eig_each(ms)
+        assert len(outs) == len(ms)
+        for out, m in zip(outs, ms):
+            assert_outcome_alone(out, m)
+
+    def test_a_non_hermitian_member_gets_its_own_error(self):
+        rng = np.random.default_rng(73)
+        ms = [random_hermitian(rng, 2) for _ in range(25)]
+        ms[7] = np.array([[0.0, 1.0], [0.0, 0.0]])
+        ms[11] = np.diag([1.0, math.nan])
+        outs = la.hermitian_eig_each(ms)
+        assert isinstance(outs[7], NotHermitian) and isinstance(outs[11], DomainError)
+        for out, m in zip(outs, ms):
+            assert_outcome_alone(out, m)
+
+    def test_a_stack_that_does_not_converge_is_redone_member_by_member(self, monkeypatch):
+        # after one sweep the diagonal members are done, the dense ones not
+        monkeypatch.setattr(la, "MAX_SWEEPS", 1)
+        rng = np.random.default_rng(79)
+        dense = [random_hermitian(rng, 3) for _ in range(2)]
+        ms = [np.diag([1.0, 2.0, 3.0]), dense[0], np.eye(3), dense[1]]
+        with pytest.raises(NoConvergence):
+            la.hermitian_eig_stack(np.stack(ms))
+        outs = la.hermitian_eig_each(ms)
+        assert [isinstance(out, NoConvergence) for out in outs] == [False, True, False, True]
+        for out, m in zip(outs, ms):
+            assert_outcome_alone(out, m)
+
+    def test_each_member_is_redone_when_the_stack_raises(self, monkeypatch):
+        def no_convergence(ms):
+            raise NoConvergence("stack")
+
+        monkeypatch.setattr(la, "hermitian_eig_stack", no_convergence)
+        rng = np.random.default_rng(83)
+        ms = [random_hermitian(rng, 2), np.diag([1.0, math.inf]), random_hermitian(rng, 2)]
+        outs = la.hermitian_eig_each(ms)
+        assert isinstance(outs[1], DomainError)
+        for out, m in zip(outs, ms):
+            assert_outcome_alone(out, m)
+
+    def test_what_is_no_square_matrix_gets_an_error(self):
+        ms = [np.zeros((2, 3)), np.eye(2), np.zeros((2, 3)), np.ones(2), np.eye(la.MAX_DIM + 1)]
+        outs = la.hermitian_eig_each(ms)
+        kinds = [NotHermitian, la.HermitianEigen, NotHermitian, DomainError, DomainError]
+        assert [type(out) for out in outs] == kinds
+        for out, m in zip(outs, ms):
+            assert_outcome_alone(out, m)
+
+    def test_empty(self):
+        assert la.hermitian_eig_each([]) == []
+
+
 HUGE_SCALES = (1e160, 1e200, 1e300)
 
 
@@ -471,6 +541,19 @@ class TestHugeNorms:
             warnings.simplefilter("error")
             assert require_hermitian(m) is not None
             assert hermitian_eig(m).eigenvalues.tolist() == pytest.approx([1e200 - 1e180, 1e200 + 1e180])
+
+    def test_huge_antisymmetric_matrix_is_not_hermitian_without_overflow(self):
+        m = np.array([[0.0, 1e308], [-1e308, 0.0]])
+        skew = random_hermitian(np.random.default_rng(109), 2) + 1e-3 * np.triu(np.ones((2, 2)), 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotHermitian):
+                require_hermitian(m)
+            defect = la.hermiticity_defect(np.stack([m, skew]).astype(complex))
+        # M - M* = 2M, so the defect is 2 ||M|| / (||M|| + 1)
+        assert defect[0] == pytest.approx(2.0, rel=1e-15)
+        plain = la._norms(skew - skew.conj().T) / (la._norms(skew) + 1.0)
+        assert defect[1] == plain == la.hermiticity_defect(skew)
 
     def test_below_the_bound_keeps_its_bits(self):
         m = random_hermitian(np.random.default_rng(107), 4)

@@ -16,6 +16,7 @@ from monometric import (
     FromMonotone,
     Identity,
     MetricSpec,
+    NoConvergence,
     NotAState,
     eval_bridge,
     metric_form,
@@ -116,6 +117,26 @@ class TestStateStacks:
                 assert np.allclose(out.eig.eigenvalues, single.eig.eigenvalues, rtol=0.0, atol=1e-14)
         assert sum(isinstance(out, DensityMatrix) for out in outcomes) == 5
 
+    def test_eigensolver_errors_are_members_outcomes(self, monkeypatch):
+        # after one sweep a diagonal state is done and a dense one is not
+        monkeypatch.setattr(monometric.linalg, "MAX_SWEEPS", 1)
+        n = monometric.linalg.MAX_DIM + 1
+        rng = np.random.default_rng(13)
+        cases = [
+            random_density(rng, 3),
+            np.eye(n, dtype=complex) / n,  # past the eigensolver's cap
+            np.diag([0.2, 0.3, 0.5]).astype(complex),
+            random_density(rng, 3),
+        ]
+        outcomes = DensityMatrix.from_matrices(cases)
+        kinds = [NoConvergence, DomainError, DensityMatrix, NoConvergence]
+        assert [type(out) for out in outcomes] == kinds
+        for m, out in zip(cases, outcomes):
+            try:
+                DensityMatrix.from_matrix(m)
+            except (NoConvergence, DomainError) as exc:
+                assert (type(out), str(out)) == (type(exc), str(exc))
+
     def test_floor_applies_to_every_member(self):
         ms = [np.diag([1.0 - x, x]).astype(complex) for x in (1e-6, 0.25, 1e-5, 0.5)]
         outcomes = DensityMatrix.from_matrices(ms, floor=1e-4)
@@ -123,7 +144,7 @@ class TestStateStacks:
 
     def test_one_stack_eigensolve_per_shape(self, monkeypatch):
         calls = {"single": 0, "stack": 0}
-        single, stack = monometric.metric.hermitian_eig, monometric.metric.hermitian_eig_stack
+        single, stack = monometric.linalg.hermitian_eig, monometric.linalg.hermitian_eig_stack
 
         def counted(key, fn):
             def call(m):
@@ -132,8 +153,8 @@ class TestStateStacks:
 
             return call
 
-        monkeypatch.setattr(monometric.metric, "hermitian_eig", counted("single", single))
-        monkeypatch.setattr(monometric.metric, "hermitian_eig_stack", counted("stack", stack))
+        monkeypatch.setattr(monometric.linalg, "hermitian_eig", counted("single", single))
+        monkeypatch.setattr(monometric.linalg, "hermitian_eig_stack", counted("stack", stack))
         rng = np.random.default_rng(2)
         states = DensityMatrix.from_matrices([random_density(rng, 2 + k % 2) for k in range(6)])
         assert calls == {"single": 0, "stack": 2}

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import monometric.monotone
 from monometric import (
     CanonicalMonotone,
     ConstantOne,
@@ -16,6 +17,7 @@ from monometric import (
     GammaFamily,
     Identity,
     KuboAndo,
+    NoConvergence,
     WeightFunction,
     check_functional_equation,
     check_operator_monotone,
@@ -584,6 +586,24 @@ class TestBatchedOperatorMonotonicity:
         assert 0 < worst_trial < 59
         # f sees the same eigenvalues in the same order, up to rounding
         assert batched_calls == len(seen)
+
+    def test_a_trial_error_is_raised_when_its_trial_is_reached(self, monkeypatch):
+        each = monometric.monotone.hermitian_eig_each
+        forced = NoConvergence("forced at the A of trial 2")
+
+        def with_error(ms):
+            out = each(ms)
+            if len(out) == 12:  # the A and B of all six trials
+                out[4] = forced
+            return out
+
+        monkeypatch.setattr(monometric.monotone, "hermitian_eig_each", with_error)
+        seen = []
+        with pytest.raises(NoConvergence) as raised:
+            check_operator_monotone(lambda t: seen.append(t) or t, trials=6, dims=(2, 3), seed=1)
+        assert raised.value is forced
+        # f saw the A and B of trials 0 (n = 2) and 1 (n = 3) only
+        assert len(seen) == 2 * 2 + 2 * 3
 
 
 class TestEnvelope:

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import monometric.linalg
 import monometric.metric
 import monometric.verify
 from monometric import (
@@ -22,8 +23,9 @@ from monometric import (
     eval_bridge,
     monotonicity_trial,
 )
+from monometric.channels import TRIAL_STATE_FLOOR
 from monometric.cli import main
-from monometric.sampling import random_density, random_tangent
+from monometric.sampling import random_density, random_tangent, random_unitary
 from monometric.verify import (
     CONTRACTION_DRAWS_PER_TRIAL,
     _contraction_worst,
@@ -150,6 +152,19 @@ def test_image_states_are_held_to_the_trial_floor():
     assert raised.value is image
 
 
+def test_an_image_that_does_not_converge_is_raised_at_its_draw(monkeypatch):
+    # after one sweep the diagonal state is done and its rotated image is not
+    monkeypatch.setattr(monometric.linalg, "MAX_SWEEPS", 1)
+    rho = np.diag([0.2, 0.3, 0.5]).astype(complex)
+    rotate = KrausChannel(operators=(random_unitary(np.random.default_rng(5), 3),))
+    ((state, image),) = _trial_states([rotate], [rho])
+    assert isinstance(state, DensityMatrix)
+    assert isinstance(image, NoConvergence)
+    with pytest.raises(NoConvergence) as raised:
+        monotonicity_trial(MetricSpec(c=BridgeMC(0.5)), rotate, state, np.eye(3), image)
+    assert raised.value is image
+
+
 def test_a_stack_that_does_not_converge_is_redone_draw_by_draw(monkeypatch):
     rhos = [np.diag([0.5, 0.5]).astype(complex), np.diag([0.25, 0.75]).astype(complex)]
     identity = KrausChannel(operators=(np.eye(2, dtype=complex),))
@@ -157,10 +172,14 @@ def test_a_stack_that_does_not_converge_is_redone_draw_by_draw(monkeypatch):
     def no_convergence(ms):
         raise NoConvergence("stack")
 
-    monkeypatch.setattr(monometric.metric, "hermitian_eig_stack", no_convergence)
+    monkeypatch.setattr(monometric.linalg, "hermitian_eig_stack", no_convergence)
     out = list(_trial_states([identity, identity], rhos))
     assert [state.matrix.tolist() for state, _ in out] == [r.tolist() for r in rhos]
-    assert [image for _, image in out] == [None, None]
+    for rho, (state, image) in zip(rhos, out):
+        alone = DensityMatrix.from_matrix(rho, floor=TRIAL_STATE_FLOOR)
+        for got in (state, image):
+            assert np.array_equal(got.eig.eigenvalues, alone.eig.eigenvalues)
+            assert np.array_equal(got.eig.eigenvectors, alone.eig.eigenvectors)
 
 
 def one_by_one(cls, ms, floor=monometric.metric.STATE_EIG_FLOOR):
@@ -212,6 +231,25 @@ def test_a_trial_state_is_rejected_when_its_trial_is_reached(bad_trial):
     assert reached == [run.dims[k % 2] for k in range(bad_trial)]
 
 
+def test_a_trial_state_that_does_not_converge_is_raised_when_its_trial_is_reached(monkeypatch):
+    # after one sweep a diagonal state is done and a dense one is not
+    monkeypatch.setattr(monometric.linalg, "MAX_SWEEPS", 1)
+    drawn = []
+
+    def draw(rng, n):
+        drawn.append(n)
+        m = random_density(rng, n)
+        return m if len(drawn) == 4 else np.diag(np.diag(m))
+
+    run = _Run("metric", seed=3, trials=7, dims=(2, 3))
+    reached = []
+    with pytest.raises(NoConvergence):
+        for _, n, _ in _trial_base_states(run, 7, draw):
+            reached.append(n)
+    assert len(drawn) == 7
+    assert reached == [2, 3, 2]
+
+
 def test_base_states_that_do_not_converge_as_a_stack_are_redone_one_by_one(monkeypatch):
     run = _Run("metric", seed=3, trials=6, dims=(2, 3))
     stacked = list(_trial_base_states(run, 6))
@@ -219,7 +257,7 @@ def test_base_states_that_do_not_converge_as_a_stack_are_redone_one_by_one(monke
     def no_convergence(ms):
         raise NoConvergence("stack")
 
-    monkeypatch.setattr(monometric.metric, "hermitian_eig_stack", no_convergence)
+    monkeypatch.setattr(monometric.linalg, "hermitian_eig_stack", no_convergence)
     alone = list(_trial_base_states(run, 6))
     assert [n for _, n, _ in alone] == [n for _, n, _ in stacked]
     for (_, _, a), (_, _, b) in zip(alone, stacked):
