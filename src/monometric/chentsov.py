@@ -103,9 +103,17 @@ class BridgeMC(MCFunction):
         x, y = _check_positive_pair(x, y)
         g = self.gamma
         try:
-            return x ** (-g) * y ** (-g) * ((x + y) / 2.0) ** (2.0 * g - 1.0)
+            c = x ** (-g) * y ** (-g) * ((x + y) / 2.0) ** (2.0 * g - 1.0)
         except OverflowError:
-            # a power beyond the float range reads inf, as an overflowing product does
+            c = math.inf
+        if 0.0 < c < math.inf:
+            return c
+        # a factor or a product beyond the float range: the value in the log
+        # domain, inf only where the value itself is beyond it
+        log_mean = math.log(max(x, y)) + math.log1p(min(x, y) / max(x, y)) - math.log(2.0)
+        try:
+            return math.exp(-g * (math.log(x) + math.log(y)) + (2.0 * g - 1.0) * log_mean)
+        except OverflowError:
             return math.inf
 
 
@@ -128,7 +136,13 @@ class CanonicalMC(MCFunction):
     def __call__(self, x: float, y: float) -> float:
         x, y = _check_positive_pair(x, y)
         hi, lo = (x, y) if x >= y else (y, x)
-        return self.c0 / (hi + lo) * math.exp(-weighted_kernel_integral(self.h, hi / lo))
+        integral = weighted_kernel_integral(self.h, hi / lo)
+        c = self.c0 / (hi + lo) * math.exp(-integral)
+        # the integral is at most 0, so an infinite c0 / (x + y) makes c itself
+        # infinite; where x + y overflows to make it 0, c is taken in the log domain
+        if c > 0.0:
+            return c
+        return math.exp(math.log(self.c0) - math.log(hi) - math.log1p(lo / hi) - integral)
 
 
 @dataclass(frozen=True)

@@ -7,20 +7,23 @@ accurate than QR", 1992). Its sweeps follow the round-robin ordering of
 Brent & Luk ("The solution of singular-value and symmetric eigenvalue
 problems on multiprocessor arrays", 1985): n - 1 steps (n when n is odd),
 each rotating up to n/2 disjoint index pairs, together covering every
-pair once. ``hermitian_eig`` applies a step to one matrix in one of two
-ways, chosen by the dimension alone: below ``SMALL_DIM`` rotation by
-rotation on Python complex scalars, from ``SMALL_DIM`` up as one unitary
-J per step (W <- J* W J, V <- V J). ``hermitian_eig_stack`` runs the same
-iteration on a stack (B, n, n) of small matrices, each step as row and
-column updates of its disjoint pairs across all members, which pays off
-when many of them are diagonalized at once. All three ways run the same
-iteration, so each is an oracle for the others; the stack way rounds as
-the scalar way does. The stack way runs only below ``SMALL_DIM``, where
-``hermitian_eig`` takes the scalar way, and other stacks go matrix by
-matrix, so a member of any stack comes out bit for bit as
-``hermitian_eig`` gives that matrix alone. ``hermitian_eig_each``, the
-one place that batches, gives the sampled trials of ``verify`` and
-``check_operator_monotone`` each matrix's own outcome.
+pair once. A step is applied in one of three ways. For one matrix the
+dimension alone chooses: below ``SMALL_DIM`` rotation by rotation on
+Python complex scalars, from ``SMALL_DIM`` up as one unitary J per step
+(W <- J* W J, V <- V J). ``_jacobi_stack`` runs the iteration on a stack
+(B, n, n) of small matrices, each step as row and column updates of its
+disjoint pairs across all members, which pays off when many of them are
+diagonalized at once. All three ways run the same iteration, so each is
+an oracle for the others; the stack way rounds as the scalar way does,
+though an entry that comes out exactly zero may carry the other sign.
+
+``hermitian_eig`` (one matrix) and ``hermitian_eig_each`` (a list, the
+one place that batches) share one path: ``_check`` gives each member of
+a stack its own check, and ``_solve`` each checked member its own
+decomposition or error. The stack way runs only below ``SMALL_DIM``,
+where one matrix takes the scalar way, and other stacks go matrix by
+matrix, so each matrix comes out as ``hermitian_eig`` gives it alone (up
+to the sign of a zero, as above), or with the error it raises alone.
 
 No LAPACK routine is used anywhere in the package. The unitary steps
 multiply through numpy's BLAS, so outputs are deterministic on one
@@ -37,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, MonometricError, NoConvergence, NotHermitian
+from .errors import DomainError, MonometricError, NoConvergence, NotHermitian, unwrap
 
 MAX_DIM = 32
 MAX_SWEEPS = 100
@@ -144,37 +147,30 @@ def hermiticity_defect(m: np.ndarray):
 
 
 def require_hermitian(m) -> np.ndarray:
-    """Return ``m`` as a complex array if it is a finite Hermitian matrix.
-
-    A stack (B, n, n) is checked member by member, and the error names the
-    first member that fails.
-    """
-    a = np.asarray(m, dtype=np.complex128)
-    if a.ndim not in (2, 3):
-        raise DomainError(f"expected a matrix or a stack of them, got ndim={a.ndim}")
-    n, n2 = a.shape[-2:]
-    if n != n2:
-        raise NotHermitian(f"matrix is {n}x{n2}, not square")
-    if a.size == 0:
-        raise DomainError("matrix is empty")
-    if not np.isfinite(a).all():
-        where, _ = _first_failure(np.isfinite(a).all(axis=(-2, -1)))
-        raise DomainError(f"{where} has a non-finite entry")
-    defect = hermiticity_defect(a)
-    hermitian = defect <= HERM_TOL
-    if not hermitian.all():
-        where, i = _first_failure(hermitian)
-        raise NotHermitian(
-            f"{where} has symmetry defect {np.ravel(defect)[i]:.3e}, "
-            f"above tol {HERM_TOL:.3e}"
-        )
+    """Return ``m`` as a complex array if it is a finite Hermitian matrix."""
+    a = as_matrix(m)
+    unwrap(_check(a[None])[0])
     return a
 
 
-def _first_failure(ok: np.ndarray) -> tuple[str, int]:
-    """The name and flat index of the first member whose check is False."""
-    i = int(np.argmin(np.ravel(ok)))
-    return ("matrix" if ok.ndim == 0 else f"stack member {i}"), i
+def _check(a: np.ndarray) -> list[MonometricError | None]:
+    """Per member of a stack (B, n, n), in order: the error that makes it no
+    finite Hermitian matrix (not square, empty, a non-finite entry, or a
+    ``hermiticity_defect`` above ``HERM_TOL``), or None."""
+    count, n, n2 = a.shape
+    if n != n2:
+        return [NotHermitian(f"matrix is {n}x{n2}, not square") for _ in range(count)]
+    if n == 0:
+        return [DomainError("matrix is empty") for _ in range(count)]
+    finite = np.isfinite(a).all(axis=(1, 2))
+    # a non-finite member's defect, never read, is taken of zeros: inf - inf would warn
+    defect = hermiticity_defect(a if finite.all() else np.where(finite[:, None, None], a, 0.0))
+    return [
+        DomainError("matrix has a non-finite entry") if not ok
+        else NotHermitian(f"matrix has symmetry defect {d:.3e}, above tol {HERM_TOL:.3e}") if d > HERM_TOL
+        else None
+        for ok, d in zip(finite.tolist(), defect.tolist())
+    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,9 +181,9 @@ class HermitianEigen:
     eigenvectors: np.ndarray
 
     def apply(self, values) -> np.ndarray:
-        """U diag(values) U*: values (n,) for one matrix, (B, n) for a stack."""
+        """U diag(values) U*."""
         u = self.eigenvectors
-        return (u * np.asarray(values)[..., None, :]) @ dagger(u)
+        return (u * np.asarray(values)) @ dagger(u)
 
     def reconstruct(self) -> np.ndarray:
         return self.apply(self.eigenvalues)
@@ -214,96 +210,75 @@ def hermitian_eig(m) -> HermitianEigen:
     and NoConvergence if the off-diagonal mass has not vanished after
     MAX_SWEEPS sweeps.
     """
-    return _eig(m, 2)
-
-
-def hermitian_eig_stack(ms) -> HermitianEigen:
-    """Diagonalize a stack (B, n, n) of Hermitian matrices at once.
-
-    Each member comes out bit for bit as ``hermitian_eig`` gives it alone.
-    Below ``SMALL_DIM``, a stack with B n >= SMALL_STACK runs the iteration
-    on every member at once, each round-robin step applied to the whole
-    stack as row and column updates of its disjoint pairs; every member
-    keeps its own convergence target and skip bound and leaves the stack
-    once converged, so it runs the sweeps it would run alone, and rounds
-    as ``_jacobi_scalar`` does. Every other stack goes matrix by matrix
-    the way ``hermitian_eig`` takes its dimension: a small stack is faster
-    so, and from ``SMALL_DIM`` up one unitary per step beats the stack.
-    Returns eigenvalues (B, n), each row ascending, and eigenvectors
-    (B, n, n) as columns. Raises what ``hermitian_eig`` raises, naming the
-    first member that fails a check.
-    """
-    return _eig(ms, 3)
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim != 2:
+        raise DomainError(f"expected a 2D matrix, got ndim={a.ndim}")
+    a, shift = _scaled_down(a[None])
+    require_hermitian(a[0])
+    return unwrap(_solve(a, shift)[0])
 
 
 def hermitian_eig_each(ms) -> list[HermitianEigen | MonometricError]:
     """Per matrix, in order, what ``hermitian_eig`` gives it alone: its
-    decomposition, or the error it raises. Matrices of one shape go as one
-    ``hermitian_eig_stack`` (a lone one by ``hermitian_eig``), and a stack
-    that raises is redone member by member. Stack members are bit for bit
-    what ``hermitian_eig`` gives alone, so the grouping changes no value."""
+    decomposition, or the error it raises. The matrices of one shape are
+    checked and solved as one stack, each member with its own outcome."""
     mats = [np.asarray(m, dtype=np.complex128) for m in ms]
+    out: list = [None] * len(mats)
     shapes: dict[tuple[int, ...], list[int]] = {}
     for i, a in enumerate(mats):
-        shapes.setdefault(a.shape, []).append(i)
-    out: list = [None] * len(mats)
+        if a.ndim == 2:
+            shapes.setdefault(a.shape, []).append(i)
+        else:
+            out[i] = DomainError(f"expected a 2D matrix, got ndim={a.ndim}")
     for members in shapes.values():
-        if len(members) > 1:
-            try:
-                dec = hermitian_eig_stack(np.stack([mats[i] for i in members]))
-            except MonometricError:
-                pass
-            else:
-                for i, w, u in zip(members, dec.eigenvalues, dec.eigenvectors):
-                    out[i] = HermitianEigen(w, u)
-                continue
-        for i in members:
-            try:
-                out[i] = hermitian_eig(mats[i])
-            except MonometricError as exc:
-                out[i] = exc
+        a, shift = _scaled_down(np.stack([mats[i] for i in members]))
+        errors = _check(a)
+        ok = [j for j, error in enumerate(errors) if error is None]
+        solved = iter(_solve(a[ok], None if shift is None else shift[ok]))
+        for i, error in zip(members, errors):
+            out[i] = error if error is not None else next(solved)
     return out
 
 
-def _eig(m, ndim: int) -> HermitianEigen:
-    """The one entry of ``hermitian_eig`` (ndim 2) and ``hermitian_eig_stack``
-    (ndim 3): rescale (``_scaled_down``), check, diagonalize the chosen way,
-    scale back, sort."""
-    a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != ndim:
-        kind = "a 2D matrix" if ndim == 2 else "a stack of matrices"
-        raise DomainError(f"expected {kind}, got ndim={a.ndim}")
-    a, shift = _scaled_down(a)
-    require_hermitian(a)
-    n = a.shape[-1]
+def _solve(a: np.ndarray, shift: np.ndarray | None) -> list[HermitianEigen | MonometricError]:
+    """Per member of a stack (B, n, n) that ``_check`` passes, scaled down
+    by ``shift`` as ``_scaled_down`` gives it: its decomposition, or its
+    own error (the ``MAX_DIM`` cap, ``NoConvergence``, or an eigenvalue
+    beyond the float range once scaled back).
+
+    One matrix goes rotation by rotation on Python scalars below
+    ``SMALL_DIM`` and as one unitary per step from it up. Below
+    ``SMALL_DIM``, a stack with B n >= SMALL_STACK runs as one
+    ``_jacobi_stack``; every other stack goes member by member the way one
+    matrix goes: a small stack is faster so, and from ``SMALL_DIM`` up one
+    unitary per step beats the stack.
+    """
+    count, n, _ = a.shape
     if n > MAX_DIM:
-        raise DomainError(f"dimension {n} exceeds the desk-scale cap {MAX_DIM}")
-    if ndim == 2:
-        eigs, vecs = _way(n)(a)
-    elif n < SMALL_DIM and len(a) * n >= SMALL_STACK:
-        eigs, vecs = _jacobi_stack(a)
+        return [DomainError(f"dimension {n} exceeds the desk-scale cap {MAX_DIM}") for _ in range(count)]
+    errors: list = [None] * count
+    if n < SMALL_DIM and count * n >= SMALL_STACK:
+        eigs, vecs, stuck = _jacobi_stack(a)
+        for j in stuck:
+            errors[j] = NoConvergence(f"Jacobi sweep cap {MAX_SWEEPS} hit at n={n}")
     else:
-        eigs, vecs = (np.stack(out) for out in zip(*map(_way(n), a)))
+        way = _jacobi_scalar if n < SMALL_DIM else _jacobi_vectorized
+        eigs, vecs = np.zeros((count, n)), np.zeros((count, n, n), dtype=np.complex128)
+        for j, m in enumerate(a):
+            try:
+                eigs[j], vecs[j] = way(m)
+            except NoConvergence as exc:
+                errors[j] = exc
     if shift is not None:
         with np.errstate(over="ignore"):
-            eigs = np.ldexp(eigs, shift[..., None])
-        if not np.isfinite(eigs).all():
-            raise DomainError("an eigenvalue is beyond the float range")
+            eigs = np.ldexp(eigs, shift[:, None])
+        for j in np.flatnonzero(~np.isfinite(eigs).all(axis=1)):
+            errors[j] = errors[j] or DomainError("an eigenvalue is beyond the float range")
+    # one sort of the whole stack, by fancy indexing: cheaper than take_along_axis
     order = np.argsort(eigs, axis=-1, kind="stable")
-    if ndim == 2:
-        # fancy indexing: cheaper than take_along_axis for one matrix
-        return HermitianEigen(eigenvalues=eigs[order], eigenvectors=vecs[:, order])
-    return HermitianEigen(
-        eigenvalues=np.take_along_axis(eigs, order, axis=-1),
-        eigenvectors=np.take_along_axis(vecs, order[:, None, :], axis=-1),
-    )
-
-
-def _way(n: int) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """How ``hermitian_eig`` diagonalizes one matrix of dimension n: rotation
-    by rotation on Python scalars below ``SMALL_DIM``, one unitary per step
-    from it up."""
-    return _jacobi_scalar if n < SMALL_DIM else _jacobi_vectorized
+    rows = np.arange(count)[:, None]
+    eigs, vecs = eigs[rows, order], vecs[rows[:, None], np.arange(n)[:, None], order[:, None, :]]
+    return [HermitianEigen(w, u) if e is None else e for e, w, u in zip(errors, eigs, vecs)]
 
 
 @functools.lru_cache(maxsize=MAX_DIM + 1)
@@ -476,7 +451,7 @@ def _jacobi_vectorized(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return work.diagonal().real.copy(), vecs
 
 
-def _jacobi_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _jacobi_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The round-robin iteration on a stack (B, n, n), step by step.
 
     W and V are held as one array (n*n, W or V, B), entry-major, so that
@@ -489,11 +464,14 @@ def _jacobi_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     after pair. A product k x of complex numbers is formed as kr x + ki ix,
     which rounds each real term once, as Python's complex type does
     (numpy's complex multiply may fuse them); so each member comes out bit
-    for bit as ``_jacobi_scalar`` makes it. A pair whose pivot is at most
+    for bit as ``_jacobi_scalar`` makes it, but for the sign of an entry
+    that is exactly zero, which the extra zero terms can flip. A pair whose pivot is at most
     its member's skip bound gets the identity rotation, which leaves its
     entries as they were. Before each sweep the members that meet their
-    own target are stored and dropped. Returns unsorted eigenvalues (B, n)
-    and eigenvectors (B, n, n).
+    own target are stored and dropped. Returns unsorted eigenvalues (B, n),
+    eigenvectors (B, n, n), and the indices of the members still active
+    after ``MAX_SWEEPS`` sweeps, which do not converge alone either; their
+    rows are zeros.
     """
     count, n, _ = a.shape
     off_target, skip = _thresholds(a)
@@ -503,8 +481,8 @@ def _jacobi_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m[:, 0] = (upper + dagger(upper)).reshape(count, n * n).T
     m[diag, 0] = a.reshape(count, n * n)[:, diag].real.T
     m[diag, 1] = 1.0
-    eigs = np.empty((n, count))
-    vecs = np.empty((n * n, count), dtype=np.complex128)
+    eigs = np.zeros((n, count))
+    vecs = np.zeros((n * n, count), dtype=np.complex128)
     active = np.arange(count)
     above = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool), 1))
     steps = _stack_steps(n)
@@ -518,9 +496,9 @@ def _jacobi_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             eigs[:, active[done]] = m[diag, 0][:, done].real
             vecs[:, active[done]] = m[:, 1][:, done]
             keep = ~done
-            if not keep.any():
-                return eigs.T.copy(), vecs.T.reshape(count, n, n)
             active, off_target, skip = active[keep], off_target[keep], skip[keep]
+            if not active.size:
+                break
             m = m[..., keep]
         w = m[:, 0]
         for block, rows, cols, later, mirror in steps:
@@ -561,7 +539,7 @@ def _jacobi_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             blk[1:3, rotate] = 0.0
             w[block] = blk
             w[later] = w[mirror].conj()
-    raise NoConvergence(f"Jacobi sweep cap {MAX_SWEEPS} hit at n={n}")
+    return eigs.T.copy(), vecs.T.reshape(count, n, n), active
 
 
 def matrix_function(m, phi: Callable[[float], float]) -> np.ndarray:

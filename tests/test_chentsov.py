@@ -2,6 +2,7 @@
 construction from monotone functions, and the axiom checker."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from monometric import (
     normalize_beta,
 )
 from monometric.chentsov import default_grid, default_pair_grid
+from monometric.monotone import weighted_kernel_integral
 from monometric.sampling import random_step_weight
 
 SQRT2 = math.sqrt(2.0)
@@ -272,7 +274,7 @@ def pieces_weight(pieces):
 
 
 # extreme magnitudes, the smallest subnormal and ratios of 1e+-10 about 1
-EDGE_AXIS = (5e-324, 1e-300, 1e-10, 1.0, 1.5, 1e10, 1e300)
+EDGE_AXIS = (5e-324, 1e-300, 1e-10, 1.0, 1.5, 1e10, 1e300, 1e308)
 EDGE_PAIRS = [(x, y) for x in EDGE_AXIS for y in EDGE_AXIS]
 
 
@@ -311,18 +313,64 @@ def _bridge_formula(g, x, y):
     return x ** (-g) * y ** (-g) * ((x + y) / 2.0) ** (2.0 * g - 1.0)
 
 
+def _from_logs(log_value):
+    """exp of a 40-digit log as a float: inf beyond the float range."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return float(log_value().exp())
+
+
+def _bridge_reference(g, x, y):
+    """The bridge value summed from its logs at 40 digits, which no factor
+    of the formula limits to the float range."""
+    gx, gy, gg = Decimal(x), Decimal(y), Decimal(g)
+    return _from_logs(lambda: -gg * (gx.ln() + gy.ln()) + (2 * gg - 1) * ((gx + gy) / 2).ln())
+
+
+def assert_direct_or_log_domain(value, direct, reference, where):
+    """``value`` is ``direct`` to the bit where that is a positive float;
+    elsewhere it is ``reference`` to 1e-12, or inf where that is."""
+    if 0.0 < direct < math.inf:
+        assert value.hex() == direct.hex(), where
+    elif reference == math.inf:
+        assert value == math.inf, where
+    else:
+        assert value == pytest.approx(reference, rel=1e-12, abs=0.0), where
+
+
 @pytest.mark.parametrize("g", (0.0, 0.25, 0.5, 0.97, 1.0))
 def test_bridge_power_overflow_reads_inf(g):
-    """A power beyond the float range reads inf, as an overflowing product
-    does; every other value keeps the formula's bits."""
+    """Where a power or a product of the formula leaves the float range, the
+    value is taken in the log domain, and reads inf only when it is itself
+    beyond the range; every other value keeps the formula's bits."""
     c = BridgeMC(g)
     for x, y in EDGE_PAIRS:
         try:
-            expected = _bridge_formula(g, x, y)
+            direct = _bridge_formula(g, x, y)
         except OverflowError:
-            expected = math.inf
-        assert c(x, y).hex() == expected.hex(), (x, y)
-    if g == 0.0:
-        assert c(5e-324, 5e-324) == math.inf
+            direct = math.inf
+        assert_direct_or_log_domain(c(x, y), direct, _bridge_reference(g, x, y), (x, y))
+    # c(v, v) = 1/v at every g: past the float range at the smallest subnormal
+    assert c(5e-324, 5e-324) == math.inf
     if g == 1.0:
-        assert c(1e-300, 1e-300) == math.inf
+        # both factors x^-1 y^-1 overflow, or underflow, while c is 1/x
+        assert c(1e-300, 1e-300) == pytest.approx(1e300, rel=1e-12, abs=0.0)
+        assert c(1e300, 1e300) == pytest.approx(1e-300, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("h", [WeightFunction.constant(0.5), pieces_weight(8)], ids=["constant", "pieces-8"])
+def test_canonical_value_past_the_range_of_its_prefactor(h):
+    """Where c0 / (x + y) leaves the float range, the value is taken in the
+    log domain; every other value keeps the formula's bits."""
+    c = CanonicalMC.normalized(h)
+    for x, y in EDGE_PAIRS:
+        hi, lo = max(x, y), min(x, y)
+        try:
+            integral = weighted_kernel_integral(h, hi / lo)
+        except DomainError:
+            continue
+        direct = c.c0 / (hi + lo) * math.exp(-integral)
+        gx, gy = Decimal(x), Decimal(y)
+        reference = _from_logs(lambda: Decimal(c.c0).ln() - (gx + gy).ln() - Decimal(integral))
+        assert_direct_or_log_domain(c(x, y), direct, reference, (x, y))
+    assert c(1e308, 1e308) == pytest.approx(1e-308, rel=1e-12, abs=0.0)

@@ -290,9 +290,15 @@ class TestEvalC:
         code = main(["eval-c", "--bridge", "0.5", "--from-f", "x.json", "--x", "1", "--y", "1"])
         assert code == 2
 
-    @pytest.mark.parametrize("g, x", [("0", "5e-324"), ("1", "1e-300")])
+    def test_bridge_value_whose_factors_underflow(self, capsys):
+        # x^-1 y^-1 underflows to 0, while c(x, x) = 1/x is a normal float
+        assert main(["eval-c", "--bridge", "1", "--x", "1e300", "--y", "1e300"]) == 0
+        assert float(capsys.readouterr().out) == pytest.approx(1e-300, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("g, x", [("0", "5e-324"), ("1", "5e-324")])
     def test_overflowing_bridge_power_exits_2_and_prints_nothing(self, g, x, capsys):
-        # at g = 0, ((x + y)/2)^-1 is past the float range; at g = 1 the product is
+        # c(x, x) = 1/x is past the float range; at g = 0 ((x + y)/2)^-1
+        # overflows, at g = 1 the product x^-1 y^-1 does
         assert main(["eval-c", "--bridge", g, "--x", x, "--y", x]) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -440,7 +446,7 @@ _NON_FINITE_ARGV = {
     "eval-c x inf": lambda files: ["eval-c", "--bridge", "1", "--x", "inf", "--y", "1"],
     "bridge-table x inf": lambda files: ["bridge-table", "--gammas", "0.5", "--x-grid", "inf", "--y-grid", "1"],
     # finite flags whose result is too large for a float
-    "eval-c bridge overflow": lambda files: ["eval-c", "--bridge", "1", "--x", "1e-300", "--y", "1e-300"],
+    "eval-c bridge overflow": lambda files: ["eval-c", "--bridge", "1", "--x", "5e-324", "--y", "5e-324"],
     "eval-c canonical overflow": lambda files: [
         "eval-c", "--h-file", files["const0"], "--c0", "1e300", "--x", "1e-300", "--y", "1e-300"
     ],
@@ -449,7 +455,7 @@ _NON_FINITE_ARGV = {
         "--x", "1e-200", "--y", "1e-310",
     ],
     "bridge-table overflow": lambda files: [
-        "bridge-table", "--gammas", "1", "--x-grid", "1e-300", "--y-grid", "1e-300"
+        "bridge-table", "--gammas", "1", "--x-grid", "5e-324", "--y-grid", "5e-324"
     ],
     "metric overflow": lambda files: _big_metric_argv(files),
     "metric form overflow": lambda files: _big_metric_argv(files) + ["--b", _big_tangent(files)],

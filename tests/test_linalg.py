@@ -202,15 +202,16 @@ def test_stack_members_match_the_scalar_way(n):
     already converged and 1e+-100-scaled members side by side."""
     inputs = eigen_inputs(n)
     ms = np.stack(list(inputs.values()))
-    stack_eigs, stack_vecs = la._jacobi_stack(ms)
-    dec = la.hermitian_eig_stack(ms)
+    stack_eigs, stack_vecs, stuck = la._jacobi_stack(ms)
+    assert not stuck.size
+    outs = la.hermitian_eig_each(list(ms))
     for j, (kind, m) in enumerate(inputs.items()):
         # the stack rounds as the scalar way does, bit for bit
         ref, ref_vecs = la._jacobi_scalar(m)
         assert np.array_equal(stack_eigs[j], ref), kind
         assert np.array_equal(stack_vecs[j], ref_vecs), kind
         scale = 1.0 + np.linalg.norm(m)
-        eigs, vecs = dec.eigenvalues[j], dec.eigenvectors[j]
+        eigs, vecs = outs[j].eigenvalues, outs[j].eigenvectors
         alone = hermitian_eig(m)
         assert np.array_equal(eigs, alone.eigenvalues), kind
         assert np.array_equal(vecs, alone.eigenvectors), kind
@@ -237,10 +238,10 @@ def test_stack_members_are_what_hermitian_eig_gives_alone(n):
     ms = np.stack([random_hermitian(rng, n) for _ in range(counts[-1])])
     alone = [hermitian_eig(m) for m in ms]
     for count in counts:
-        dec = la.hermitian_eig_stack(ms[:count])
+        outs = la.hermitian_eig_each(list(ms[:count]))
         for j in range(count):
-            assert np.array_equal(dec.eigenvalues[j], alone[j].eigenvalues), (count, j)
-            assert np.array_equal(dec.eigenvectors[j], alone[j].eigenvectors), (count, j)
+            assert np.array_equal(outs[j].eigenvalues, alone[j].eigenvalues), (count, j)
+            assert np.array_equal(outs[j].eigenvectors, alone[j].eigenvectors), (count, j)
 
 
 class TestStack:
@@ -264,16 +265,18 @@ class TestStack:
         rng = np.random.default_rng(count)
         for n in (2, 3, 5):
             ms = np.stack([random_hermitian(rng, n) for _ in range(count)])
-            eigs, vecs = la._jacobi_stack(ms)
+            eigs, vecs, stuck = la._jacobi_stack(ms)
+            assert not stuck.size
             for j, m in enumerate(ms):
                 ref, ref_vecs = la._jacobi_scalar(m)
                 assert np.array_equal(eigs[j], ref) and np.array_equal(vecs[j], ref_vecs)
-            dec = la.hermitian_eig_stack(ms)
-            assert dec.eigenvalues.shape == (count, n)
-            assert dec.eigenvectors.shape == (count, n, n)
-            for m, eigs in zip(ms, dec.eigenvalues):
-                assert np.allclose(eigs, np.linalg.eigvalsh(m), rtol=0.0, atol=1e-12 * (1 + np.linalg.norm(m)))
-            assert np.linalg.norm(dec.reconstruct() - ms) <= RECON_TOL * (1 + np.linalg.norm(ms))
+            outs = la.hermitian_eig_each(list(ms))
+            assert len(outs) == count
+            for m, out in zip(ms, outs):
+                assert out.eigenvalues.shape == (n,) and out.eigenvectors.shape == (n, n)
+                scale = 1 + np.linalg.norm(m)
+                assert np.allclose(out.eigenvalues, np.linalg.eigvalsh(m), rtol=0.0, atol=1e-12 * scale)
+                assert np.linalg.norm(out.reconstruct() - m) <= RECON_TOL * scale
 
     def test_stopping_test_sums_in_row_order(self):
         """A member whose off-diagonal norm, summed in row order as the
@@ -305,7 +308,7 @@ class TestStack:
         m = member(scale)
         ref, ref_vecs = la._jacobi_scalar(m)
         assert np.array_equal(ref_vecs, np.eye(n))  # stopped before the first sweep
-        eigs, vecs = la._jacobi_stack(m[None])
+        eigs, vecs, _ = la._jacobi_stack(m[None])
         assert np.array_equal(eigs[0], ref) and np.array_equal(vecs[0], ref_vecs)
 
     @pytest.mark.parametrize("n", (2, 3, 5, 11, 12))
@@ -317,14 +320,14 @@ class TestStack:
         monkeypatch.setattr(la, "_jacobi_stack", lambda a: calls.append(len(a)) or stack_way(a))
         for count in (1, 2, la.SMALL_STACK // n, la.SMALL_STACK // n + 1, la.SMALL_STACK):
             calls.clear()
-            dec = la.hermitian_eig_stack(ms[:count])
+            outs = la.hermitian_eig_each(list(ms[:count]))
             by_stack = n < la.SMALL_DIM and count * n >= la.SMALL_STACK
             assert calls == ([count] if by_stack else []), count
             # either way each member is what hermitian_eig gives alone
-            for m, eigs, vecs in zip(ms, dec.eigenvalues, dec.eigenvectors):
+            for m, out in zip(ms, outs):
                 alone = hermitian_eig(m)
-                assert np.array_equal(eigs, alone.eigenvalues)
-                assert np.array_equal(vecs, alone.eigenvectors)
+                assert np.array_equal(out.eigenvalues, alone.eigenvalues)
+                assert np.array_equal(out.eigenvectors, alone.eigenvectors)
 
     @pytest.mark.parametrize("sweeps", (0, 1))
     def test_no_convergence_when_sweeps_are_exhausted(self, sweeps, monkeypatch):
@@ -332,10 +335,12 @@ class TestStack:
         monkeypatch.setattr(la, "MAX_SWEEPS", sweeps)
         rng = np.random.default_rng(4)
         ms = np.stack([np.diag([1.0, 2.0, 3.0]), random_hermitian(rng, 3), random_hermitian(rng, 3)])
-        with pytest.raises(NoConvergence):
-            la._jacobi_stack(ms.astype(complex))
-        with pytest.raises(NoConvergence):
-            la.hermitian_eig_stack(ms)
+        _, _, stuck = la._jacobi_stack(ms.astype(complex))
+        assert stuck.tolist() == ([0, 1, 2] if sweeps == 0 else [1, 2])
+        outs = la.hermitian_eig_each(list(ms))
+        assert [isinstance(out, NoConvergence) for out in outs] == [sweeps == 0, True, True]
+        for out, m in zip(outs, ms):
+            assert_outcome_alone(out, m)
 
     @pytest.mark.parametrize("sweeps", range(4))
     def test_sweep_cap_as_in_the_scalar_way(self, sweeps, monkeypatch):
@@ -352,33 +357,39 @@ class TestStack:
                     alone.append(True)
                 except NoConvergence:
                     alone.append(False)
-            if all(alone):
-                la._jacobi_stack(ms)
-            else:
-                with pytest.raises(NoConvergence):
-                    la._jacobi_stack(ms)
+            _, _, stuck = la._jacobi_stack(ms)
+            assert stuck.tolist() == [j for j, done in enumerate(alone) if not done]
 
     def test_rejects_a_non_hermitian_member(self):
-        ms = np.stack([np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2)])
-        with pytest.raises(NotHermitian, match="stack member 1"):
-            la.hermitian_eig_stack(ms)
+        ms = [np.eye(2)] * la.SMALL_STACK
+        ms[1] = np.array([[0.0, 1.0], [0.0, 0.0]])
+        outs = la.hermitian_eig_each(ms)
+        assert isinstance(outs[1], NotHermitian)
+        assert all(isinstance(out, la.HermitianEigen) for j, out in enumerate(outs) if j != 1)
+        assert_outcome_alone(outs[1], ms[1])
 
     @pytest.mark.parametrize("bad", (math.nan, math.inf))
     def test_rejects_a_non_finite_member(self, bad):
-        ms = np.stack([np.eye(2), np.eye(2), np.diag([1.0, bad])])
-        with pytest.raises(DomainError, match="stack member 2"):
-            la.hermitian_eig_stack(ms)
+        ms = [np.eye(2)] * la.SMALL_STACK
+        ms[2] = np.diag([1.0, bad])
+        outs = la.hermitian_eig_each(ms)
+        assert isinstance(outs[2], DomainError)
+        assert all(isinstance(out, la.HermitianEigen) for j, out in enumerate(outs) if j != 2)
+        assert_outcome_alone(outs[2], ms[2])
 
     @pytest.mark.parametrize(
         "ms", (np.eye(2), np.zeros((0, 2, 2)), np.zeros((2, 2, 3)), np.zeros((1, 2, 2, 2)))
     )
     def test_rejects_what_is_not_a_stack_of_square_matrices(self, ms):
-        with pytest.raises((DomainError, NotHermitian)):
-            la.hermitian_eig_stack(ms)
+        outs = la.hermitian_eig_each(list(ms))
+        assert len(outs) == len(ms)
+        for out, m in zip(outs, ms):
+            assert isinstance(out, (DomainError, NotHermitian))
+            assert_outcome_alone(out, m)
 
     def test_rejects_oversized(self):
-        with pytest.raises(DomainError):
-            la.hermitian_eig_stack(np.eye(la.MAX_DIM + 1)[None])
+        (out,) = la.hermitian_eig_each([np.eye(la.MAX_DIM + 1)])
+        assert isinstance(out, DomainError)
 
 
 def assert_outcome_alone(out, m):
@@ -413,28 +424,39 @@ class TestEigEach:
         for out, m in zip(outs, ms):
             assert_outcome_alone(out, m)
 
-    def test_a_stack_that_does_not_converge_is_redone_member_by_member(self, monkeypatch):
+    def test_members_that_do_not_converge_get_their_own_error(self, monkeypatch):
         # after one sweep the diagonal members are done, the dense ones not
         monkeypatch.setattr(la, "MAX_SWEEPS", 1)
         rng = np.random.default_rng(79)
         dense = [random_hermitian(rng, 3) for _ in range(2)]
         ms = [np.diag([1.0, 2.0, 3.0]), dense[0], np.eye(3), dense[1]]
-        with pytest.raises(NoConvergence):
-            la.hermitian_eig_stack(np.stack(ms))
+        _, _, stuck = la._jacobi_stack(np.stack(ms).astype(complex))
+        assert stuck.tolist() == [1, 3]
         outs = la.hermitian_eig_each(ms)
         assert [isinstance(out, NoConvergence) for out in outs] == [False, True, False, True]
         for out, m in zip(outs, ms):
             assert_outcome_alone(out, m)
 
-    def test_each_member_is_redone_when_the_stack_raises(self, monkeypatch):
-        def no_convergence(ms):
-            raise NoConvergence("stack")
-
-        monkeypatch.setattr(la, "hermitian_eig_stack", no_convergence)
-        rng = np.random.default_rng(83)
-        ms = [random_hermitian(rng, 2), np.diag([1.0, math.inf]), random_hermitian(rng, 2)]
+    def test_failing_members_leave_one_stack_to_the_rest(self, monkeypatch):
+        """A non-Hermitian, a non-finite and a non-converging member each
+        get their own error, while the stack way runs once over all the
+        members that pass the checks."""
+        monkeypatch.setattr(la, "MAX_SWEEPS", 1)
+        calls = []
+        stack_way = la._jacobi_stack
+        monkeypatch.setattr(la, "_jacobi_stack", lambda a: calls.append(len(a)) or stack_way(a))
+        rng = np.random.default_rng(89)
+        # diagonal members are done before the first sweep, a dense one not
+        ms = [np.diag(rng.standard_normal(2)).astype(complex) for _ in range(la.SMALL_STACK)]
+        ms[3] = np.array([[0.0, 1.0], [0.0, 0.0]])
+        ms[11] = np.diag([1.0, math.nan])
+        ms[17] = random_hermitian(rng, 2)
         outs = la.hermitian_eig_each(ms)
-        assert isinstance(outs[1], DomainError)
+        assert calls == [len(ms) - 2]
+        assert isinstance(outs[3], NotHermitian)
+        assert isinstance(outs[11], DomainError)
+        assert isinstance(outs[17], NoConvergence)
+        assert sum(isinstance(out, la.HermitianEigen) for out in outs) == len(ms) - 3
         for out, m in zip(outs, ms):
             assert_outcome_alone(out, m)
 
@@ -473,12 +495,12 @@ class TestRescale:
         enough for the stack way below SMALL_DIM."""
         rng = np.random.default_rng([89, n])
         scales = (*HUGE_SCALES, 1.0, 1e100, 1e-100) * max(1, la.SMALL_STACK // (6 * n) + 1)
-        ms = np.stack([s * random_hermitian(rng, n) for s in scales])
-        dec = la.hermitian_eig_stack(ms)
+        ms = [s * random_hermitian(rng, n) for s in scales]
+        outs = la.hermitian_eig_each(ms)
         for j, m in enumerate(ms):
             alone = hermitian_eig(m)
-            assert np.array_equal(dec.eigenvalues[j], alone.eigenvalues), j
-            assert np.array_equal(dec.eigenvectors[j], alone.eigenvectors), j
+            assert np.array_equal(outs[j].eigenvalues, alone.eigenvalues), j
+            assert np.array_equal(outs[j].eigenvectors, alone.eigenvectors), j
 
     @pytest.mark.parametrize("n", (2, 3, 12))
     def test_power_of_two_scale_is_exact(self, n):
@@ -496,7 +518,7 @@ class TestRescale:
     def test_below_the_bound_keeps_its_bits(self, n):
         m = random_hermitian(np.random.default_rng([101, n]), n)
         m = m * (0.5 * la.RESCALE_ABOVE / np.abs(m).max())
-        eigs, vecs = la._way(n)(m)
+        eigs, vecs = WAYS["scalar" if n < la.SMALL_DIM else "vectorized"](m)
         order = np.argsort(eigs, kind="stable")
         dec = hermitian_eig(m)
         assert np.array_equal(dec.eigenvalues, eigs[order])
@@ -506,8 +528,9 @@ class TestRescale:
         m = np.full((2, 2), 1e308)
         with pytest.raises(DomainError, match="float range"):
             hermitian_eig(m)
-        with pytest.raises(DomainError, match="float range"):
-            la.hermitian_eig_stack(np.stack([np.eye(2), m]))
+        outs = la.hermitian_eig_each([np.eye(2)] * la.SMALL_STACK + [m])
+        assert isinstance(outs[-1], DomainError) and "float range" in str(outs[-1])
+        assert all(isinstance(out, la.HermitianEigen) for out in outs[:-1])
 
     def test_huge_indefinite_state_is_rejected_without_warnings(self):
         with warnings.catch_warnings():
@@ -574,13 +597,12 @@ class TestApply:
 
     def test_stack_members_as_alone(self):
         rng = np.random.default_rng(37)
-        ms = np.stack([random_hermitian(rng, 3) for _ in range(20)])
-        dec = la.hermitian_eig_stack(ms)
+        ms = [random_hermitian(rng, 3) for _ in range(20)]
+        outs = la.hermitian_eig_each(ms)
         values = rng.standard_normal((20, 3))
-        out = dec.apply(values)
         for j, m in enumerate(ms):
             alone = hermitian_eig(m)
-            assert np.array_equal(out[j], alone.apply(values[j])), j
+            assert np.array_equal(outs[j].apply(values[j]), alone.apply(values[j])), j
 
 
 class TestNonFiniteInput:

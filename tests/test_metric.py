@@ -144,7 +144,7 @@ class TestStateStacks:
 
     def test_one_stack_eigensolve_per_shape(self, monkeypatch):
         calls = {"single": 0, "stack": 0}
-        single, stack = monometric.linalg.hermitian_eig, monometric.linalg.hermitian_eig_stack
+        single, stack = monometric.linalg.hermitian_eig, monometric.linalg._jacobi_stack
 
         def counted(key, fn):
             def call(m):
@@ -154,15 +154,17 @@ class TestStateStacks:
             return call
 
         monkeypatch.setattr(monometric.linalg, "hermitian_eig", counted("single", single))
-        monkeypatch.setattr(monometric.linalg, "hermitian_eig_stack", counted("stack", stack))
+        monkeypatch.setattr(monometric.linalg, "_jacobi_stack", counted("stack", stack))
         rng = np.random.default_rng(2)
-        states = DensityMatrix.from_matrices([random_density(rng, 2 + k % 2) for k in range(6)])
+        # 20 matrices of each shape: both shapes take the stack way
+        states = DensityMatrix.from_matrices([random_density(rng, 2 + k % 2) for k in range(40)])
         assert calls == {"single": 0, "stack": 2}
         a = random_tangent(rng, 3, hermitian=True)
         assert metric_quadratic(BURES_SPEC, states[1], a) > 0.0
         assert calls == {"single": 0, "stack": 2}
+        # a lone matrix goes the scalar way, without hermitian_eig
         DensityMatrix.from_matrices([random_density(rng, 3)])
-        assert calls == {"single": 1, "stack": 2}
+        assert calls == {"single": 0, "stack": 2}
 
 
 @pytest.mark.parametrize("n", (2, 3, 8, 12, 16, 32))

@@ -1,5 +1,5 @@
 """Batching eigensolves is decided in one place: only ``linalg`` names
-``hermitian_eig_stack``; every other module hands its matrices to
+its stack way ``_jacobi_stack``; every other module hands its matrices to
 ``linalg.hermitian_eig_each``. Checked on each module's syntax tree."""
 
 import ast
@@ -26,11 +26,11 @@ def names(source: str) -> set[str]:
 
 def test_finds_a_name_however_it_is_written():
     for source in (
-        "from .linalg import hermitian_eig_stack as s\n",
-        "from . import linalg\nlinalg.hermitian_eig_stack(x)\n",
-        "import monometric.linalg.hermitian_eig_stack\n",
+        "from .linalg import _jacobi_stack as s\n",
+        "from . import linalg\nlinalg._jacobi_stack(x)\n",
+        "import monometric.linalg._jacobi_stack\n",
     ):
-        assert "hermitian_eig_stack" in names(source), source
+        assert "_jacobi_stack" in names(source), source
 
 
 def test_every_other_module_is_checked():
@@ -39,4 +39,4 @@ def test_every_other_module_is_checked():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_linalg_names_the_stack_eigensolver(path):
-    assert "hermitian_eig_stack" not in names(path.read_text(encoding="utf-8"))
+    assert "_jacobi_stack" not in names(path.read_text(encoding="utf-8"))

@@ -23,7 +23,7 @@ from monometric import (
     eval_bridge,
     monotonicity_trial,
 )
-from monometric.channels import TRIAL_STATE_FLOOR
+from monometric.channels import TRIAL_STATE_FLOOR, apply_channel
 from monometric.cli import main
 from monometric.sampling import random_density, random_tangent, random_unitary
 from monometric.verify import (
@@ -165,21 +165,33 @@ def test_an_image_that_does_not_converge_is_raised_at_its_draw(monkeypatch):
     assert raised.value is image
 
 
-def test_a_stack_that_does_not_converge_is_redone_draw_by_draw(monkeypatch):
-    rhos = [np.diag([0.5, 0.5]).astype(complex), np.diag([0.25, 0.75]).astype(complex)]
+def test_a_draw_that_does_not_converge_leaves_the_stack_to_the_others(monkeypatch):
+    # after one sweep the diagonal states and their images are done, and the
+    # rotated image of one draw is not
+    monkeypatch.setattr(monometric.linalg, "MAX_SWEEPS", 1)
+    calls = []
+    stack_way = monometric.linalg._jacobi_stack
+    monkeypatch.setattr(monometric.linalg, "_jacobi_stack", lambda a: calls.append(len(a)) or stack_way(a))
+    count = monometric.linalg.SMALL_STACK // 2
+    rhos = [np.diag([0.5 - 0.01 * k, 0.5 + 0.01 * k]).astype(complex) for k in range(count)]
     identity = KrausChannel(operators=(np.eye(2, dtype=complex),))
-
-    def no_convergence(ms):
-        raise NoConvergence("stack")
-
-    monkeypatch.setattr(monometric.linalg, "hermitian_eig_stack", no_convergence)
-    out = list(_trial_states([identity, identity], rhos))
+    rotate = KrausChannel(operators=(random_unitary(np.random.default_rng(7), 2),))
+    channels = [rotate if k == 5 else identity for k in range(count)]
+    out = list(_trial_states(channels, rhos))
+    assert calls == [count, count]  # the states, then the images, the stuck one among them
     assert [state.matrix.tolist() for state, _ in out] == [r.tolist() for r in rhos]
-    for rho, (state, image) in zip(rhos, out):
+    assert isinstance(out[5][1], NoConvergence)
+    for k, (rho, (state, image)) in enumerate(zip(rhos, out)):
         alone = DensityMatrix.from_matrix(rho, floor=TRIAL_STATE_FLOOR)
-        for got in (state, image):
-            assert np.array_equal(got.eig.eigenvalues, alone.eig.eigenvalues)
-            assert np.array_equal(got.eig.eigenvectors, alone.eig.eigenvectors)
+        assert np.array_equal(state.eig.eigenvalues, alone.eig.eigenvalues)
+        assert np.array_equal(state.eig.eigenvectors, alone.eig.eigenvectors)
+        if k == 5:
+            with pytest.raises(NoConvergence) as raised:
+                DensityMatrix.from_matrix(apply_channel(rotate, rho), floor=TRIAL_STATE_FLOOR)
+            assert str(raised.value) == str(image)
+        else:
+            assert np.array_equal(image.eig.eigenvalues, alone.eig.eigenvalues)
+            assert np.array_equal(image.eig.eigenvectors, alone.eig.eigenvectors)
 
 
 def one_by_one(cls, ms, floor=monometric.metric.STATE_EIG_FLOOR):
@@ -250,19 +262,19 @@ def test_a_trial_state_that_does_not_converge_is_raised_when_its_trial_is_reache
     assert reached == [2, 3, 2]
 
 
-def test_base_states_that_do_not_converge_as_a_stack_are_redone_one_by_one(monkeypatch):
-    run = _Run("metric", seed=3, trials=6, dims=(2, 3))
-    stacked = list(_trial_base_states(run, 6))
-
-    def no_convergence(ms):
-        raise NoConvergence("stack")
-
-    monkeypatch.setattr(monometric.linalg, "hermitian_eig_stack", no_convergence)
-    alone = list(_trial_base_states(run, 6))
-    assert [n for _, n, _ in alone] == [n for _, n, _ in stacked]
-    for (_, _, a), (_, _, b) in zip(alone, stacked):
-        assert np.array_equal(a.eig.eigenvalues, b.eig.eigenvalues)
-        assert np.array_equal(a.eig.eigenvectors, b.eig.eigenvectors)
+def test_base_states_diagonalized_as_stacks_are_what_they_are_alone(monkeypatch):
+    calls = []
+    stack_way = monometric.linalg._jacobi_stack
+    monkeypatch.setattr(monometric.linalg, "_jacobi_stack", lambda a: calls.append(len(a)) or stack_way(a))
+    trials = monometric.linalg.SMALL_STACK  # half of them 2x2: a stack of B n = SMALL_STACK
+    run = _Run("metric", seed=3, trials=trials, dims=(2, 3))
+    stacked = list(_trial_base_states(run, trials))
+    assert calls == [trials // 2, trials // 2]  # one stack per dimension
+    assert [n for _, n, _ in stacked] == [run.dims[k % 2] for k in range(trials)]
+    for _, _, state in stacked:
+        alone = DensityMatrix.from_matrix(state.matrix)
+        assert np.array_equal(alone.eig.eigenvalues, state.eig.eigenvalues)
+        assert np.array_equal(alone.eig.eigenvectors, state.eig.eigenvectors)
 
 
 def test_rejecting_every_image_still_hits_the_draw_cap(monkeypatch):
