@@ -136,13 +136,30 @@ class CanonicalMC(MCFunction):
     def __call__(self, x: float, y: float) -> float:
         x, y = _check_positive_pair(x, y)
         hi, lo = (x, y) if x >= y else (y, x)
-        integral = weighted_kernel_integral(self.h, hi / lo)
-        c = self.c0 / (hi + lo) * math.exp(-integral)
-        # the integral is at most 0, so an infinite c0 / (x + y) makes c itself
-        # infinite; where x + y overflows to make it 0, c is taken in the log domain
-        if c > 0.0:
-            return c
-        return math.exp(math.log(self.c0) - math.log(hi) - math.log1p(lo / hi) - integral)
+        ratio = hi / lo
+        if ratio < math.inf:
+            integral = weighted_kernel_integral(self.h, ratio)
+            c = self.c0 / (hi + lo) * math.exp(-integral)
+            # the integral is at most 0, so an infinite c0 / (x + y) makes c itself
+            # infinite; where x + y overflows to make it 0, c is taken in the log domain
+            if c > 0.0:
+                return c
+        else:
+            # the ratio overflows, so t = lo / hi is below 2^-1024 and may round
+            # to 0: weighted_kernel_integral's sum at log t, each log(b + t) as
+            # log b + log1p(t / b), and log1p(b t), below 2^-1024, dropped
+            log_t = math.log(lo) - math.log(hi)
+            total = 0.0
+            for b, d in self.h.jumps:
+                if b == 0.0:
+                    total += d * log_t
+                else:
+                    total += d * (math.log(b) + math.log1p(math.exp(log_t - math.log(b))))
+            integral = self.h.kernel_constant - total
+        try:
+            return math.exp(math.log(self.c0) - math.log(hi) - math.log1p(lo / hi) - integral)
+        except OverflowError:
+            return math.inf
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,11 @@ decomposition or error. The stack way runs only below ``SMALL_DIM``,
 where one matrix takes the scalar way, and other stacks go matrix by
 matrix, so each matrix comes out as ``hermitian_eig`` gives it alone (up
 to the sign of a zero, as above), or with the error it raises alone.
+``_measure`` is the one rescale: it finds each member's largest entry,
+scales a member with an entry above ``RESCALE_ABOVE`` exactly by a power
+of two and takes its Frobenius norm. The check measures a matrix once,
+for its Hermiticity defect, and the solve once more, for the matrix it
+diagonalizes and its stopping target.
 
 No LAPACK routine is used anywhere in the package. The unitary steps
 multiply through numpy's BLAS, so outputs are deterministic on one
@@ -95,7 +100,9 @@ def as_matrix(m) -> np.ndarray:
 
 
 def frobenius(m) -> float:
-    return float(_norms(np.asarray(m)))
+    _, shift, norms = _measure(np.asarray(m))
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(norms, shift))
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -103,47 +110,38 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def _norms(m: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a stack.
+def _measure(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each matrix of a stack measured once, by its largest entry: the stack
+    with each member that has an entry above ``RESCALE_ABOVE`` scaled by the
+    power of two that brings that entry into [1, 2), each member's exponent
+    (0 where unscaled), and the Frobenius norm of each member as scaled.
 
-    A member with an entry above ``RESCALE_ABOVE`` is summed scaled by the
-    power of two that brings its largest entry into [1, 2), so no square
-    overflows, and its norm is scaled back; other members keep their bits.
+    The module's one rescale. A power of two scales exactly, so no square
+    overflows and Jacobi keeps its relative accuracy; other members keep
+    their bits.
     """
-    a = np.abs(m)
-    if not a.max(initial=0.0) > RESCALE_ABOVE:
-        return np.sqrt(np.add.reduce(a**2, axis=(-2, -1)))
-    big = a.max(axis=(-2, -1), keepdims=True)
-    shift = np.where(big > RESCALE_ABOVE, np.frexp(big)[1] - 1, 0)
-    norms = np.sqrt(np.add.reduce(np.ldexp(a, -shift) ** 2, axis=(-2, -1)))
-    with np.errstate(over="ignore"):
-        return np.ldexp(norms, shift[..., 0, 0])
-
-
-def _scaled_down(a: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """``a`` with each member that has an entry above ``RESCALE_ABOVE``
-    scaled by the power of two that brings its largest entry into [1, 2),
-    and the exponents per member, 0 where nothing is scaled; ``a`` itself
-    and None when no member is scaled."""
-    big = np.abs(a).max(axis=(-2, -1), initial=0.0)
+    mag = np.abs(a)
+    big = mag.max(axis=(-2, -1), initial=0.0)
     over = big > RESCALE_ABOVE
-    if not over.any():
-        return a, None
-    shift = np.where(over, np.frexp(big)[1] - 1, 0)
-    # scaled as pairs of reals: a complex product could turn -0.0 into 0.0
-    parts = np.ascontiguousarray(a).view(np.float64)
-    return (parts * np.ldexp(1.0, -shift)[..., None, None]).view(np.complex128), shift
+    shift = np.zeros(big.shape, dtype=int)
+    if over.any():
+        shift = np.where(over, np.frexp(big)[1] - 1, 0)
+        # scaled as pairs of reals: a complex product could turn -0.0 into 0.0
+        parts = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
+        a = (parts * np.ldexp(1.0, -shift)[..., None, None]).view(np.complex128)
+        mag = np.abs(a)
+    return a, shift, np.sqrt(np.add.reduce(mag**2, axis=(-2, -1)))
 
 
 def hermiticity_defect(m: np.ndarray):
     """Relative Frobenius defect ||M - M*|| / (||M|| + 1), per matrix of a stack.
 
-    A member with an entry above ``RESCALE_ABOVE`` is scaled down, the 1
-    with it, before the subtraction could overflow; others keep their bits.
+    Taken of each member as ``_measure`` scales it, the 1 scaled with it,
+    so the subtraction cannot overflow; unscaled members keep their bits.
     """
-    a, shift = _scaled_down(m)
-    diff, norm = (np.sqrt(np.add.reduce(np.abs(x) ** 2, axis=(-2, -1))) for x in (a - dagger(a), a))
-    return diff / (norm + (1.0 if shift is None else np.ldexp(1.0, -shift)))
+    a, shift, norms = _measure(m)
+    diff = np.sqrt(np.add.reduce(np.abs(a - dagger(a)) ** 2, axis=(-2, -1)))
+    return diff / (norms + np.ldexp(1.0, -shift))
 
 
 def require_hermitian(m) -> np.ndarray:
@@ -199,9 +197,10 @@ def hermitian_eig(m) -> HermitianEigen:
     its pivot has modulus at most ``off_target / (2n)``, and the iteration
     stops once the off-diagonal Frobenius norm is at most ``off_target =
     5e-15 * max(||M||_F, 1)``, tested before each sweep. Only the upper
-    triangle and the real part of the diagonal are read. A matrix with an
-    entry above ``RESCALE_ABOVE`` is diagonalized scaled by a power of two
-    and its eigenvalues scaled back.
+    triangle and the real part of the diagonal are read. The matrix is
+    checked as ``require_hermitian`` checks it; one with an entry above
+    ``RESCALE_ABOVE`` is then diagonalized scaled by a power of two and
+    its eigenvalues scaled back.
 
     Eigenvalues come back sorted ascending; ties keep the order in which
     the iteration produced them. Outputs are deterministic on one machine.
@@ -210,12 +209,8 @@ def hermitian_eig(m) -> HermitianEigen:
     and NoConvergence if the off-diagonal mass has not vanished after
     MAX_SWEEPS sweeps.
     """
-    a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2:
-        raise DomainError(f"expected a 2D matrix, got ndim={a.ndim}")
-    a, shift = _scaled_down(a[None])
-    require_hermitian(a[0])
-    return unwrap(_solve(a, shift)[0])
+    a = require_hermitian(m)
+    return unwrap(_solve(a[None])[0])
 
 
 def hermitian_eig_each(ms) -> list[HermitianEigen | MonometricError]:
@@ -231,45 +226,48 @@ def hermitian_eig_each(ms) -> list[HermitianEigen | MonometricError]:
         else:
             out[i] = DomainError(f"expected a 2D matrix, got ndim={a.ndim}")
     for members in shapes.values():
-        a, shift = _scaled_down(np.stack([mats[i] for i in members]))
+        a = np.stack([mats[i] for i in members])
         errors = _check(a)
         ok = [j for j, error in enumerate(errors) if error is None]
-        solved = iter(_solve(a[ok], None if shift is None else shift[ok]))
+        solved = iter(_solve(a[ok]))
         for i, error in zip(members, errors):
             out[i] = error if error is not None else next(solved)
     return out
 
 
-def _solve(a: np.ndarray, shift: np.ndarray | None) -> list[HermitianEigen | MonometricError]:
-    """Per member of a stack (B, n, n) that ``_check`` passes, scaled down
-    by ``shift`` as ``_scaled_down`` gives it: its decomposition, or its
-    own error (the ``MAX_DIM`` cap, ``NoConvergence``, or an eigenvalue
-    beyond the float range once scaled back).
+def _solve(a: np.ndarray) -> list[HermitianEigen | MonometricError]:
+    """Per member of a stack (B, n, n) that ``_check`` passes: its
+    decomposition, or its own error (the ``MAX_DIM`` cap, ``NoConvergence``,
+    or an eigenvalue beyond the float range once scaled back).
 
-    One matrix goes rotation by rotation on Python scalars below
-    ``SMALL_DIM`` and as one unitary per step from it up. Below
-    ``SMALL_DIM``, a stack with B n >= SMALL_STACK runs as one
-    ``_jacobi_stack``; every other stack goes member by member the way one
-    matrix goes: a small stack is faster so, and from ``SMALL_DIM`` up one
-    unitary per step beats the stack.
+    The stack is measured once, by ``_measure``: each member is
+    diagonalized as scaled there, with the stopping target and skip bound
+    of its norm, and its eigenvalues are scaled back. One matrix goes
+    rotation by rotation on Python scalars below ``SMALL_DIM`` and as one
+    unitary per step from it up. Below ``SMALL_DIM``, a stack with
+    B n >= SMALL_STACK runs as one ``_jacobi_stack``; every other stack
+    goes member by member the way one matrix goes: a small stack is faster
+    so, and from ``SMALL_DIM`` up one unitary per step beats the stack.
     """
     count, n, _ = a.shape
     if n > MAX_DIM:
         return [DomainError(f"dimension {n} exceeds the desk-scale cap {MAX_DIM}") for _ in range(count)]
+    a, shift, norms = _measure(a)
+    off_target, skip = _thresholds(norms, n)
     errors: list = [None] * count
     if n < SMALL_DIM and count * n >= SMALL_STACK:
-        eigs, vecs, stuck = _jacobi_stack(a)
+        eigs, vecs, stuck = _jacobi_stack(a, off_target, skip)
         for j in stuck:
             errors[j] = NoConvergence(f"Jacobi sweep cap {MAX_SWEEPS} hit at n={n}")
     else:
         way = _jacobi_scalar if n < SMALL_DIM else _jacobi_vectorized
         eigs, vecs = np.zeros((count, n)), np.zeros((count, n, n), dtype=np.complex128)
-        for j, m in enumerate(a):
+        for j, limits in enumerate(zip(off_target.tolist(), skip.tolist())):
             try:
-                eigs[j], vecs[j] = way(m)
+                eigs[j], vecs[j] = way(a[j], *limits)
             except NoConvergence as exc:
                 errors[j] = exc
-    if shift is not None:
+    if shift.any():
         with np.errstate(over="ignore"):
             eigs = np.ldexp(eigs, shift[:, None])
         for j in np.flatnonzero(~np.isfinite(eigs).all(axis=1)):
@@ -338,21 +336,22 @@ def _stack_steps(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
     return tuple(steps)
 
 
-def _thresholds(a: np.ndarray):
-    """The convergence target for the off-diagonal norm and the skip bound,
-    per matrix of a stack."""
-    off_target = 5e-15 * np.maximum(_norms(a), 1.0)
-    return off_target, off_target / (2.0 * a.shape[-1])
+def _thresholds(norms: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The convergence target for the off-diagonal norm and the skip bound
+    of n x n matrices of Frobenius norms ``norms``."""
+    off_target = 5e-15 * np.maximum(norms, 1.0)
+    return off_target, off_target / (2.0 * n)
 
 
-def _jacobi_scalar(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _jacobi_scalar(a: np.ndarray, off_target: float, skip: float) -> tuple[np.ndarray, np.ndarray]:
     """The round-robin iteration, one rotation at a time on Python scalars.
 
-    Returns the unsorted eigenvalues and the eigenvectors as columns.
+    It stops once the off-diagonal norm is at most ``off_target`` and
+    skips a pivot of modulus at most ``skip``, as ``_thresholds`` gives
+    them. Returns the unsorted eigenvalues and the eigenvectors as columns.
     Only the upper triangle of ``a`` is read.
     """
     n = a.shape[0]
-    off_target, skip = map(float, _thresholds(a))
     w = a.tolist()
     for i, row in enumerate(w):
         row[i] = complex(row[i].real)
@@ -405,15 +404,14 @@ def _jacobi_scalar(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return eigs, np.array(v, dtype=np.complex128)
 
 
-def _jacobi_vectorized(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _jacobi_vectorized(a: np.ndarray, off_target: float, skip: float) -> tuple[np.ndarray, np.ndarray]:
     """The round-robin iteration, each step's rotations as one unitary J.
 
     A step computes all its rotation parameters as arrays, then applies
     W <- J* W J and V <- V J, and sets each rotated 2x2 block of W in
-    closed form. Returns what ``_jacobi_scalar`` returns.
+    closed form. Takes and returns what ``_jacobi_scalar`` does.
     """
     n = a.shape[0]
-    off_target, skip = _thresholds(a)
     upper = np.triu(a, 1)
     work = upper + dagger(upper)
     np.fill_diagonal(work, a.diagonal().real)
@@ -451,7 +449,9 @@ def _jacobi_vectorized(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return work.diagonal().real.copy(), vecs
 
 
-def _jacobi_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _jacobi_stack(
+    a: np.ndarray, off_target: np.ndarray, skip: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The round-robin iteration on a stack (B, n, n), step by step.
 
     W and V are held as one array (n*n, W or V, B), entry-major, so that
@@ -474,7 +474,6 @@ def _jacobi_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rows are zeros.
     """
     count, n, _ = a.shape
-    off_target, skip = _thresholds(a)
     upper = np.triu(a, 1)
     diag = np.arange(n) * (n + 1)
     m = np.zeros((n * n, 2, count), dtype=np.complex128)

@@ -59,7 +59,7 @@ class TestFromMonotone:
     def test_diagonal_of_normalized_function(self):
         f = CanonicalMonotone.normalized(step_weight(2))
         for lam in (0.1, 1.0, 7.0):
-            assert c_from_f(f, lam, lam) == pytest.approx(1.0 / lam, rel=1e-10)
+            assert c_from_f(f, lam, lam) == pytest.approx(1.0 / lam, rel=1e-10, abs=0.0)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -70,7 +70,7 @@ class TestFromMonotone:
     @given(gammas, coords, coords)
     def test_round_trip_through_bridge(self, g, x, y):
         assert c_from_f(GammaFamily(g), x, y) == pytest.approx(
-            eval_bridge(g, x, y), rel=1e-10
+            eval_bridge(g, x, y), rel=1e-10, abs=0.0
         )
 
 
@@ -80,7 +80,7 @@ class TestBridge:
 
     @given(gammas, coords)
     def test_diagonal_is_reciprocal(self, g, lam):
-        assert eval_bridge(g, lam, lam) == pytest.approx(1.0 / lam, rel=1e-12)
+        assert eval_bridge(g, lam, lam) == pytest.approx(1.0 / lam, rel=1e-12, abs=0.0)
 
     def test_smallest_member(self):
         assert eval_bridge(0.0, 2.0, 4.0) == pytest.approx(1.0 / 3.0)
@@ -93,12 +93,12 @@ class TestBridge:
 
     @given(gammas, coords, coords)
     def test_symmetry(self, g, x, y):
-        assert eval_bridge(g, x, y) == pytest.approx(eval_bridge(g, y, x), rel=1e-13)
+        assert eval_bridge(g, x, y) == pytest.approx(eval_bridge(g, y, x), rel=1e-13, abs=0.0)
 
     @given(gammas, coords, coords, st.sampled_from([0.1, 0.5, 2.0, 10.0]))
     def test_homogeneity(self, g, x, y, scale):
         assert eval_bridge(g, scale * x, scale * y) == pytest.approx(
-            eval_bridge(g, x, y) / scale, rel=1e-12
+            eval_bridge(g, x, y) / scale, rel=1e-12, abs=0.0
         )
 
     def test_ordering_in_gamma(self):
@@ -112,14 +112,14 @@ class TestBridge:
                 for x, y in ((0.5, 3.0), (20.0, 0.04)):
                     blended = eval_bridge(s * g + (1 - s) * d, x, y)
                     split = eval_bridge(g, x, y) ** s * eval_bridge(d, x, y) ** (1 - s)
-                    assert blended == pytest.approx(split, rel=1e-12)
+                    assert blended == pytest.approx(split, rel=1e-12, abs=0.0)
 
 
 class TestCanonicalC:
     def test_zero_weight_closed_form(self):
         h0 = const_weight(0.0)
         for x, y in ((1.0, 1.0), (2.0, 4.0), (0.3, 11.0)):
-            assert eval_canonical_c(2.0, h0, x, y) == pytest.approx(2.0 / (x + y), rel=1e-12)
+            assert eval_canonical_c(2.0, h0, x, y) == pytest.approx(2.0 / (x + y), rel=1e-12, abs=0.0)
 
     def test_constant_weight_matches_bridge(self):
         for g in (0.0, 0.25, 0.5, 0.75, 1.0):
@@ -127,7 +127,7 @@ class TestCanonicalC:
             c0 = normalize_C0(h)
             for x, y in ((0.01, 0.01), (0.5, 2.0), (30.0, 0.2), (100.0, 100.0)):
                 assert eval_canonical_c(c0, h, x, y) == pytest.approx(
-                    eval_bridge(g, x, y), rel=1e-8
+                    eval_bridge(g, x, y), rel=1e-8, abs=0.0
                 )
 
     def test_agrees_with_monotone_route(self):
@@ -139,7 +139,7 @@ class TestCanonicalC:
             f = CanonicalMonotone(beta=beta, h=h)
             for x, y in ((0.2, 0.9), (3.0, 0.04), (7.0, 7.0)):
                 assert eval_canonical_c(c0, h, x, y) == pytest.approx(
-                    c_from_f(f, x, y), rel=1e-8
+                    c_from_f(f, x, y), rel=1e-8, abs=0.0
                 )
 
     def test_symmetric_to_the_bit(self):
@@ -178,7 +178,7 @@ class TestNormalizeC0:
         assert eval_canonical_c(c0, const_weight(1.0), 1.0, 1.0) == pytest.approx(1.0, abs=1e-10)
 
     def test_half_weight(self):
-        assert normalize_C0(const_weight(0.5)) == pytest.approx(SQRT2, rel=1e-10)
+        assert normalize_C0(const_weight(0.5)) == pytest.approx(SQRT2, rel=1e-10, abs=0.0)
 
     def test_consistency_with_beta(self):
         for seed in range(10):
@@ -191,7 +191,7 @@ class TestNormalizeC0:
         for seed in (3, 14):
             c = CanonicalMC.normalized(step_weight(seed))
             for lam in (0.01, 1.0, 250.0):
-                assert c(lam, lam) == pytest.approx(1.0 / lam, rel=1e-9)
+                assert c(lam, lam) == pytest.approx(1.0 / lam, rel=1e-9, abs=0.0)
 
 
 class TestAxiomChecker:
@@ -234,7 +234,7 @@ class TestStructuralLaws:
                     eval_canonical_c(c0, h, x, y) ** s
                     * eval_canonical_c(c0, g, x, y) ** (1 - s)
                 )
-                assert mixed == pytest.approx(parts, rel=1e-8)
+                assert mixed == pytest.approx(parts, rel=1e-8, abs=0.0)
 
     def test_monotone_in_weight(self):
         lo, hi = const_weight(0.2), const_weight(0.8)
@@ -374,3 +374,52 @@ def test_canonical_value_past_the_range_of_its_prefactor(h):
         reference = _from_logs(lambda: Decimal(c.c0).ln() - (gx + gy).ln() - Decimal(integral))
         assert_direct_or_log_domain(c(x, y), direct, reference, (x, y))
     assert c(1e308, 1e308) == pytest.approx(1e-308, rel=1e-12, abs=0.0)
+
+
+def _canonical_reference(c, x, y):
+    """The canonical value at 40 digits: its integral summed over the jumps
+    of h at t = min / max as a Decimal, which no float range limits."""
+    hi, lo = Decimal(max(x, y)), Decimal(min(x, y))
+
+    def log_value():
+        t = lo / hi
+        integral = sum(
+            Decimal(d) * ((1 + Decimal(b) ** 2).ln() - (Decimal(b) + t).ln() - (1 + Decimal(b) * t).ln())
+            for b, d in c.h.jumps
+        )
+        return Decimal(c.c0).ln() - (hi + lo).ln() - integral
+
+    return _from_logs(log_value)
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        *(WeightFunction.constant(v) for v in (0.0, 0.5, 1.0)),
+        pieces_weight(8),
+        # a breakpoint below some t = min / max: log(b + t) is not log b there
+        WeightFunction(breakpoints=(0.0, 1e-315, 1.0), values=(0.25, 0.75)),
+    ],
+    ids=["constant-0", "constant-0.5", "constant-1", "pieces-8", "tiny-breakpoint"],
+)
+def test_canonical_value_where_the_ratio_of_its_arguments_overflows(h):
+    """Where max / min leaves the float range, the integral is summed at
+    log t: the value is the 40-digit reference to 1e-12, or inf where that
+    is, and the same at (x, y) as at (y, x)."""
+    c = CanonicalMC.normalized(h)
+    pairs = [(x, y) for x, y in EDGE_PAIRS if max(x, y) / min(x, y) == math.inf]
+    assert len(pairs) == 22
+    for x, y in pairs:
+        reference = _canonical_reference(c, x, y)
+        if reference == math.inf:
+            assert c(x, y) == math.inf, (x, y)
+        else:
+            assert c(x, y) == pytest.approx(reference, rel=1e-12, abs=0.0), (x, y)
+        assert c(x, y) == c(y, x)
+
+
+def test_canonical_kernel_matches_the_bridge_past_the_ratio_range():
+    """The constant weight 1/2 gives the bridge kernel at g = 1/2, 1/sqrt(xy)."""
+    c = CanonicalMC.normalized(WeightFunction.constant(0.5))
+    assert c(1e-10, 1e300) == pytest.approx(BridgeMC(0.5)(1e-10, 1e300), rel=1e-12, abs=0.0)
+    assert c(1e-10, 1e300) == pytest.approx(1e-145, rel=1e-12, abs=0.0)

@@ -149,7 +149,7 @@ class TestJsonFormats:
         auto = monotone_from_json(
             {"h": {"breakpoints": [0.0, 1.0], "values": [0.5]}, "beta": "auto"}
         )
-        assert auto(4.0) == pytest.approx(2.0, rel=1e-9)
+        assert auto(4.0) == pytest.approx(2.0, rel=1e-9, abs=0.0)
 
     def test_monotone_rejects_unknown(self):
         with pytest.raises(DomainError):
@@ -164,7 +164,7 @@ class TestJsonFormats:
         canonical = mc_from_json(
             {"kind": "canonical", "c0": "auto", "h": {"breakpoints": [0.0, 1.0], "values": [0.0]}}
         )
-        assert canonical(2.0, 4.0) == pytest.approx(1 / 3, rel=1e-10)
+        assert canonical(2.0, 4.0) == pytest.approx(1 / 3, rel=1e-10, abs=0.0)
         via_f = mc_from_json({"kind": "from_f", "f": {"family": "gamma", "gamma": 1.0}})
         assert via_f(2.0, 4.0) == pytest.approx(0.375)
 
@@ -294,6 +294,12 @@ class TestEvalC:
         # x^-1 y^-1 underflows to 0, while c(x, x) = 1/x is a normal float
         assert main(["eval-c", "--bridge", "1", "--x", "1e300", "--y", "1e300"]) == 0
         assert float(capsys.readouterr().out) == pytest.approx(1e-300, rel=1e-12, abs=0.0)
+
+    def test_canonical_value_whose_argument_ratio_overflows(self, files, capsys):
+        # 1e300 / 1e-10 is beyond the float range, while c = 1/sqrt(xy) is not
+        half = write_json(files["tmp"] / "half.json", {"breakpoints": [0.0, 1.0], "values": [0.5]})
+        assert main(["eval-c", "--h-file", half, "--c0", "auto", "--x", "1e-10", "--y", "1e300"]) == 0
+        assert float(capsys.readouterr().out) == pytest.approx(1e-145, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("g, x", [("0", "5e-324"), ("1", "5e-324")])
     def test_overflowing_bridge_power_exits_2_and_prints_nothing(self, g, x, capsys):

@@ -26,8 +26,34 @@ RECON_TOL = 1e-11
 # the two ways differ only in rounding: eigenvalues within this much of
 # 1 + ||M||, eigenvectors of a simple spectrum entrywise within 1e3 times it
 WAYS_TOL = 1e-13
-WAYS = {"scalar": la._jacobi_scalar, "vectorized": la._jacobi_vectorized}
 ALL_DIMS = range(2, la.MAX_DIM + 1)
+
+
+def thresholds(a):
+    """The stopping target and skip bound ``_solve`` gives a matrix, or each
+    matrix of a stack, with no entry above ``RESCALE_ABOVE``."""
+    return la._thresholds(la._measure(a)[2], a.shape[-1])
+
+
+def scalar_way(m):
+    return la._jacobi_scalar(m, *map(float, thresholds(m)))
+
+
+def vectorized_way(m):
+    return la._jacobi_vectorized(m, *map(float, thresholds(m)))
+
+
+def stack_way(ms):
+    return la._jacobi_stack(ms, *thresholds(ms))
+
+
+def spy_on_stack_way(monkeypatch, calls):
+    """Record the size of each stack handed to ``_jacobi_stack``."""
+    way = la._jacobi_stack
+    monkeypatch.setattr(la, "_jacobi_stack", lambda a, *limits: calls.append(len(a)) or way(a, *limits))
+
+
+WAYS = {"scalar": scalar_way, "vectorized": vectorized_way}
 
 
 def hermitian_part(m):
@@ -42,11 +68,11 @@ def below_skip(rng, n):
     """One rotating pair; every other off-diagonal entry just below the skip bound."""
     m = np.diag(np.arange(1.0, n + 1)).astype(complex)
     m[0, 1] = m[1, 0] = 0.5
-    _, skip = la._thresholds(m)
+    _, skip = thresholds(m)
     tiny = np.triu(0.99 * skip * np.exp(2j * np.pi * rng.random((n, n))), 1)
     tiny[0, 1] = 0.0
     m = m + tiny + tiny.conj().T
-    assert la._thresholds(m)[1] == skip
+    assert thresholds(m)[1] == skip
     return m
 
 
@@ -202,12 +228,12 @@ def test_stack_members_match_the_scalar_way(n):
     already converged and 1e+-100-scaled members side by side."""
     inputs = eigen_inputs(n)
     ms = np.stack(list(inputs.values()))
-    stack_eigs, stack_vecs, stuck = la._jacobi_stack(ms)
+    stack_eigs, stack_vecs, stuck = stack_way(ms)
     assert not stuck.size
     outs = la.hermitian_eig_each(list(ms))
     for j, (kind, m) in enumerate(inputs.items()):
         # the stack rounds as the scalar way does, bit for bit
-        ref, ref_vecs = la._jacobi_scalar(m)
+        ref, ref_vecs = scalar_way(m)
         assert np.array_equal(stack_eigs[j], ref), kind
         assert np.array_equal(stack_vecs[j], ref_vecs), kind
         scale = 1.0 + np.linalg.norm(m)
@@ -249,8 +275,8 @@ class TestStack:
         rng = np.random.default_rng(8)
         small = 1e-3 * random_hermitian(rng, 4)
         stack = np.stack([1e3 * random_hermitian(rng, 4), small, np.eye(4), 1e100 * small])
-        together = la._jacobi_stack(stack)
-        alone = la._jacobi_stack(small[None])
+        together = stack_way(stack)
+        alone = stack_way(small[None])
         # a target shared with the 1e3-scaled member would stop the small
         # one after no rotation at all
         assert np.array_equal(together[0][1], alone[0][0])
@@ -265,10 +291,10 @@ class TestStack:
         rng = np.random.default_rng(count)
         for n in (2, 3, 5):
             ms = np.stack([random_hermitian(rng, n) for _ in range(count)])
-            eigs, vecs, stuck = la._jacobi_stack(ms)
+            eigs, vecs, stuck = stack_way(ms)
             assert not stuck.size
             for j, m in enumerate(ms):
-                ref, ref_vecs = la._jacobi_scalar(m)
+                ref, ref_vecs = scalar_way(m)
                 assert np.array_equal(eigs[j], ref) and np.array_equal(vecs[j], ref_vecs)
             outs = la.hermitian_eig_each(list(ms))
             assert len(outs) == count
@@ -300,15 +326,15 @@ class TestStack:
         small_first = math.sqrt(2.0 * (big * big + small * small * 7.0))
         for step in range(-20, 20):
             scale = math.sqrt(2.0) * big / 5e-15 / math.sqrt(55.0) * (1.0 + step * 2.0**-52)
-            target = float(la._thresholds(member(scale))[0])
+            target = float(thresholds(member(scale))[0])
             if in_order <= target < small_first:
                 break
         else:
             pytest.fail("no scale splits the two sums")
         m = member(scale)
-        ref, ref_vecs = la._jacobi_scalar(m)
+        ref, ref_vecs = scalar_way(m)
         assert np.array_equal(ref_vecs, np.eye(n))  # stopped before the first sweep
-        eigs, vecs, _ = la._jacobi_stack(m[None])
+        eigs, vecs, _ = stack_way(m[None])
         assert np.array_equal(eigs[0], ref) and np.array_equal(vecs[0], ref_vecs)
 
     @pytest.mark.parametrize("n", (2, 3, 5, 11, 12))
@@ -316,8 +342,7 @@ class TestStack:
         rng = np.random.default_rng(n)
         ms = np.stack([random_hermitian(rng, n) for _ in range(la.SMALL_STACK)])
         calls = []
-        stack_way = la._jacobi_stack
-        monkeypatch.setattr(la, "_jacobi_stack", lambda a: calls.append(len(a)) or stack_way(a))
+        spy_on_stack_way(monkeypatch, calls)
         for count in (1, 2, la.SMALL_STACK // n, la.SMALL_STACK // n + 1, la.SMALL_STACK):
             calls.clear()
             outs = la.hermitian_eig_each(list(ms[:count]))
@@ -335,7 +360,7 @@ class TestStack:
         monkeypatch.setattr(la, "MAX_SWEEPS", sweeps)
         rng = np.random.default_rng(4)
         ms = np.stack([np.diag([1.0, 2.0, 3.0]), random_hermitian(rng, 3), random_hermitian(rng, 3)])
-        _, _, stuck = la._jacobi_stack(ms.astype(complex))
+        _, _, stuck = stack_way(ms.astype(complex))
         assert stuck.tolist() == ([0, 1, 2] if sweeps == 0 else [1, 2])
         outs = la.hermitian_eig_each(list(ms))
         assert [isinstance(out, NoConvergence) for out in outs] == [sweeps == 0, True, True]
@@ -353,11 +378,11 @@ class TestStack:
             alone = []
             for m in ms:
                 try:
-                    la._jacobi_scalar(m)
+                    scalar_way(m)
                     alone.append(True)
                 except NoConvergence:
                     alone.append(False)
-            _, _, stuck = la._jacobi_stack(ms)
+            _, _, stuck = stack_way(ms)
             assert stuck.tolist() == [j for j, done in enumerate(alone) if not done]
 
     def test_rejects_a_non_hermitian_member(self):
@@ -392,13 +417,20 @@ class TestStack:
         assert isinstance(out, DomainError)
 
 
+def hermitian_eig_outcome(m):
+    """What ``hermitian_eig`` gives ``m``: its decomposition or the error it raises."""
+    try:
+        return hermitian_eig(m)
+    except MonometricError as exc:
+        return exc
+
+
 def assert_outcome_alone(out, m):
     """``out`` is what ``hermitian_eig`` gives ``m`` alone, bit for bit, or
     an error of the type and message it raises."""
-    try:
-        alone = hermitian_eig(m)
-    except MonometricError as exc:
-        assert (type(out), str(out)) == (type(exc), str(exc))
+    alone = hermitian_eig_outcome(m)
+    if isinstance(alone, MonometricError):
+        assert (type(out), str(out)) == (type(alone), str(alone))
         return
     assert np.array_equal(out.eigenvalues, alone.eigenvalues)
     assert np.array_equal(out.eigenvectors, alone.eigenvectors)
@@ -430,7 +462,7 @@ class TestEigEach:
         rng = np.random.default_rng(79)
         dense = [random_hermitian(rng, 3) for _ in range(2)]
         ms = [np.diag([1.0, 2.0, 3.0]), dense[0], np.eye(3), dense[1]]
-        _, _, stuck = la._jacobi_stack(np.stack(ms).astype(complex))
+        _, _, stuck = stack_way(np.stack(ms).astype(complex))
         assert stuck.tolist() == [1, 3]
         outs = la.hermitian_eig_each(ms)
         assert [isinstance(out, NoConvergence) for out in outs] == [False, True, False, True]
@@ -443,8 +475,7 @@ class TestEigEach:
         members that pass the checks."""
         monkeypatch.setattr(la, "MAX_SWEEPS", 1)
         calls = []
-        stack_way = la._jacobi_stack
-        monkeypatch.setattr(la, "_jacobi_stack", lambda a: calls.append(len(a)) or stack_way(a))
+        spy_on_stack_way(monkeypatch, calls)
         rng = np.random.default_rng(89)
         # diagonal members are done before the first sweep, a dense one not
         ms = [np.diag(rng.standard_normal(2)).astype(complex) for _ in range(la.SMALL_STACK)]
@@ -550,13 +581,19 @@ class TestHugeNorms:
         skew = m + 1e-12 * rng.standard_normal((3, 3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert la.frobenius(scale * m) == pytest.approx(scale * np.linalg.norm(m), rel=1e-15)
+            assert la.frobenius(scale * m) == pytest.approx(scale * np.linalg.norm(m), rel=1e-15, abs=0.0)
             assert require_hermitian(scale * m) is not None
-            defect = la.hermiticity_defect(scale * skew)
-            ref = np.linalg.norm(skew - skew.conj().T) / np.linalg.norm(skew)
-            assert defect == pytest.approx(ref, rel=1e-12)
-            stack = la._norms(np.stack([scale * m, m, np.zeros((3, 3))]))
-            assert stack.tolist() == [la.frobenius(scale * m), la.frobenius(m), 0.0]
+            rounded = scale * skew
+            defect = la.hermiticity_defect(rounded)
+            # the reference is taken of the matrix as rounded, brought back by
+            # an exact power of two: rounding each entry of scale * skew moves
+            # it by about 1e-16 of itself, 1e-4 of its 1e-12 antisymmetric part
+            back = np.ldexp(rounded.view(float), -math.frexp(scale)[1]).view(complex)
+            ref = np.linalg.norm(back - back.conj().T) / np.linalg.norm(back)
+            assert defect == pytest.approx(ref, rel=1e-12, abs=0.0)
+            scaled, shift, norms = la._measure(np.stack([scale * m, m, np.zeros((3, 3))]))
+            assert np.ldexp(norms, shift).tolist() == [la.frobenius(scale * m), la.frobenius(m), 0.0]
+            assert shift.tolist()[1:] == [0, 0] and np.array_equal(scaled[1], m)
 
     def test_nearly_hermitian_huge_matrix_is_accepted_as_the_eigensolver_accepts_it(self):
         m = np.array([[1e200, 1e180], [1e180 * (1 + 1e-13), 1e200]])
@@ -574,9 +611,43 @@ class TestHugeNorms:
                 require_hermitian(m)
             defect = la.hermiticity_defect(np.stack([m, skew]).astype(complex))
         # M - M* = 2M, so the defect is 2 ||M|| / (||M|| + 1)
-        assert defect[0] == pytest.approx(2.0, rel=1e-15)
-        plain = la._norms(skew - skew.conj().T) / (la._norms(skew) + 1.0)
+        assert defect[0] == pytest.approx(2.0, rel=1e-15, abs=0.0)
+        plain = la.frobenius(skew - skew.conj().T) / (la.frobenius(skew) + 1.0)
         assert defect[1] == plain == la.hermiticity_defect(skew)
+
+    @pytest.mark.parametrize("skew, refused", ((1.5e-10, True), (0.99e-10, False)))
+    def test_every_entry_checks_the_defect_of_the_matrix_itself(self, skew, refused, monkeypatch):
+        """2^500 [[1, skew], [0, 1]] has defect skew: above HERM_TOL it is
+        refused with one message by require_hermitian, hermitian_eig and
+        hermitian_eig_each, alone and in a stack big enough for the stack
+        way; just below HERM_TOL all three accept it."""
+        m = 2.0**500 * np.array([[1.0, skew], [0.0, 1.0]], dtype=complex)
+        assert la.hermiticity_defect(m) == pytest.approx(skew, rel=1e-12, abs=0.0)
+        calls = []
+        spy_on_stack_way(monkeypatch, calls)
+        ms = [2.0**500 * np.eye(2)] * la.SMALL_STACK + [m]
+        alone, (each,) = hermitian_eig_outcome(m), la.hermitian_eig_each([m])
+        in_stack = la.hermitian_eig_each(ms)[-1]
+        assert calls == [la.SMALL_STACK + (not refused)]
+        if refused:
+            with pytest.raises(NotHermitian) as caught:
+                require_hermitian(m)
+            message = f"matrix has symmetry defect {skew:.3e}, above tol {la.HERM_TOL:.3e}"
+            assert str(caught.value) == message
+            for out in (alone, each, in_stack):
+                assert (type(out), str(out)) == (NotHermitian, message)
+        else:
+            assert require_hermitian(m) is not None
+            for out in (each, in_stack):
+                assert np.array_equal(out.eigenvalues, alone.eigenvalues)
+                assert np.array_equal(out.eigenvectors, alone.eigenvectors)
+
+    def test_real_input_is_measured_as_its_complex_copy(self):
+        m = 2.0**500 * np.array([[1.0, 1.5e-10], [0.0, 1.0]])
+        stack = np.stack([m, np.eye(2)])
+        for real in (m, stack):
+            assert np.array_equal(la.hermiticity_defect(real), la.hermiticity_defect(real.astype(complex)))
+        assert la.frobenius(m) == la.frobenius(m.astype(complex))
 
     def test_below_the_bound_keeps_its_bits(self):
         m = random_hermitian(np.random.default_rng(107), 4)

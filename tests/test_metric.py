@@ -147,9 +147,9 @@ class TestStateStacks:
         single, stack = monometric.linalg.hermitian_eig, monometric.linalg._jacobi_stack
 
         def counted(key, fn):
-            def call(m):
+            def call(m, *limits):
                 calls[key] += 1
-                return fn(m)
+                return fn(m, *limits)
 
             return call
 
@@ -186,14 +186,14 @@ class TestHandComputedValues:
     def test_qubit_off_diagonal(self):
         # both off-diagonal terms contribute c(1/2,1/2) = 2 each
         k = metric_quadratic(BURES_SPEC, qubit_mixed(), SIGMA_X)
-        assert k == pytest.approx(4.0, rel=1e-12)
+        assert k == pytest.approx(4.0, rel=1e-12, abs=0.0)
 
     def test_diagonal_tangent_any_kernel(self):
         rho = DensityMatrix.from_matrix(np.diag([0.25, 0.75]).astype(complex))
         a = np.diag([1.0, -1.0]).astype(complex)
         for c in (BridgeMC(0.0), BridgeMC(0.5), BridgeMC(1.0)):
             k = metric_quadratic(MetricSpec(c=c), rho, a)
-            assert k == pytest.approx(16.0 / 3.0, rel=1e-12)
+            assert k == pytest.approx(16.0 / 3.0, rel=1e-12, abs=0.0)
 
     def test_zero_tangent(self):
         assert metric_quadratic(BURES_SPEC, qubit_mixed(), np.zeros((2, 2))) == 0.0
@@ -201,13 +201,13 @@ class TestHandComputedValues:
     def test_off_diagonal_pair_uses_kernel_value(self):
         rho = DensityMatrix.from_matrix(np.diag([0.25, 0.75]).astype(complex))
         k = metric_quadratic(MetricSpec(c=BridgeMC(0.5)), rho, SIGMA_X)
-        assert k == pytest.approx(2.0 * eval_bridge(0.5, 0.25, 0.75), rel=1e-12)
+        assert k == pytest.approx(2.0 * eval_bridge(0.5, 0.25, 0.75), rel=1e-12, abs=0.0)
 
     def test_diagonal_constant_scales(self):
         rho = DensityMatrix.from_matrix(np.diag([0.25, 0.75]).astype(complex))
         a = np.diag([1.0, -1.0]).astype(complex)
         k = metric_quadratic(MetricSpec(c=BridgeMC(0.0), diagonal_constant=3.0), rho, a)
-        assert k == pytest.approx(16.0, rel=1e-12)
+        assert k == pytest.approx(16.0, rel=1e-12, abs=0.0)
 
 
 class TestQuadraticForm:
@@ -225,7 +225,7 @@ class TestQuadraticForm:
         a = random_tangent(rng, 3, False)
         k1 = metric_quadratic(BURES_SPEC, rho, a)
         k2 = metric_quadratic(BURES_SPEC, rho, 2.0 * a)
-        assert k2 == pytest.approx(4.0 * k1, rel=1e-12)
+        assert k2 == pytest.approx(4.0 * k1, rel=1e-12, abs=0.0)
 
     def test_result_exactly_real(self):
         # every term carries |At_ij|^2 at B = A, whatever the kernel; a
@@ -269,7 +269,7 @@ class TestReference:
                 a = random_tangent(rng, n, False)
                 b = random_tangent(rng, n, False)
                 ref = self.einsum_form(spec, rho, a, b)
-                assert metric_form(spec, rho, a, b) == pytest.approx(ref, rel=1e-12)
+                assert metric_form(spec, rho, a, b) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     def test_one_hermiticity_check_and_one_eigensolve_per_state(self, monkeypatch):
         calls = {"defect": 0, "eig": 0}
@@ -389,7 +389,7 @@ class TestSesquilinearAxioms:
         a = random_tangent(rng, 3, False)
         b = random_tangent(rng, 3, False)
         assert metric_form(BURES_SPEC, rho, a, b) == pytest.approx(
-            np.conj(metric_form(BURES_SPEC, rho, b, a)), rel=1e-11
+            np.conj(metric_form(BURES_SPEC, rho, b, a)), rel=1e-11, abs=0.0
         )
 
     def test_linearity_in_second_argument(self):
@@ -401,7 +401,7 @@ class TestSesquilinearAxioms:
         z = 0.7 - 1.3j
         combined = metric_form(BURES_SPEC, rho, a, b1 + z * b2)
         split = metric_form(BURES_SPEC, rho, a, b1) + z * metric_form(BURES_SPEC, rho, a, b2)
-        assert combined == pytest.approx(split, rel=1e-11)
+        assert combined == pytest.approx(split, rel=1e-11, abs=0.0)
 
     def test_conjugate_linearity_in_first_argument(self):
         rng = np.random.default_rng(41)
@@ -414,7 +414,7 @@ class TestSesquilinearAxioms:
         split = metric_form(BURES_SPEC, rho, a1, b) + np.conj(z) * metric_form(
             BURES_SPEC, rho, a2, b
         )
-        assert combined == pytest.approx(split, rel=1e-11)
+        assert combined == pytest.approx(split, rel=1e-11, abs=0.0)
 
 
 class TestCovariance:
@@ -431,7 +431,7 @@ class TestCovariance:
                 DensityMatrix.from_matrix(u @ rho_m @ u.conj().T),
                 u @ a @ u.conj().T,
             )
-            assert rotated == pytest.approx(base, rel=1e-9)
+            assert rotated == pytest.approx(base, rel=1e-9, abs=0.0)
 
     def test_rotated_basis_matches_diagonal_evaluation(self):
         rng = np.random.default_rng(61)
@@ -444,7 +444,7 @@ class TestCovariance:
         diag = metric_quadratic(
             BURES_SPEC, DensityMatrix.from_matrix(np.diag(w).astype(complex)), a_diag_basis
         )
-        assert direct == pytest.approx(diag, rel=1e-9)
+        assert direct == pytest.approx(diag, rel=1e-9, abs=0.0)
 
     def test_degenerate_spectrum_needs_no_special_case(self):
         rho = DensityMatrix.from_matrix(np.eye(3, dtype=complex) / 3)
@@ -479,4 +479,4 @@ class TestErrors:
         spec = MetricSpec(c=CanonicalMC.normalized(h))
         k = metric_quadratic(spec, qubit_mixed(), SIGMA_X)
         # at x = y = 1/2 every normalized kernel gives c = 2
-        assert k == pytest.approx(4.0, rel=1e-9)
+        assert k == pytest.approx(4.0, rel=1e-9, abs=0.0)

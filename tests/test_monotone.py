@@ -89,7 +89,7 @@ class TestGammaFamily:
         # f_{(g+d)/2}^2 = f_g * f_d pointwise
         mid = eval_gamma_family(0.5 * (g + d), t)
         assert mid * mid == pytest.approx(
-            eval_gamma_family(g, t) * eval_gamma_family(d, t), rel=1e-12
+            eval_gamma_family(g, t) * eval_gamma_family(d, t), rel=1e-12, abs=0.0
         )
 
     def test_ordering_in_gamma(self):
@@ -111,13 +111,13 @@ class TestCanonicalRepresentation:
             h = const_weight(g)
             for t in (0.01, 0.5, 1.0, 7.0, 100.0):
                 assert eval_canonical_f(beta, h, t) == pytest.approx(
-                    eval_gamma_family(g, t), rel=1e-8
+                    eval_gamma_family(g, t), rel=1e-8, abs=0.0
                 )
 
     def test_zero_weight_gives_max_function(self):
         h = const_weight(0.0)
         for t in (0.2, 1.0, 5.0):
-            assert eval_canonical_f(-0.5 * LOG2, h, t) == pytest.approx((1 + t) / 2, rel=1e-12)
+            assert eval_canonical_f(-0.5 * LOG2, h, t) == pytest.approx((1 + t) / 2, rel=1e-12, abs=0.0)
 
     def test_normalized_value_at_one(self):
         for seed in range(5):
@@ -140,14 +140,14 @@ class TestCanonicalRepresentation:
         t = 1e-10
         log_f = 710.0 + 0.5 * LOG2 + math.log(t) - math.log1p(t)
         got = CanonicalMonotone(710.0, const_weight(1.0))(t)
-        assert got == pytest.approx(math.exp(log_f), rel=1e-12)
+        assert got == pytest.approx(math.exp(log_f), rel=1e-12, abs=0.0)
 
     def test_overflowing_value_raises_while_its_log_stays_finite(self):
         # log f(1e10) = 709 + log((1 + 1e10)/sqrt(2)) is past log of the largest float
         with pytest.raises(DomainError):
             CanonicalMonotone(709.0, const_weight(0.0))(1e10)
         F = ExpOrderFunction(709.0, const_weight(0.0))
-        assert F(math.log(1e10)) == pytest.approx(709.0 + math.log1p(1e10) - 0.5 * LOG2, rel=1e-14)
+        assert F(math.log(1e10)) == pytest.approx(709.0 + math.log1p(1e10) - 0.5 * LOG2, rel=1e-14, abs=0.0)
 
     def test_rejects_nonpositive_argument(self):
         with pytest.raises(DomainError):
@@ -172,7 +172,7 @@ class TestCanonicalRepresentation:
         # far outside [1e-8, 1e8] evaluation reroutes through f(t) = t f(1/t)
         f = CanonicalMonotone.normalized(step_weight(3))
         for t in (1e-12, 1e12):
-            assert f(t) == pytest.approx(t * f(1.0 / t), rel=1e-9)
+            assert f(t) == pytest.approx(t * f(1.0 / t), rel=1e-9, abs=0.0)
 
     def test_beta_for_constant_weight(self):
         for g in (0.0, 0.25, 1.0):
@@ -259,12 +259,12 @@ class TestSharpTransform:
         fmax = maximal_function()
         fs = sharp(fmax)
         for t in T_GRID:
-            assert fs(t) == pytest.approx(fmax(t), rel=1e-14)
+            assert fs(t) == pytest.approx(fmax(t), rel=1e-14, abs=0.0)
 
     def test_sharp_of_identity_is_one(self):
         fs = sharp(Identity())
         for t in (0.1, 1.0, 42.0):
-            assert fs(t) == pytest.approx(1.0, rel=1e-14)
+            assert fs(t) == pytest.approx(1.0, rel=1e-14, abs=0.0)
 
     @given(gammas)
     def test_involution_on_gamma_family(self, g):
@@ -285,13 +285,13 @@ class TestTildeTransform:
         ft = tilde(ConstantOne())
         fmin = minimal_function()
         for t in T_GRID:
-            assert ft(t) == pytest.approx(fmin(t), rel=1e-13)
+            assert ft(t) == pytest.approx(fmin(t), rel=1e-13, abs=0.0)
 
     def test_tilde_fixes_symmetric_functions(self):
         fsqrt = sqrt_function()
         ft = tilde(fsqrt)
         for t in T_GRID:
-            assert ft(t) == pytest.approx(fsqrt(t), rel=1e-13)
+            assert ft(t) == pytest.approx(fsqrt(t), rel=1e-13, abs=0.0)
 
     @given(gammas)
     def test_tilde_blind_to_sharp(self, g):
@@ -377,8 +377,8 @@ class TestExpOrderClass:
             F = ExpOrderFunction(beta=beta, h=h)
             for t in (0.05, 0.4, 1.0, 6.0, 80.0):
                 oracle = quadrature_f(beta, h, t)
-                assert math.exp(eval_exp_order(F, math.log(t))) == pytest.approx(oracle, rel=1e-9)
-                assert eval_canonical_f(beta, h, t) == pytest.approx(oracle, rel=1e-9)
+                assert math.exp(eval_exp_order(F, math.log(t))) == pytest.approx(oracle, rel=1e-9, abs=0.0)
+                assert eval_canonical_f(beta, h, t) == pytest.approx(oracle, rel=1e-9, abs=0.0)
 
     def test_to_monotone_shares_parameters(self):
         F = ExpOrderFunction(beta=0.1, h=step_weight(5))
@@ -387,8 +387,8 @@ class TestExpOrderClass:
         assert f.h == F.h
         for t in (0.3, 1.0, 3.0):
             oracle = quadrature_f(F.beta, F.h, t)
-            assert f(t) == pytest.approx(oracle, rel=1e-9)
-            assert math.exp(eval_exp_order(F, math.log(t))) == pytest.approx(oracle, rel=1e-9)
+            assert f(t) == pytest.approx(oracle, rel=1e-9, abs=0.0)
+            assert math.exp(eval_exp_order(F, math.log(t))) == pytest.approx(oracle, rel=1e-9, abs=0.0)
 
     def test_guarded_large_arguments(self):
         F = ExpOrderFunction(beta=0.0, h=const_weight(0.5))

@@ -36,12 +36,12 @@ class TestAgainstClosedForms:
         # Kronrod-15 integrates degree <= 22 exactly; one panel suffices
         val, err = integrate(lambda x: 5 * x**13 - 3 * x**4 + x, 0.0, 2.0)
         exact = 5 * 2.0**14 / 14 - 3 * 2.0**5 / 5 + 2.0
-        assert val == pytest.approx(exact, rel=1e-14)
+        assert val == pytest.approx(exact, rel=1e-14, abs=0.0)
         assert err < 1e-9
 
     def test_exponential(self):
         val, _ = integrate(np.exp, 0.0, 3.0)
-        assert val == pytest.approx(math.exp(3.0) - 1.0, rel=1e-13)
+        assert val == pytest.approx(math.exp(3.0) - 1.0, rel=1e-13, abs=0.0)
 
     def test_oscillatory_cosine(self):
         val, _ = integrate(lambda x: np.cos(40.0 * x), 0.0, 1.0)
@@ -57,7 +57,7 @@ class TestAgainstClosedForms:
     def test_orientation(self):
         fwd, _ = integrate(np.exp, 0.0, 1.0)
         rev, _ = integrate(np.exp, 1.0, 0.0)
-        assert rev == pytest.approx(-fwd, rel=1e-14)
+        assert rev == pytest.approx(-fwd, rel=1e-14, abs=0.0)
 
 
 class TestAgainstScipy:

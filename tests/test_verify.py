@@ -136,7 +136,7 @@ def test_contraction_at_seed_307_is_the_per_attempt_loop():
         assert _contraction_worst(run, spec, variant, 200) == worst
     props = {p.name: p for p in run_verification("channels", 200, 307, (2, 3)).suites[0].properties}
     assert props["contraction-bridge"].passed
-    assert props["contraction-bridge"].worst == pytest.approx(4.35534275311511e-10, rel=1e-6)
+    assert props["contraction-bridge"].worst == pytest.approx(4.35534275311511e-10, rel=1e-6, abs=0.0)
 
 
 def test_image_states_are_held_to_the_trial_floor():
@@ -171,7 +171,9 @@ def test_a_draw_that_does_not_converge_leaves_the_stack_to_the_others(monkeypatc
     monkeypatch.setattr(monometric.linalg, "MAX_SWEEPS", 1)
     calls = []
     stack_way = monometric.linalg._jacobi_stack
-    monkeypatch.setattr(monometric.linalg, "_jacobi_stack", lambda a: calls.append(len(a)) or stack_way(a))
+    monkeypatch.setattr(
+        monometric.linalg, "_jacobi_stack", lambda a, *limits: calls.append(len(a)) or stack_way(a, *limits)
+    )
     count = monometric.linalg.SMALL_STACK // 2
     rhos = [np.diag([0.5 - 0.01 * k, 0.5 + 0.01 * k]).astype(complex) for k in range(count)]
     identity = KrausChannel(operators=(np.eye(2, dtype=complex),))
@@ -265,7 +267,9 @@ def test_a_trial_state_that_does_not_converge_is_raised_when_its_trial_is_reache
 def test_base_states_diagonalized_as_stacks_are_what_they_are_alone(monkeypatch):
     calls = []
     stack_way = monometric.linalg._jacobi_stack
-    monkeypatch.setattr(monometric.linalg, "_jacobi_stack", lambda a: calls.append(len(a)) or stack_way(a))
+    monkeypatch.setattr(
+        monometric.linalg, "_jacobi_stack", lambda a, *limits: calls.append(len(a)) or stack_way(a, *limits)
+    )
     trials = monometric.linalg.SMALL_STACK  # half of them 2x2: a stack of B n = SMALL_STACK
     run = _Run("metric", seed=3, trials=trials, dims=(2, 3))
     stacked = list(_trial_base_states(run, trials))
