@@ -99,10 +99,11 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def frobenius(m) -> float:
+def frobenius(m):
+    """Frobenius norm of a matrix, or of each matrix of a stack."""
     _, shift, norms = _measure(np.asarray(m))
     with np.errstate(over="ignore"):
-        return float(np.ldexp(norms, shift))
+        return np.ldexp(norms, shift)
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -138,10 +139,18 @@ def hermiticity_defect(m: np.ndarray):
 
     Taken of each member as ``_measure`` scales it, the 1 scaled with it,
     so the subtraction cannot overflow; unscaled members keep their bits.
+    A member with a non-finite entry, whose norm is not finite either, has
+    defect NaN; its difference is taken of zeros, so inf - inf raises no
+    warning.
     """
     a, shift, norms = _measure(m)
+    finite = np.isfinite(norms)
+    every = finite.all()
+    if not every:
+        a = np.where(finite[..., None, None], a, 0.0)
     diff = np.sqrt(np.add.reduce(np.abs(a - dagger(a)) ** 2, axis=(-2, -1)))
-    return diff / (norms + np.ldexp(1.0, -shift))
+    defect = diff / (norms + np.ldexp(1.0, -shift))
+    return defect if every else np.where(finite, defect, np.nan)
 
 
 def require_hermitian(m) -> np.ndarray:
@@ -154,20 +163,18 @@ def require_hermitian(m) -> np.ndarray:
 def _check(a: np.ndarray) -> list[MonometricError | None]:
     """Per member of a stack (B, n, n), in order: the error that makes it no
     finite Hermitian matrix (not square, empty, a non-finite entry, or a
-    ``hermiticity_defect`` above ``HERM_TOL``), or None."""
+    ``hermiticity_defect`` above ``HERM_TOL``), or None. A finite matrix
+    has a finite defect, so a NaN defect is a non-finite entry."""
     count, n, n2 = a.shape
     if n != n2:
         return [NotHermitian(f"matrix is {n}x{n2}, not square") for _ in range(count)]
     if n == 0:
         return [DomainError("matrix is empty") for _ in range(count)]
-    finite = np.isfinite(a).all(axis=(1, 2))
-    # a non-finite member's defect, never read, is taken of zeros: inf - inf would warn
-    defect = hermiticity_defect(a if finite.all() else np.where(finite[:, None, None], a, 0.0))
     return [
-        DomainError("matrix has a non-finite entry") if not ok
+        DomainError("matrix has a non-finite entry") if math.isnan(d)
         else NotHermitian(f"matrix has symmetry defect {d:.3e}, above tol {HERM_TOL:.3e}") if d > HERM_TOL
         else None
-        for ok, d in zip(finite.tolist(), defect.tolist())
+        for d in hermiticity_defect(a).tolist()
     ]
 
 

@@ -16,17 +16,18 @@ byte identical. Wall time is measured but kept out of the report body for
 exactly that reason.
 
 The contraction properties and unitary-equality draw their trials in
-order from these same streams, then validate the states and image states
-together with ``DensityMatrix.from_matrices``, which gives each matrix
-bit for bit its own outcome, so every value is as in a one-by-one loop.
+order from these same streams, then build the channels together
+(``random_channel_each``, or one Gram-Schmidt stack of the unitaries'
+Gaussians) and validate the states and image states together with
+``DensityMatrix.from_matrices``; each of them gives every member bit for
+bit its own outcome, so every value is as in a one-by-one loop.
 Rejections, errors and the NaN stop are taken in attempt order, and no
 attempt is drawn past the point where a one-by-one loop would stop, so
-the trials that run are the same. Only a sampler that gives up
-(DegenerateSample) while a batch is drawn raises before the earlier
-trials of that batch run. The metric properties likewise draw every
-trial's state first, each from its trial's own stream, and validate them
-together (``_trial_base_states``); each trial then draws its tangents and
-unitaries after its state, as before.
+the trials that run are the same, and a channel that cannot be drawn
+raises when its attempt is reached. The metric properties likewise draw
+every trial's state first, each from its trial's own stream, and validate
+them together (``_trial_base_states``); each trial then draws its
+tangents and unitaries after its state, as before.
 """
 
 from __future__ import annotations
@@ -43,8 +44,9 @@ from .channels import (
     TRIAL_STATE_FLOOR,
     KrausChannel,
     apply_channel,
+    apply_channel_each,
     monotonicity_trial,
-    random_channel,
+    random_channel_each,
 )
 from .chentsov import (
     BridgeMC,
@@ -80,6 +82,8 @@ from .monotone import (
 )
 from .quadrature import integrate
 from .sampling import (
+    ginibre,
+    orthonormal_columns_each,
     random_density,
     random_step_weight,
     random_tangent,
@@ -216,13 +220,14 @@ def _diagonal_density(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.diag(w).astype(complex)
 
 
-def _draw_channel(rng: np.random.Generator, n: int) -> KrausChannel:
-    """Channel M_n -> M_m, m in [2, 4], with k >= n/m Kraus operators; draws
-    m, k and the channel seed in that order, which fixes the stream."""
+def _draw_channel(rng: np.random.Generator, n: int) -> tuple[int, int, int, int]:
+    """The draw ``(n, m, k, seed)`` of a channel M_n -> M_m for
+    ``random_channel_each``, m in [2, 4], with k >= n/m Kraus operators;
+    draws m, k and the channel seed in that order, which fixes the stream."""
     m = int(rng.integers(2, 5))
     kmin = math.ceil(n / m)
     k = int(rng.integers(kmin, kmin + 3))
-    return random_channel(n, m, k, seed=int(rng.integers(0, 2**31)))
+    return n, m, k, int(rng.integers(0, 2**31))
 
 
 _T_GRID = tuple(float(t) for t in np.geomspace(1e-2, 1e2, 25))
@@ -577,19 +582,26 @@ def _trial_base_states(
 
 
 def _trial_states(
-    channels: Sequence[KrausChannel], rhos: Sequence[np.ndarray]
+    channels: Sequence[KrausChannel | MonometricError], rhos: Sequence[np.ndarray]
 ) -> Iterator[tuple[DensityMatrix, DensityMatrix | MonometricError]]:
     """Per contraction draw, in order: its state and its image state, or
-    the error that rejects the image. States and images are validated
-    together by ``DensityMatrix.from_matrices``; a state's own error is
-    raised when its draw is reached, as a draw-by-draw loop would raise it."""
+    the error that rejects the image. ``channels`` holds each draw's
+    channel or the error that kept it from being drawn. States are
+    validated together by ``DensityMatrix.from_matrices``, the images
+    mapped together by ``apply_channel_each`` and validated the same way.
+    A draw's own error, its channel's and then its state's, is raised when
+    its draw is reached, as a draw-by-draw loop would raise it."""
     states = DensityMatrix.from_matrices(rhos)
+    drawn = [
+        (c, s) for c, s in zip(channels, states)
+        if isinstance(c, KrausChannel) and isinstance(s, DensityMatrix)
+    ]
     images = iter(DensityMatrix.from_matrices(
-        [apply_channel(c, s.matrix) for c, s in zip(channels, states)
-         if isinstance(s, DensityMatrix)],
+        apply_channel_each([c for c, _ in drawn], [s.matrix for _, s in drawn]),
         floor=TRIAL_STATE_FLOOR,
     ))
-    for state in states:
+    for channel, state in zip(channels, states):
+        unwrap(channel)
         yield unwrap(state), next(images)
 
 
@@ -599,11 +611,13 @@ def _contraction_worst(run: _Run, spec: MetricSpec, variant: int, target_trials:
     are skipped deterministically by advancing the attempt counter.
 
     Attempts are drawn in order, in chunks of the trials still wanted, so
-    no attempt is drawn past the point where a one-by-one loop would stop;
-    their states and image states are validated as stacks, and rejections
-    are taken in attempt order. Raises DegenerateSample when
-    CONTRACTION_DRAWS_PER_TRIAL draws per wanted trial yield fewer than
-    ``target_trials`` accepted ones.
+    no attempt is drawn past the point where a one-by-one loop would stop.
+    Each attempt draws its channel's parameters, its state and its tangent
+    from its generator; a chunk's channels come from one
+    ``random_channel_each``, and its states and image states are validated
+    as stacks. Errors and rejections are taken in attempt order. Raises
+    DegenerateSample when CONTRACTION_DRAWS_PER_TRIAL draws per wanted
+    trial yield fewer than ``target_trials`` accepted ones.
     """
     worst = math.inf
     accepted = 0
@@ -617,13 +631,14 @@ def _contraction_worst(run: _Run, spec: MetricSpec, variant: int, target_trials:
             )
         chunk = range(attempt, min(attempt + target_trials - accepted, max_attempts))
         attempt = chunk.stop
-        channels, rhos, tangents = [], [], []
+        draws, rhos, tangents = [], [], []
         for k in chunk:
             rng = run.rng(variant, k)
             n = run.dims[(k + 1) % len(run.dims)]
-            channels.append(_draw_channel(rng, n))
+            draws.append(_draw_channel(rng, n))
             rhos.append(random_density(rng, n))
             tangents.append(random_tangent(rng, n, hermitian=bool(rng.integers(0, 2))))
+        channels = random_channel_each(draws)
         for channel, a, (state, image) in zip(channels, tangents, _trial_states(channels, rhos)):
             try:
                 result = monotonicity_trial(spec, channel, state, a, image)
@@ -639,21 +654,28 @@ def _contraction_worst(run: _Run, spec: MetricSpec, variant: int, target_trials:
 # generated channels preserve trace of arbitrary inputs
 @_property("channels", "trace-preservation", 1e-10)
 def _trace_preservation(run: _Run):
+    draws, tangents = [], []
     for rng, n in run.draws(min(run.trials, 50)):
-        channel = _draw_channel(rng, n)
+        draws.append(_draw_channel(rng, n))
+        tangents.append(random_tangent(rng, n, hermitian=False))
+    for outcome, x in zip(random_channel_each(draws), tangents):
+        channel = unwrap(outcome)
         gram = sum(op.conj().T @ op for op in channel.operators)
-        yield float(np.sqrt(np.sum(np.abs(gram - np.eye(n)) ** 2)))
-        x = random_tangent(rng, n, hermitian=False)
+        yield float(np.sqrt(np.sum(np.abs(gram - np.eye(channel.in_dim)) ** 2)))
         yield abs(complex(np.trace(apply_channel(channel, x))) - complex(np.trace(x)))
 
 # unitary channels contract with equality
 @_property("channels", "unitary-equality", 1e-9)
 def _unitary_equality(run: _Run):
-    channels, rhos, tangents = [], [], []
+    gaussians, rhos, tangents = [], [], []
     for rng, n in run.draws(run.trials):
-        channels.append(KrausChannel(operators=(random_unitary(rng, n),)))
+        gaussians.append(ginibre(rng, n, n))
         rhos.append(random_density(rng, n))
         tangents.append(random_tangent(rng, n, hermitian=bool(rng.integers(0, 2))))
+    channels = [
+        u if isinstance(u, MonometricError) else KrausChannel(operators=(u,))
+        for u in orthonormal_columns_each(gaussians)
+    ]
     for channel, a, (state, image) in zip(channels, tangents, _trial_states(channels, rhos)):
         yield abs(monotonicity_trial(_SPEC, channel, state, a, image).slack)
 

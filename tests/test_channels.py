@@ -1,10 +1,13 @@
 """Kraus maps: validation, application, random generation, and the
 contraction inequality that defines metric monotonicity."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
+
+import monometric.channels
 
 from monometric import (
     BridgeMC,
@@ -15,12 +18,15 @@ from monometric import (
     DomainError,
     KrausChannel,
     MetricSpec,
+    MonometricError,
     apply_channel,
     metric_quadratic,
     monotonicity_trial,
     random_channel,
 )
+from monometric.channels import RESAMPLE_CAP, _kraus_check, apply_channel_each, random_channel_each
 from monometric.sampling import random_density, random_step_weight, random_tangent, random_unitary
+from oracle_loops import apply_loop, random_channel_loop, same_channel
 
 BURES_SPEC = MetricSpec(c=BridgeMC(0.0))
 
@@ -205,3 +211,142 @@ class TestMonotonicityTrial:
                 continue
             done += 1
             assert trial.slack >= -1e-9 * (1 + abs(trial.rhs))
+
+
+def every_draw_shape():
+    """(n, m, k) for n = 2..8, m = 2..4 and k from ceil(n/m) to ceil(n/m) + 2,
+    and a few isometries of up to 24 rows."""
+    shapes = [
+        (n, m, k)
+        for n in range(2, 9)
+        for m in range(2, 5)
+        for k in range(math.ceil(n / m), math.ceil(n / m) + 3)
+    ]
+    return shapes + [(8, 4, 6), (8, 3, 8), (5, 4, 5), (3, 2, 12)]
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except MonometricError as exc:
+        return exc
+
+
+def assert_same_outcome(got, expected):
+    if isinstance(expected, MonometricError):
+        assert (type(got), str(got)) == (type(expected), str(expected))
+    else:
+        assert same_channel(got, expected)
+
+
+class TestRandomChannelEach:
+    @pytest.mark.parametrize("group", [1, 2, 40])
+    def test_members_are_the_channel_built_alone(self, group):
+        rng = np.random.default_rng(group)
+        draws = [(*shape, int(rng.integers(0, 2**31))) for shape in every_draw_shape() for _ in range(2)]
+        draws = [draws[i] for i in rng.permutation(len(draws))]
+        assert max(m * k for _, m, k, _ in draws) == 24
+        for start in range(0, len(draws), group):
+            chunk = draws[start : start + group]
+            for draw, channel in zip(chunk, random_channel_each(chunk)):
+                expected = random_channel_loop(*draw)
+                assert same_channel(channel, expected), draw
+                assert same_channel(random_channel(*draw), expected), draw
+
+    def test_bad_draws_get_their_own_errors(self):
+        draws = [(3, 2, 2, 1), (3, 2, 1, 2), (2, 9, 1, 3), (2, 2, 0, 4), (2.5, 2, 2, 5), (4, 3, 2, 6)]
+        outs = random_channel_each(draws)
+        assert [type(o) for o in outs] == [KrausChannel, DomainError, DomainError, DomainError, DomainError, KrausChannel]
+        for draw, out in zip(draws, outs):
+            assert_same_outcome(out, outcome(random_channel, *draw))
+
+    def test_a_degenerate_member_is_redrawn_alone_from_its_own_generator(self, monkeypatch):
+        draws = [(3, 2, 2, seed) for seed in (21, 22, 23)] + [(2, 3, 1, 24)]
+        before = random_channel_each(draws)
+        real = monometric.channels.ginibre
+        seen = {}
+
+        def collapse_first(rng, rows, cols):
+            g = real(rng, rows, cols)
+            seen[id(rng)] = seen.get(id(rng), 0) + 1
+            if rng.bit_generator.seed_seq.entropy == [22] and seen[id(rng)] == 1:
+                g[:, 1] = g[:, 0]
+            return g
+
+        monkeypatch.setattr(monometric.channels, "ginibre", collapse_first)
+        after = random_channel_each(draws)
+        assert sorted(seen.values()) == [1, 1, 1, 2]  # only the degenerate one is redrawn
+        for k, (draw, channel) in enumerate(zip(draws, after)):
+            seen.clear()
+            expected = random_channel_loop(*draw)
+            assert same_channel(channel, expected)
+            assert same_channel(channel, before[k]) == (k != 1)  # its neighbours keep their bits
+
+    def test_a_member_that_stays_degenerate_gets_its_own_error(self, monkeypatch):
+        real = monometric.channels.ginibre
+        calls = []
+
+        def always_collapse_22(rng, rows, cols):
+            g = real(rng, rows, cols)
+            if rng.bit_generator.seed_seq.entropy == [22]:
+                calls.append(rows)
+                g[:, 1] = 0.0
+            return g
+
+        monkeypatch.setattr(monometric.channels, "ginibre", always_collapse_22)
+        draws = [(3, 2, 2, seed) for seed in (21, 22, 23)]
+        outs = random_channel_each(draws)
+        assert len(calls) == RESAMPLE_CAP
+        assert (type(outs[1]), str(outs[1])) == (DegenerateSample, f"no isometry after {RESAMPLE_CAP} draws")
+        with pytest.raises(DegenerateSample, match=f"after {RESAMPLE_CAP} draws"):
+            random_channel(3, 2, 2, seed=22)
+        for k in (0, 2):
+            assert same_channel(outs[k], random_channel_loop(*draws[k]))
+
+
+def bad_operator_sets():
+    """Two-operator sets on M_2 that ``KrausChannel`` refuses, by reason."""
+    half = np.sqrt(0.5) * np.eye(2, dtype=complex)
+    nan = half.copy()
+    nan[0, 1] = np.nan
+    inf = half.copy()
+    inf[1, 1] = -np.inf
+    return {
+        "nan": (half, nan),
+        "inf": (inf, half),
+        "modulus": (3.0 * half, half),
+        "huge": (1e160 * half, half),
+        "trace": (half, 0.9 * half),
+    }
+
+
+class TestKrausCheckStack:
+    @pytest.mark.parametrize("reason", sorted(bad_operator_sets()))
+    @pytest.mark.parametrize("position", [0, 1, 4])
+    def test_a_bad_member_gets_the_error_kraus_channel_raises_alone(self, reason, position):
+        rng = np.random.default_rng(position)
+        good = [random_channel(2, 2, 2, seed=int(s)).operators for s in rng.integers(0, 2**31, 5)]
+        sets = list(good)
+        sets[position] = bad_operator_sets()[reason]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            errors = _kraus_check([np.stack([ops[i] for ops in sets]) for i in range(2)])
+            expected = outcome(KrausChannel, sets[position])
+        assert isinstance(expected, DomainError)
+        assert (type(errors[position]), str(errors[position])) == (DomainError, str(expected))
+        assert [e is None for e in errors] == [k != position for k in range(len(sets))]
+
+
+class TestApplyChannelEach:
+    def test_members_are_apply_channel_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        draws = [(*shape, int(rng.integers(0, 2**31))) for shape in every_draw_shape()]
+        channels = random_channel_each([draws[i] for i in rng.permutation(len(draws))])
+        xs = [random_tangent(rng, c.in_dim, bool(rng.integers(0, 2))) for c in channels]
+        for channel, x, y in zip(channels, xs, apply_channel_each(channels, xs)):
+            assert y.tobytes() == apply_channel(channel, x).tobytes()
+            assert y.tobytes() == apply_loop(channel, x).tobytes()
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            apply_channel_each([identity_channel(2), identity_channel(3)], [np.eye(2), np.eye(2)])

@@ -597,10 +597,10 @@ class TestVerifyCommand:
         assert main(argv) == 2
 
     def test_sampler_that_gives_up_exits_5(self, capsys, monkeypatch):
-        def exhausted(*args, **kwargs):
-            raise DegenerateSample("forced for the exit-code test")
+        def exhausted(draws):
+            return [DegenerateSample("forced for the exit-code test") for _ in draws]
 
-        monkeypatch.setattr(monometric.verify, "random_channel", exhausted)
+        monkeypatch.setattr(monometric.verify, "random_channel_each", exhausted)
         assert main(["verify", "--suite", "channels", "--trials", "1"]) == 5
         assert "sampler gave up" in capsys.readouterr().err
 

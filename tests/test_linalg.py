@@ -685,6 +685,24 @@ class TestNonFiniteInput:
         with pytest.raises(DomainError):
             hermitian_eig(np.diag([math.inf, 0.5]))
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    def test_defect_of_a_non_finite_matrix_is_nan_without_warnings(self, bad):
+        rng = np.random.default_rng(113)
+        finite = [random_hermitian(rng, 3), 2.0**500 * random_hermitian(rng, 3), rng.standard_normal((3, 3))]
+        m = np.diag([bad, 1.0, 0.5]).astype(complex)
+        m[0, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(la.hermiticity_defect(m))
+            stacked = la.hermiticity_defect(np.stack([finite[0], m, finite[1], m, finite[2]]))
+            alone = [la.hermiticity_defect(f) for f in finite]
+            with pytest.raises(DomainError, match="non-finite"):
+                require_hermitian(m)
+        assert [math.isnan(d) for d in stacked.tolist()] == [False, True, False, True, False]
+        # the finite members keep their bits
+        assert stacked[[0, 2, 4]].tobytes() == np.array(alone).tobytes()
+        assert stacked[[0, 2, 4]].tobytes() == la.hermiticity_defect(np.stack(finite)).tobytes()
+
 
 class TestMatrixFunction:
     def test_identity_function(self):

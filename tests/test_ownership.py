@@ -2,9 +2,15 @@
 
 Batching eigensolves is decided in one place: only ``linalg`` names its
 stack way ``_jacobi_stack``; every other module hands its matrices to
-``linalg.hermitian_eig_each``. And every test's ``approx`` that states a
-``rel=`` states its ``abs=`` too: pytest's default ``abs=1e-12`` would
-otherwise pass a small expected value far more loosely than written."""
+``linalg.hermitian_eig_each``. Gram-Schmidt is written once, in
+``sampling``: no other module defines one, and only ``sampling`` names
+its stacked ``_gram_schmidt``. Trace preservation has one owner,
+``KrausChannel``: only ``channels`` names its stacked check
+``_kraus_check``, and no other module builds a ``KrausChannel`` through
+``__new__``, which skips ``__post_init__``. And
+every test's ``approx`` that states a ``rel=`` states its ``abs=`` too:
+pytest's default ``abs=1e-12`` would otherwise pass a small expected
+value far more loosely than written."""
 
 import ast
 from pathlib import Path
@@ -12,8 +18,15 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "monometric"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "linalg.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "linalg.py"]
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+# private names, each read only in the module that owns it
+OWNED = {
+    "_jacobi_stack": "linalg.py",
+    "_gram_schmidt": "sampling.py",
+    "_kraus_check": "channels.py",
+}
 
 
 def names(source: str) -> set[str]:
@@ -30,12 +43,14 @@ def names(source: str) -> set[str]:
 
 
 def test_finds_a_name_however_it_is_written():
-    for source in (
-        "from .linalg import _jacobi_stack as s\n",
-        "from . import linalg\nlinalg._jacobi_stack(x)\n",
-        "import monometric.linalg._jacobi_stack\n",
-    ):
-        assert "_jacobi_stack" in names(source), source
+    for name in OWNED:
+        for source in (
+            f"from .linalg import {name} as s\n",
+            f"from . import linalg\nlinalg.{name}(x)\n",
+            f"import monometric.linalg.{name}\n",
+            f"f = {name}\n",
+        ):
+            assert name in names(source), source
 
 
 def test_every_other_module_is_checked():
@@ -45,6 +60,91 @@ def test_every_other_module_is_checked():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_linalg_names_the_stack_eigensolver(path):
     assert "_jacobi_stack" not in names(path.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_private_stacks_are_named_only_by_their_owner(path):
+    found = names(path.read_text(encoding="utf-8"))
+    assert [name for name, owner in OWNED.items() if name in found and owner != path.name] == []
+
+
+def gram_schmidts(source: str) -> list[str]:
+    """The functions that are a Gram-Schmidt: named for one, or holding a
+    projection step ``y -= (x.conj() @ y) * x``, an in-place subtraction
+    of a product with a matrix product of a conjugate."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        named = any(word in node.name.lower() for word in ("gram", "schmidt", "orthonormal"))
+        if named or any(is_projection(step) for step in ast.walk(node)):
+            found.append(node.name)
+    return found
+
+
+def is_projection(node) -> bool:
+    if not (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Sub)):
+        return False
+    for part in ast.walk(node.value):
+        if isinstance(part, ast.BinOp) and isinstance(part.op, ast.MatMult):
+            for leaf in ast.walk(part):
+                if isinstance(leaf, ast.Attribute) and leaf.attr == "conj":
+                    return True
+    return False
+
+
+def test_finds_a_gram_schmidt_however_it_is_written():
+    loop = (Path(__file__).resolve().parent / "oracle_loops.py").read_text(encoding="utf-8")
+    assert "gram_schmidt_loop" in gram_schmidts(loop)
+    renamed = "def tidy(v):\n    for j in range(3):\n        v[:, j] -= (v[:, 0].conj() @ v[:, j]) * v[:, 0]\n"
+    assert gram_schmidts(renamed) == ["tidy"]
+    batched = "def f(v, x, y):\n    y -= (x[:, None].conj() @ y[:, :, None])[:, 0] * x\n"
+    assert gram_schmidts(batched) == ["f"]
+    assert gram_schmidts("def orthonormalize(g):\n    return g\n") == ["orthonormalize"]
+    assert gram_schmidts("def f(a, b):\n    a -= b @ b\n    return a.conj()\n") == []
+    assert "_gram_schmidt" in gram_schmidts((PACKAGE / "sampling.py").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "sampling.py"], ids=lambda p: p.name)
+def test_only_sampling_defines_a_gram_schmidt(path):
+    assert gram_schmidts(path.read_text(encoding="utf-8")) == []
+
+
+def kraus_built_through_new(source: str) -> list[int]:
+    """The lines that call ``__new__`` on ``KrausChannel`` or with it as an
+    argument, under any name it is imported as."""
+    aliases = {"KrausChannel"}
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            aliases.update(a.asname for a in node.names if a.name == "KrausChannel" and a.asname)
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "__new__":
+            for part in (node.func.value, *node.args):
+                if (isinstance(part, ast.Name) and part.id in aliases) or (
+                    isinstance(part, ast.Attribute) and part.attr == "KrausChannel"
+                ):
+                    lines.append(node.lineno)
+                    break
+    return lines
+
+
+def test_finds_a_kraus_channel_built_through_new_however_it_is_written():
+    for source in (
+        "c = object.__new__(KrausChannel)\n",
+        "c = KrausChannel.__new__(KrausChannel)\n",
+        "from . import channels\nc = object.__new__(channels.KrausChannel)\n",
+        "from .channels import KrausChannel as K\nc = object.__new__(K)\n",
+    ):
+        assert kraus_built_through_new(source), source
+    assert kraus_built_through_new("c = KrausChannel(operators=ops)\nd = object.__new__(Other)\n") == []
+    assert kraus_built_through_new((PACKAGE / "channels.py").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "channels.py"], ids=lambda p: p.name)
+def test_only_channels_builds_a_kraus_channel_without_its_check(path):
+    assert kraus_built_through_new(path.read_text(encoding="utf-8")) == []
 
 
 def approx_without_abs(source: str) -> list[int]:

@@ -23,9 +23,10 @@ from monometric import (
     eval_bridge,
     monotonicity_trial,
 )
-from monometric.channels import TRIAL_STATE_FLOOR, apply_channel
+from monometric.channels import TRIAL_STATE_FLOOR, apply_channel, random_channel_each
 from monometric.cli import main
 from monometric.sampling import random_density, random_tangent, random_unitary
+from oracle_loops import random_channel_loop, same_channel
 from monometric.verify import (
     CONTRACTION_DRAWS_PER_TRIAL,
     _contraction_worst,
@@ -64,7 +65,8 @@ def test_nan_slack_makes_the_contraction_worst_nan(monkeypatch):
 def per_attempt_contraction(run, spec, variant, target_trials):
     """The attempt-by-attempt loop that the batched ``_contraction_worst``
     replaces, kept as its oracle: every attempt's tangent, the accepted
-    attempts and the worst slack."""
+    attempts and the worst slack. Each channel is built alone, by the
+    column-by-column Gram-Schmidt loop and ``KrausChannel``."""
     tangents, accepted, worst = [], [], math.inf
     attempt = 0
     while len(accepted) < target_trials:
@@ -72,7 +74,7 @@ def per_attempt_contraction(run, spec, variant, target_trials):
         rng = run.rng(variant, attempt)
         attempt += 1
         n = run.dims[attempt % len(run.dims)]
-        channel = _draw_channel(rng, n)
+        channel = random_channel_loop(*_draw_channel(rng, n))
         rho = DensityMatrix.from_matrix(random_density(rng, n))
         a = random_tangent(rng, n, hermitian=bool(rng.integers(0, 2)))
         tangents.append(a)
@@ -107,18 +109,19 @@ def test_batched_contraction_matches_the_per_attempt_loop(spec, dims, trials, mo
         seen.append(a)
         return result
 
-    def counted_channel(rng, n):
-        draws.append(n)
-        return _draw_channel(rng, n)
+    def counted_channels(chunk):
+        draws.extend(chunk)
+        return random_channel_each(chunk)
 
     monkeypatch.setattr(monometric.verify, "monotonicity_trial", recorded_trial)
-    monkeypatch.setattr(monometric.verify, "_draw_channel", counted_channel)
+    monkeypatch.setattr(monometric.verify, "random_channel_each", counted_channels)
     batched = _contraction_worst(run, spec, 1, trials)
     attempt_of = {a.tobytes(): k for k, a in enumerate(tangents)}
     # every draw, rejected or not, goes through monotonicity_trial
     assert [attempt_of[a.tobytes()] for a in called] == list(range(len(tangents)))
     assert [attempt_of[a.tobytes()] for a in seen] == accepted
-    assert len(draws) == len(tangents)  # nothing drawn past the loop's last attempt
+    # each attempt's channel is drawn once, and nothing past the loop's last attempt
+    assert draws == [_draw_channel(run.rng(1, k), run.dims[(k + 1) % len(dims)]) for k in range(len(tangents))]
     # stack members are diagonalized bit for bit as one by one
     assert batched == worst
 
@@ -137,6 +140,68 @@ def test_contraction_at_seed_307_is_the_per_attempt_loop():
     props = {p.name: p for p in run_verification("channels", 200, 307, (2, 3)).suites[0].properties}
     assert props["contraction-bridge"].passed
     assert props["contraction-bridge"].worst == pytest.approx(4.35534275311511e-10, rel=1e-6, abs=0.0)
+
+
+@pytest.mark.parametrize("seed, dims", [(42, (2, 3)), (307, (2, 3))])
+def test_every_drawn_channel_is_the_one_built_alone(seed, dims, monkeypatch):
+    """Each channel that ``verify --suite channels --trials 200`` draws
+    through ``random_channel_each`` holds the operators of the draw built
+    alone by the one-at-a-time loop, bit for bit."""
+    drawn = []
+
+    def recorded(draws):
+        out = random_channel_each(draws)
+        drawn.extend(zip(draws, out))
+        return out
+
+    monkeypatch.setattr(monometric.verify, "random_channel_each", recorded)
+    assert run_verification("channels", 200, seed, dims).passed
+    # 50 for trace-preservation, and every attempt of the contraction properties
+    assert len(drawn) > 50 + 5 * 200 + 500
+    for draw, channel in drawn:
+        assert same_channel(channel, random_channel_loop(*draw)), draw
+
+
+def test_a_channel_that_cannot_be_drawn_is_raised_at_its_attempt(monkeypatch):
+    def third_gives_up(draws):
+        out = random_channel_each(draws)
+        out[3] = DegenerateSample("forced at the fourth attempt")
+        return out
+
+    reached = []
+
+    def recorded_trial(spec, channel, rho, a, *image):
+        reached.append(a)
+        return monotonicity_trial(spec, channel, rho, a, *image)
+
+    monkeypatch.setattr(monometric.verify, "random_channel_each", third_gives_up)
+    monkeypatch.setattr(monometric.verify, "monotonicity_trial", recorded_trial)
+    run = _Run("channels", seed=5, trials=10, dims=(2, 3), prop=3)
+    with pytest.raises(DegenerateSample, match="fourth attempt"):
+        _contraction_worst(run, MetricSpec(c=BridgeMC(0.5)), 0, 10)
+    assert len(reached) == 3  # the attempts before it ran
+
+
+def test_a_degenerate_unitary_is_raised_when_its_trial_is_reached(monkeypatch):
+    real = monometric.verify.ginibre
+    calls = []
+
+    def collapsed_fourth(rng, rows, cols):
+        g = real(rng, rows, cols)
+        calls.append(rows)
+        if len(calls) == 4:
+            g[:, 1] = g[:, 0]
+        return g
+
+    monkeypatch.setattr(monometric.verify, "ginibre", collapsed_fourth)
+    names = [entry[0] for entry in monometric.verify._SUITES["channels"]]
+    run = _Run("channels", seed=1, trials=8, dims=(2, 3), prop=names.index("unitary-equality"))
+    residuals = monometric.verify._unitary_equality(run)
+    for _ in range(3):
+        assert next(residuals) <= 1e-9
+    with pytest.raises(DegenerateSample, match="column 1"):
+        next(residuals)
+    assert len(calls) == 8  # every trial was drawn first
 
 
 def test_image_states_are_held_to_the_trial_floor():
@@ -284,12 +349,12 @@ def test_base_states_diagonalized_as_stacks_are_what_they_are_alone(monkeypatch)
 def test_rejecting_every_image_still_hits_the_draw_cap(monkeypatch):
     draws = []
 
-    def counted_channel(rng, n):
-        draws.append(n)
-        return _draw_channel(rng, n)
+    def counted_channels(chunk):
+        draws.extend(chunk)
+        return random_channel_each(chunk)
 
     monkeypatch.setattr(monometric.verify, "TRIAL_STATE_FLOOR", 1.0)
-    monkeypatch.setattr(monometric.verify, "_draw_channel", counted_channel)
+    monkeypatch.setattr(monometric.verify, "random_channel_each", counted_channels)
     run = _Run("channels", seed=0, trials=3, dims=(2, 3), prop=3)
     with pytest.raises(DegenerateSample, match="0 of 3"):
         _contraction_worst(run, MetricSpec(c=BridgeMC(0.5)), 0, 3)
