@@ -16,6 +16,7 @@ own outcome. ``random_channel_each`` gives every draw its own generator
 each draw gets its channel, bit for bit as alone, or its own error.
 ``_kraus_map`` is the one formula for T(X): ``apply_channel`` runs it on
 one channel and ``apply_channel_each`` on a stack of channels per shape.
+Both batchers group their members with ``errors._batched``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateSample, DimensionMismatch, DomainError, MonometricError, unwrap
+from .errors import DegenerateSample, DimensionMismatch, DomainError, MonometricError, _batched, unwrap
 from .linalg import _trial_dims, as_matrix, dagger, frobenius
 from .metric import DensityMatrix, MetricSpec, _coerce_state, metric_quadratic
 from .sampling import ginibre, orthonormal_columns_each
@@ -58,9 +59,9 @@ class KrausChannel:
         return self.operators[0].shape[0]
 
 
-def _kraus_check(ops: Sequence[np.ndarray]) -> list[DomainError | None]:
-    """Per member of a stack of operator sets, in order: the DomainError
-    that keeps its operators from being a channel, or None. ``ops`` holds
+def _kraus_check(ops: Sequence[np.ndarray]) -> list[tuple[np.ndarray, ...] | DomainError]:
+    """Per member of a stack of operator sets, in order: its operators, or
+    the DomainError that keeps them from being a channel. ``ops`` holds
     the operators by index, each a stack (B, m, n) with one per member.
 
     A member fails on a non-finite entry, then on an entry of modulus
@@ -82,17 +83,22 @@ def _kraus_check(ops: Sequence[np.ndarray]) -> list[DomainError | None]:
         DomainError("channel operator has a non-finite entry") if not ok
         else DomainError(f"operator entry of modulus {b:.3e} breaks trace preservation") if not b <= 2.0
         else DomainError(f"trace preservation defect {d:.3e}") if not d <= TRACE_PRESERVATION_TOL
-        else None
-        for ok, b, d in zip(finite.tolist(), big.tolist(), defect.tolist())
+        else member
+        for ok, b, d, member in zip(finite.tolist(), big.tolist(), defect.tolist(), zip(*ops))
     ]
 
 
-def _groups(keys) -> list[list[int]]:
-    """The indices of each distinct key, in order."""
-    groups: dict = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    return list(groups.values())
+def _channels(isos: list[np.ndarray]) -> list[KrausChannel | DomainError]:
+    """Per isometry (k, m, n) of a list of one shape, in order: the channel
+    of its k row blocks, or the error ``_kraus_check`` gives them. A channel
+    is built without ``__post_init__``, which would repeat the check its
+    stack has just passed: the one such build of a ``KrausChannel``."""
+    out = _kraus_check([np.stack(k) for k in zip(*isos)])
+    for b, ops in enumerate(out):
+        if isinstance(ops, tuple):
+            out[b] = object.__new__(KrausChannel)
+            object.__setattr__(out[b], "operators", ops)
+    return out
 
 
 def _kraus_map(ops: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
@@ -118,18 +124,23 @@ def apply_channel(channel: KrausChannel, x) -> np.ndarray:
     return _kraus_map(channel.operators, _input(channel, x))
 
 
-def apply_channel_each(channels: Sequence[KrausChannel], xs) -> list[np.ndarray]:
+def apply_channel_each(channels: Sequence[KrausChannel], xs) -> list[np.ndarray | MonometricError]:
     """Per pair of ``channels`` and ``xs``, in order: ``apply_channel(channel,
-    x)``, bit for bit. The pairs whose channels have the same number and
-    shape of operators are mapped as one stack."""
-    xs = [_input(c, x) for c, x in zip(channels, xs)]
-    out: list = [None] * len(xs)
-    for members in _groups((len(c.operators), *c.operators[0].shape) for c in channels):
-        count = len(channels[members[0]].operators)
-        ops = [np.stack([channels[j].operators[i] for j in members]) for i in range(count)]
-        for j, y in zip(members, _kraus_map(ops, np.stack([xs[j] for j in members]))):
-            out[j] = y
-    return out
+    x)``, bit for bit, or the error it raises; an error in place of a
+    channel or of an input is the pair's outcome. The pairs whose channels
+    have the same number and shape of operators are mapped as one stack."""
+
+    def pair(channel, x):
+        try:
+            return unwrap(channel), _input(channel, unwrap(x))
+        except MonometricError as exc:
+            return exc
+
+    def images(pairs):
+        ops = zip(*(c.operators for c, _ in pairs))
+        return list(_kraus_map([np.stack(k) for k in ops], np.stack([x for _, x in pairs])))
+
+    return _batched(map(pair, channels, xs), lambda p: (len(p[0].operators), *p[0].operators[0].shape), images)
 
 
 def random_channel(n: int, m: int, k: int, seed: int) -> KrausChannel:
@@ -178,19 +189,7 @@ def random_channel_each(draws) -> list[KrausChannel | MonometricError]:
                 out[i] = iso.reshape(shapes[i])
     for i in pending:
         out[i] = DegenerateSample(f"no isometry after {RESAMPLE_CAP} draws")
-    drawn = [i for i in shapes if i not in pending]
-    for members in _groups(shapes[i] for i in drawn):
-        group = [drawn[j] for j in members]
-        ops = [np.stack([out[i][j] for i in group]) for j in range(shapes[group[0]][0])]
-        for b, (i, error) in enumerate(zip(group, _kraus_check(ops))):
-            if error is None:
-                # the one channel built without __post_init__, which would
-                # repeat the check its stack has just passed
-                out[i] = object.__new__(KrausChannel)
-                object.__setattr__(out[i], "operators", tuple(k[b] for k in ops))
-            else:
-                out[i] = error
-    return out
+    return _batched(out, np.shape, _channels)
 
 
 @dataclass(frozen=True)

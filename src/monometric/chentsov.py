@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .monotone import MonotoneFunction, WeightFunction, weighted_kernel_integral
+from .monotone import MonotoneFunction, WeightFunction, _kernel_integral_at_log, weighted_kernel_integral
 
 HOMOGENEITY_FACTORS = (0.1, 0.5, 2.0, 10.0)
 
@@ -145,17 +145,8 @@ class CanonicalMC(MCFunction):
             if c > 0.0:
                 return c
         else:
-            # the ratio overflows, so t = lo / hi is below 2^-1024 and may round
-            # to 0: weighted_kernel_integral's sum at log t, each log(b + t) as
-            # log b + log1p(t / b), and log1p(b t), below 2^-1024, dropped
-            log_t = math.log(lo) - math.log(hi)
-            total = 0.0
-            for b, d in self.h.jumps:
-                if b == 0.0:
-                    total += d * log_t
-                else:
-                    total += d * (math.log(b) + math.log1p(math.exp(log_t - math.log(b))))
-            integral = self.h.kernel_constant - total
+            # the ratio overflows, so t = lo / hi is below 2^-1024 and may round to 0
+            integral = _kernel_integral_at_log(self.h, math.log(lo) - math.log(hi))
         try:
             return math.exp(math.log(self.c0) - math.log(hi) - math.log1p(lo / hi) - integral)
         except OverflowError:

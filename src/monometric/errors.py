@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the outcome convention.
+
+An outcome is what one member of a batch gets: its value, or the
+``MonometricError`` it would raise alone. ``unwrap`` raises an outcome
+that is an error and returns any other. ``_batched`` is the one way a
+batch is run: an item that is an error already is its own outcome, and
+the others are handed over in groups of one key, each putting its
+outcome back in its place, so a member's outcome never depends on which
+members share its batch.
+"""
 
 
 class MonometricError(Exception):
@@ -34,8 +43,23 @@ class DegenerateSample(MonometricError):
 
 
 def unwrap(outcome):
-    """``outcome`` itself, unless it is an error, which is raised: one
-    matrix's outcome from ``hermitian_eig_each`` or ``from_matrices``."""
+    """``outcome`` itself, unless it is an error, which is raised."""
     if isinstance(outcome, MonometricError):
         raise outcome
     return outcome
+
+
+def _batched(items, key, solve) -> list:
+    """Per item, in order, its outcome. An item that is a ``MonometricError``
+    is its own and never reaches ``solve``; the others go to ``solve`` as one
+    list per ``key(item)``, keys in first-seen order, and each takes the
+    outcome ``solve`` returns in its place in that list."""
+    out = list(items)
+    groups: dict = {}
+    for i, item in enumerate(out):
+        if not isinstance(item, MonometricError):
+            groups.setdefault(key(item), []).append(i)
+    for members in groups.values():
+        for i, outcome in zip(members, solve([out[i] for i in members]), strict=True):
+            out[i] = outcome
+    return out

@@ -17,13 +17,15 @@ diagonalized at once. All three ways run the same iteration, so each is
 an oracle for the others; the stack way rounds as the scalar way does,
 though an entry that comes out exactly zero may carry the other sign.
 
-``hermitian_eig`` (one matrix) and ``hermitian_eig_each`` (a list, the
-one place that batches) share one path: ``_check`` gives each member of
-a stack its own check, and ``_solve`` each checked member its own
-decomposition or error. The stack way runs only below ``SMALL_DIM``,
-where one matrix takes the scalar way, and other stacks go matrix by
-matrix, so each matrix comes out as ``hermitian_eig`` gives it alone (up
-to the sign of a zero, as above), or with the error it raises alone.
+``hermitian_eig`` (one matrix) and ``hermitian_eig_each`` (a list)
+share one path: ``_check`` gives each member of a stack the member or
+its error, and ``_solve`` each checked member its own decomposition or
+error; ``hermitian_eig_each`` groups a list into one stack per shape
+with ``errors._batched``, the package's one grouping. The stack way
+runs only below ``SMALL_DIM``, where one matrix takes the scalar way,
+and other stacks go matrix by matrix, so each matrix comes out as
+``hermitian_eig`` gives it alone (up to the sign of a zero, as above),
+or with the error it raises alone.
 ``_measure`` is the one rescale: it finds each member's largest entry,
 scales a member with an entry above ``RESCALE_ABOVE`` exactly by a power
 of two and takes its Frobenius norm. The check measures a matrix once,
@@ -45,7 +47,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, MonometricError, NoConvergence, NotHermitian, unwrap
+from .errors import DomainError, MonometricError, NoConvergence, NotHermitian, _batched, unwrap
 
 MAX_DIM = 32
 MAX_SWEEPS = 100
@@ -93,10 +95,16 @@ def _trial_dims(dims) -> tuple[int, ...]:
 
 def as_matrix(m) -> np.ndarray:
     """Coerce to a 2D complex128 array."""
+    return unwrap(_matrix(m))
+
+
+def _matrix(m) -> np.ndarray | MonometricError:
+    """``m`` as ``as_matrix`` coerces it, or the error it raises; an error
+    ``m`` is its own outcome."""
+    if isinstance(m, MonometricError):
+        return m
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2:
-        raise DomainError(f"expected a 2D matrix, got ndim={a.ndim}")
-    return a
+    return a if a.ndim == 2 else DomainError(f"expected a 2D matrix, got ndim={a.ndim}")
 
 
 def frobenius(m):
@@ -155,16 +163,14 @@ def hermiticity_defect(m: np.ndarray):
 
 def require_hermitian(m) -> np.ndarray:
     """Return ``m`` as a complex array if it is a finite Hermitian matrix."""
-    a = as_matrix(m)
-    unwrap(_check(a[None])[0])
-    return a
+    return unwrap(_check(as_matrix(m)[None])[0])
 
 
-def _check(a: np.ndarray) -> list[MonometricError | None]:
-    """Per member of a stack (B, n, n), in order: the error that makes it no
-    finite Hermitian matrix (not square, empty, a non-finite entry, or a
-    ``hermiticity_defect`` above ``HERM_TOL``), or None. A finite matrix
-    has a finite defect, so a NaN defect is a non-finite entry."""
+def _check(a: np.ndarray) -> list[np.ndarray | MonometricError]:
+    """Per member of a stack (B, n, n), in order: the member if it is a finite
+    Hermitian matrix, else its error (not square, empty, a non-finite entry,
+    or a ``hermiticity_defect`` above ``HERM_TOL``). A finite matrix has a
+    finite defect, so a NaN defect is a non-finite entry."""
     count, n, n2 = a.shape
     if n != n2:
         return [NotHermitian(f"matrix is {n}x{n2}, not square") for _ in range(count)]
@@ -173,8 +179,8 @@ def _check(a: np.ndarray) -> list[MonometricError | None]:
     return [
         DomainError("matrix has a non-finite entry") if math.isnan(d)
         else NotHermitian(f"matrix has symmetry defect {d:.3e}, above tol {HERM_TOL:.3e}") if d > HERM_TOL
-        else None
-        for d in hermiticity_defect(a).tolist()
+        else m
+        for m, d in zip(a, hermiticity_defect(a).tolist())
     ]
 
 
@@ -222,24 +228,10 @@ def hermitian_eig(m) -> HermitianEigen:
 
 def hermitian_eig_each(ms) -> list[HermitianEigen | MonometricError]:
     """Per matrix, in order, what ``hermitian_eig`` gives it alone: its
-    decomposition, or the error it raises. The matrices of one shape are
-    checked and solved as one stack, each member with its own outcome."""
-    mats = [np.asarray(m, dtype=np.complex128) for m in ms]
-    out: list = [None] * len(mats)
-    shapes: dict[tuple[int, ...], list[int]] = {}
-    for i, a in enumerate(mats):
-        if a.ndim == 2:
-            shapes.setdefault(a.shape, []).append(i)
-        else:
-            out[i] = DomainError(f"expected a 2D matrix, got ndim={a.ndim}")
-    for members in shapes.values():
-        a = np.stack([mats[i] for i in members])
-        errors = _check(a)
-        ok = [j for j, error in enumerate(errors) if error is None]
-        solved = iter(_solve(a[ok]))
-        for i, error in zip(members, errors):
-            out[i] = error if error is not None else next(solved)
-    return out
+    decomposition, or the error it raises; an error in place of a matrix is
+    its own. The matrices of one shape are checked, then solved, as stacks."""
+    checked = _batched(map(_matrix, ms), np.shape, lambda group: _check(np.stack(group)))
+    return _batched(checked, np.shape, lambda group: _solve(np.stack(group)))
 
 
 def _solve(a: np.ndarray) -> list[HermitianEigen | MonometricError]:

@@ -26,8 +26,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, MonometricError, NotAState, NotHermitian, unwrap
-from .linalg import HermitianEigen, as_matrix, hermitian_eig, hermitian_eig_each
+from .errors import DimensionMismatch, DomainError, MonometricError, NotAState, NotHermitian, _batched, unwrap
+from .linalg import HermitianEigen, _matrix, as_matrix, hermitian_eig, hermitian_eig_each
 
 STATE_EIG_FLOOR = 1e-10
 STATE_TRACE_TOL = 1e-10
@@ -60,13 +60,14 @@ class DensityMatrix:
         cls, ms: Sequence, floor: float = STATE_EIG_FLOOR
     ) -> list["DensityMatrix | MonometricError"]:
         """``from_matrix`` on each matrix: per matrix, in order, the state or
-        the error it would raise. The matrices ``_rejection`` passes go
-        through ``hermitian_eig_each``, so each state's eigendecomposition is
-        bit for bit the one ``from_matrix`` gives it, whatever the batch."""
-        mats = [as_matrix(m) for m in ms]
-        rejections = [_rejection(a) for a in mats]
-        decs = iter(hermitian_eig_each([a for a, r in zip(mats, rejections) if r is None]))
-        return [r or cls._outcome(a, next(decs), floor) for a, r in zip(mats, rejections)]
+        the error it would raise; an error in place of a matrix is its own
+        outcome. The matrices ``_rejection`` passes go through one
+        ``hermitian_eig_each``, so each state's eigendecomposition is bit for
+        bit the one ``from_matrix`` gives it, whatever the batch."""
+        mats = [a if isinstance(a, MonometricError) else _rejection(a) or a for a in map(_matrix, ms)]
+        return _batched(mats, lambda a: None, lambda group: [
+            cls._outcome(a, dec, floor) for a, dec in zip(group, hermitian_eig_each(group))
+        ])
 
     @classmethod
     def _outcome(cls, a: np.ndarray, dec, floor: float) -> "DensityMatrix | MonometricError":

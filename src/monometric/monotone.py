@@ -142,6 +142,19 @@ def weighted_kernel_integral(h: WeightFunction, t: float) -> float:
     return h.kernel_constant - total
 
 
+def _kernel_integral_at_log(h: WeightFunction, log_t: float) -> float:
+    """``weighted_kernel_integral(h, t)`` at t = exp(log_t) below 2^-1024,
+    where t itself may round to 0: the same sum with each log(b + t) taken
+    as log b + log1p(t / b) and log1p(b t), below 2^-1024, dropped."""
+    total = 0.0
+    for b, d in h.jumps:
+        if b == 0.0:
+            total += d * log_t
+        else:
+            total += d * (math.log(b) + math.log1p(math.exp(log_t - math.log(b))))
+    return h.kernel_constant - total
+
+
 def eval_gamma_family(gamma: float, t: float) -> float:
     """``GammaFamily(gamma)(t)``: t^g ((1+t)/2)^(1-2g), g in [0,1]."""
     return GammaFamily(gamma)(t)

@@ -6,9 +6,9 @@ orthonormalization is modified Gram-Schmidt with one reorthogonalization
 pass, which keeps the whole pipeline free of LAPACK and byte-stable. It
 is written once, for a stack (B, rows, cols) of matrices, in
 ``_gram_schmidt``: each member gets its own outcome, its orthonormal
-columns bit for bit as alone or its own DegenerateSample, so
-``orthonormal_columns`` is that code on a one-member stack and
-``orthonormal_columns_each`` runs it once per shape of a list.
+columns bit for bit as alone or its own error, so ``orthonormal_columns``
+is that code on a one-member stack and ``orthonormal_columns_each`` runs
+it once per shape of a list, grouped by ``errors._batched``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateSample, DomainError, unwrap
+from .errors import DegenerateSample, DomainError, MonometricError, _batched, unwrap
 from .monotone import WeightFunction
 
 RANK_TOL = 1e-8
@@ -42,22 +42,14 @@ def orthonormal_columns(g: np.ndarray) -> np.ndarray:
     return unwrap(_gram_schmidt(np.asarray(g)[None])[0])
 
 
-def orthonormal_columns_each(gs) -> list[np.ndarray | DegenerateSample]:
+def orthonormal_columns_each(gs) -> list[np.ndarray | MonometricError]:
     """Per matrix, in order: what ``orthonormal_columns`` gives it alone,
-    its orthonormal columns bit for bit or its own DegenerateSample. The
+    its orthonormal columns bit for bit or the error it raises. The
     matrices of one shape are orthonormalized as one stack."""
-    gs = list(gs)
-    out: list = [None] * len(gs)
-    shapes: dict[tuple[int, ...], list[int]] = {}
-    for i, g in enumerate(gs):
-        shapes.setdefault(np.shape(g), []).append(i)
-    for members in shapes.values():
-        for i, q in zip(members, _gram_schmidt(np.stack([gs[i] for i in members]))):
-            out[i] = q
-    return out
+    return _batched(map(np.asarray, gs), np.shape, lambda group: _gram_schmidt(np.stack(group)))
 
 
-def _gram_schmidt(g: np.ndarray) -> list[np.ndarray | DegenerateSample]:
+def _gram_schmidt(g: np.ndarray) -> list[np.ndarray | MonometricError]:
     """Modified Gram-Schmidt, run twice, on every member of a stack at once.
 
     Each coefficient is a batched ``@`` of (B, 1, rows) by (B, rows, 1),
@@ -65,12 +57,13 @@ def _gram_schmidt(g: np.ndarray) -> list[np.ndarray | DegenerateSample]:
     does not). A member whose column remainder falls below RANK_TOL times
     the expected column scale is divided by 1, not by its norm, so it
     raises no warning; it gets the DegenerateSample of its first such
-    column. The other members come out as they would alone.
+    column. The other members come out as they would alone. A stack of
+    more columns than rows gives each member its own DomainError.
     """
     v = np.array(g, dtype=np.complex128)
     count, rows, cols = v.shape
     if cols > rows:
-        raise DomainError(f"cannot orthonormalize {cols} columns in {rows} rows")
+        return [DomainError(f"cannot orthonormalize {cols} columns in {rows} rows") for _ in range(count)]
     floor = RANK_TOL * math.sqrt(2.0 * rows)
     dependent = np.full(count, -1)
     done = []  # each finished column and its conjugate as a (B, 1, rows) row

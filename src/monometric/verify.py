@@ -27,7 +27,10 @@ the trials that run are the same, and a channel that cannot be drawn
 raises when its attempt is reached. The metric properties likewise draw
 every trial's state first, each from its trial's own stream, and validate
 them together (``_trial_base_states``); each trial then draws its
-tangents and unitaries after its state, as before.
+tangents and unitaries after its state, as before. Unitary-covariance and
+basis-independence orthonormalize their unitaries' Gaussians together
+(``_rotation_residuals``) and raise a degenerate one when its trial is
+reached.
 """
 
 from __future__ import annotations
@@ -87,7 +90,6 @@ from .sampling import (
     random_density,
     random_step_weight,
     random_tangent,
-    random_unitary,
 )
 
 SUITE_NAMES = ("monotone", "chentsov", "metric", "channels")
@@ -540,19 +542,30 @@ def _rotation_residual(rho: DensityMatrix, a: np.ndarray, u: np.ndarray) -> floa
     return abs(q1 - q2) / max(1.0, abs(q1))
 
 
+def _rotation_residuals(run: _Run, draw, hermitian: Callable[[np.random.Generator], bool]):
+    """``_rotation_residual`` per trial of ``run.draws(run.trials)``. Each
+    trial draws its state with ``draw``, then its tangent, Hermitian as
+    ``hermitian`` decides, then its unitary's Gaussian, all from its own
+    generator. The states are validated by one ``from_matrices``, the
+    Gaussians orthonormalized by one ``orthonormal_columns_each``, and a
+    trial's error is raised when its trial is reached."""
+    trials = list(run.draws(run.trials))
+    states = DensityMatrix.from_matrices([draw(rng, n) for rng, n in trials])
+    tangents = [random_tangent(rng, n, hermitian=hermitian(rng)) for rng, n in trials]
+    unitaries = orthonormal_columns_each([ginibre(rng, n, n) for rng, n in trials])
+    for state, a, u in zip(states, tangents, unitaries):
+        yield _rotation_residual(unwrap(state), a, unwrap(u))
+
+
 # unitary conjugation leaves the quadratic form unchanged
 @_property("metric", "unitary-covariance", 1e-9)
 def _unitary_covariance(run: _Run):
-    for rng, n, rho in _trial_base_states(run, run.trials):
-        a = random_tangent(rng, n, hermitian=bool(rng.integers(0, 2)))
-        yield _rotation_residual(rho, a, random_unitary(rng, n))
+    return _rotation_residuals(run, random_density, lambda rng: bool(rng.integers(0, 2)))
 
 # diagonal data rotated into a dense basis evaluates identically
 @_property("metric", "basis-independence", 1e-9)
 def _basis_independence(run: _Run):
-    for rng, n, rho in _trial_base_states(run, run.trials, _diagonal_density):
-        a = random_tangent(rng, n, hermitian=True)
-        yield _rotation_residual(rho, a, random_unitary(rng, n))
+    return _rotation_residuals(run, _diagonal_density, lambda rng: True)
 
 # smoke test only — small state perturbations move K proportionally
 @_property("metric", "continuity-smoke", 1e3)
@@ -588,21 +601,18 @@ def _trial_states(
     the error that rejects the image. ``channels`` holds each draw's
     channel or the error that kept it from being drawn. States are
     validated together by ``DensityMatrix.from_matrices``, the images
-    mapped together by ``apply_channel_each`` and validated the same way.
-    A draw's own error, its channel's and then its state's, is raised when
-    its draw is reached, as a draw-by-draw loop would raise it."""
+    mapped together by ``apply_channel_each`` and validated the same way;
+    both pass a draw's error through untouched. A draw's own error, its
+    channel's and then its state's, is raised when its draw is reached, as
+    a draw-by-draw loop would raise it."""
     states = DensityMatrix.from_matrices(rhos)
-    drawn = [
-        (c, s) for c, s in zip(channels, states)
-        if isinstance(c, KrausChannel) and isinstance(s, DensityMatrix)
-    ]
-    images = iter(DensityMatrix.from_matrices(
-        apply_channel_each([c for c, _ in drawn], [s.matrix for _, s in drawn]),
+    images = DensityMatrix.from_matrices(
+        apply_channel_each(channels, [s.matrix if isinstance(s, DensityMatrix) else s for s in states]),
         floor=TRIAL_STATE_FLOOR,
-    ))
-    for channel, state in zip(channels, states):
+    )
+    for channel, state, image in zip(channels, states, images):
         unwrap(channel)
-        yield unwrap(state), next(images)
+        yield unwrap(state), image
 
 
 def _contraction_worst(run: _Run, spec: MetricSpec, variant: int, target_trials: int) -> float:

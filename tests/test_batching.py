@@ -1,0 +1,236 @@
+"""The one batching contract: every member of a batch gets, in order, what
+its one-item call gives it, bit for bit, or the error that call raises;
+and ``errors._batched``, the helper every batcher runs through."""
+
+import math
+
+import numpy as np
+import pytest
+
+import monometric.metric
+from monometric import (
+    DensityMatrix,
+    DimensionMismatch,
+    DomainError,
+    KrausChannel,
+    MonometricError,
+    NotAState,
+    apply_channel,
+    hermitian_eig,
+    random_channel,
+)
+from monometric.channels import apply_channel_each, random_channel_each
+from monometric.errors import _batched
+from monometric.linalg import HermitianEigen, hermitian_eig_each
+from monometric.sampling import orthonormal_columns, orthonormal_columns_each, random_density, random_hermitian
+
+
+def bits(value):
+    """A value's bits, or an error's type and message."""
+    if isinstance(value, MonometricError):
+        return type(value), str(value)
+    if isinstance(value, HermitianEigen):
+        return value.eigenvalues.tobytes(), value.eigenvectors.tobytes()
+    if isinstance(value, DensityMatrix):
+        return value.matrix.tobytes(), bits(value.eig)
+    if isinstance(value, KrausChannel):
+        return tuple(k.tobytes() for k in value.operators)
+    return np.asarray(value).tobytes()
+
+
+def is_error(outcome_bits) -> bool:
+    return isinstance(outcome_bits, tuple) and isinstance(outcome_bits[0], type)
+
+
+def unary(each):
+    """``each`` called on the one argument of every member."""
+    return lambda members: each([a for a, in members])
+
+
+def alone(fn, args):
+    try:
+        return bits(fn(*args))
+    except MonometricError as exc:
+        return bits(exc)
+
+
+def eig_case():
+    rng = np.random.default_rng(3)
+    a, b = random_hermitian(rng, 2), random_hermitian(rng, 3)
+    members = [
+        a,
+        b,
+        np.zeros((2, 2, 2)),  # not a matrix
+        np.array([[0.0, 1.0], [0.0, 0.0]]),  # not Hermitian
+        random_hermitian(rng, 2),
+        np.zeros((2, 3)),  # not square
+        np.diag([1.0, math.nan]),  # not finite
+        np.zeros((0, 0)),  # empty
+        np.eye(33),  # above the dimension cap
+        np.full((2, 2), 1.7e308),  # an eigenvalue beyond the float range
+        a,
+        random_hermitian(rng, 3),
+    ]
+    return unary(hermitian_eig_each), hermitian_eig, [(m,) for m in members]
+
+
+def columns_case():
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((3, 2))
+    members = [
+        a,
+        rng.standard_normal((2, 2)),
+        np.ones((2, 3)),  # more columns than rows
+        np.ones((3, 2)),  # dependent columns
+        rng.standard_normal((3, 2)),
+        a,
+        rng.standard_normal((3, 3)),
+    ]
+    return unary(orthonormal_columns_each), orthonormal_columns, [(g,) for g in members]
+
+
+def channel_case():
+    draws = [
+        (2, 2, 2, 11),
+        (3, 2, 2, 12),
+        (2, 2, 0, 13),  # no operator
+        (3, 2, 1, 14),  # no isometry: m k < n
+        (9, 2, 5, 15),  # dimension outside the trial range
+        (2, 2, 2, 16),
+        (2, 2, 2, 11),
+        (2, 3, 1, 17),
+    ]
+    return random_channel_each, random_channel, draws
+
+
+def apply_case():
+    rng = np.random.default_rng(7)
+    two, three = random_channel(2, 2, 2, seed=21), random_channel(3, 2, 2, seed=22)
+    x = random_density(rng, 2)
+    pairs = [
+        (two, x),
+        (three, random_density(rng, 3)),
+        (two, np.eye(3)),  # input of the wrong dimension
+        (three, np.zeros((3, 3, 1))),  # input that is not a matrix
+        (random_channel(2, 3, 1, seed=23), random_density(rng, 2)),
+        (two, x),
+        (two, random_density(rng, 2)),
+    ]
+    return (lambda pairs: apply_channel_each(*zip(*pairs))), apply_channel, pairs
+
+
+def state_case():
+    rng = np.random.default_rng(9)
+    rho = random_density(rng, 2)
+    members = [
+        rho,
+        random_density(rng, 3),
+        np.zeros((2, 2, 2)),  # not a matrix
+        np.zeros((2, 3)),  # not square
+        np.diag([0.5, math.nan]),  # not finite
+        np.eye(2),  # trace two
+        np.array([[0.5, 0.1], [0.2, 0.5]]),  # not Hermitian
+        np.diag([1.0, 0.0]),  # on the boundary
+        rho,
+        random_density(rng, 2),
+    ]
+    return unary(DensityMatrix.from_matrices), DensityMatrix.from_matrix, [(m,) for m in members]
+
+
+CASES = {
+    "hermitian_eig_each": eig_case,
+    "orthonormal_columns_each": columns_case,
+    "random_channel_each": channel_case,
+    "apply_channel_each": apply_case,
+    "from_matrices": state_case,
+}
+
+
+@pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+def test_every_member_gets_what_it_gets_alone_in_order(case):
+    each, one, members = case()
+    expected = [alone(one, args) for args in members]
+    assert [bits(outcome) for outcome in each(members)] == expected
+    # the mixed list holds several values and several errors
+    errors = sum(map(is_error, expected))
+    assert errors >= 2 and len(expected) - errors >= 3
+
+
+def test_the_three_bad_members_get_their_own_error():
+    """Each of these lists once raised for the whole list."""
+    states = DensityMatrix.from_matrices([np.eye(2) / 2, np.zeros((2, 2, 2))])
+    assert isinstance(states[0], DensityMatrix)
+    assert bits(states[1]) == (DomainError, "expected a 2D matrix, got ndim=3")
+    columns = orthonormal_columns_each([np.ones((2, 2)), np.ones((2, 3))])
+    assert bits(columns[1]) == (DomainError, "cannot orthonormalize 3 columns in 2 rows")
+    assert bits(columns[0]) == alone(orthonormal_columns, (np.ones((2, 2)),))
+    c = random_channel(2, 2, 2, seed=1)
+    images = apply_channel_each([c, c], [np.eye(2), np.eye(3)])
+    assert images[0].tobytes() == apply_channel(c, np.eye(2)).tobytes()
+    assert bits(images[1]) == alone(apply_channel, (c, np.eye(3)))
+    assert isinstance(images[1], DimensionMismatch)
+
+
+def test_an_error_in_place_of_an_item_is_its_own_outcome():
+    error = NotAState("rejected earlier")
+    c = random_channel(2, 2, 2, seed=1)
+    assert DensityMatrix.from_matrices([error, np.eye(2) / 2])[0] is error
+    assert hermitian_eig_each([np.eye(2), error])[1] is error
+    assert apply_channel_each([c, error], [error, np.eye(2)]) == [error, error]
+
+
+def test_from_matrices_diagonalizes_every_passing_matrix_in_one_call(monkeypatch):
+    calls = []
+    inner = monometric.metric.hermitian_eig_each
+
+    def spy(ms):
+        calls.append(len(ms))
+        return inner(ms)
+
+    monkeypatch.setattr(monometric.metric, "hermitian_eig_each", spy)
+    rng = np.random.default_rng(13)
+    ms = [random_density(rng, n) for n in (2, 3, 2, 5, 3)] + [np.eye(2)]
+    DensityMatrix.from_matrices(ms)
+    assert calls == [5]
+
+
+class TestBatched:
+    def test_error_items_never_reach_solve_and_stay_as_they_are(self):
+        error = DomainError("bad")
+        seen = []
+
+        def solve(group):
+            seen.append(list(group))
+            return [10 * x for x in group]
+
+        out = _batched([1, error, 2], lambda x: 0, solve)
+        assert seen == [[1, 2]]
+        assert out == [10, error, 20] and out[1] is error
+
+    def test_solve_runs_once_per_key_in_first_seen_order(self):
+        calls = []
+
+        def solve(group):
+            calls.append(list(group))
+            return [s.upper() for s in group]
+
+        out = _batched(["b1", "a1", "b2", "c1", "a2"], lambda s: s[0], solve)
+        assert calls == [["b1", "b2"], ["a1", "a2"], ["c1"]]
+        assert out == ["B1", "A1", "B2", "C1", "A2"]
+
+    def test_only_errors_or_nothing_never_call_solve(self):
+        error = DomainError("bad")
+        assert _batched([error], len, pytest.fail) == [error]
+        assert _batched([], len, pytest.fail) == []
+
+    @pytest.mark.parametrize("raised", [ValueError("boom"), DomainError("boom")])
+    def test_an_exception_raised_by_solve_propagates(self, raised):
+        def solve(group):
+            raise raised
+
+        with pytest.raises(type(raised), match="boom"):
+            _batched([1, 2], lambda x: x, solve)
+
+    def test_solve_must_give_one_outcome_per_item(self):
+        with pytest.raises(ValueError):
+            _batched([1, 2], lambda x: 0, lambda group: group[:1])

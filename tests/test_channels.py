@@ -334,7 +334,9 @@ class TestKrausCheckStack:
             expected = outcome(KrausChannel, sets[position])
         assert isinstance(expected, DomainError)
         assert (type(errors[position]), str(errors[position])) == (DomainError, str(expected))
-        assert [e is None for e in errors] == [k != position for k in range(len(sets))]
+        passed = [k for k, e in enumerate(errors) if not isinstance(e, DomainError)]
+        assert passed == [k for k in range(len(sets)) if k != position]
+        assert all([a.tobytes() for a in errors[k]] == [a.tobytes() for a in sets[k]] for k in passed)
 
 
 class TestApplyChannelEach:
@@ -348,5 +350,8 @@ class TestApplyChannelEach:
             assert y.tobytes() == apply_loop(channel, x).tobytes()
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            apply_channel_each([identity_channel(2), identity_channel(3)], [np.eye(2), np.eye(2)])
+        channels = [identity_channel(2), identity_channel(3)]
+        first, second = apply_channel_each(channels, [np.eye(2), np.eye(2)])
+        assert first.tobytes() == apply_channel(channels[0], np.eye(2)).tobytes()
+        assert isinstance(second, DimensionMismatch)
+        assert str(second) == str(outcome(apply_channel, channels[1], np.eye(2)))

@@ -7,7 +7,11 @@ stack way ``_jacobi_stack``; every other module hands its matrices to
 its stacked ``_gram_schmidt``. Trace preservation has one owner,
 ``KrausChannel``: only ``channels`` names its stacked check
 ``_kraus_check``, and no other module builds a ``KrausChannel`` through
-``__new__``, which skips ``__post_init__``. And
+``__new__``, which skips ``__post_init__``. Grouping items by key is
+written once, in ``errors._batched``: no other module groups with
+``setdefault(key, []).append`` or ``defaultdict(list)``. The kernel
+integral's sum over the jumps of a weight is written only in
+``monotone``: no other module reads ``jumps`` or ``kernel_constant``. And
 every test's ``approx`` that states a ``rel=`` states its ``abs=`` too:
 pytest's default ``abs=1e-12`` would otherwise pass a small expected
 value far more loosely than written."""
@@ -145,6 +149,60 @@ def test_finds_a_kraus_channel_built_through_new_however_it_is_written():
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "channels.py"], ids=lambda p: p.name)
 def test_only_channels_builds_a_kraus_channel_without_its_check(path):
     assert kraus_built_through_new(path.read_text(encoding="utf-8")) == []
+
+
+def groupings(source: str) -> list[int]:
+    """The lines that group by key: ``X.setdefault(k, []).append(...)``
+    (or with ``list()``), or ``defaultdict(list)`` under any name."""
+    aliases = {"defaultdict"}
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            aliases.update(a.asname for a in node.names if a.name == "defaultdict" and a.asname)
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in aliases and node.args and isinstance(node.args[0], ast.Name) and node.args[0].id == "list":
+            lines.append(node.lineno)
+        elif name == "append" and isinstance(func.value, ast.Call) and is_list_setdefault(func.value):
+            lines.append(node.lineno)
+    return lines
+
+
+def is_list_setdefault(call: ast.Call) -> bool:
+    func = call.func
+    if not (isinstance(func, ast.Attribute) and func.attr == "setdefault" and len(call.args) == 2):
+        return False
+    default = call.args[1]
+    return isinstance(default, ast.List) or (
+        isinstance(default, ast.Call) and getattr(default.func, "id", None) == "list"
+    )
+
+
+def test_finds_a_grouping_however_it_is_written():
+    for source in (
+        "groups.setdefault(key(x), []).append(i)\n",
+        "self.shapes.setdefault(np.shape(g), list()).append(g)\n",
+        "from collections import defaultdict\ngroups = defaultdict(list)\n",
+        "import collections\ngroups = collections.defaultdict(list)\n",
+        "from collections import defaultdict as dd\ngroups = dd(list)\n",
+    ):
+        assert groupings(source), source
+    assert groupings("d.setdefault(k, 0)\nd.setdefault(k, []).extend(v)\ne = defaultdict(int)\nx.append(1)\n") == []
+    assert groupings((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "errors.py"], ids=lambda p: p.name)
+def test_only_errors_groups_by_key(path):
+    assert groupings(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "monotone.py"], ids=lambda p: p.name)
+def test_only_monotone_reads_the_jumps_of_a_weight(path):
+    assert {"jumps", "kernel_constant"} & names(path.read_text(encoding="utf-8")) == set()
 
 
 def approx_without_abs(source: str) -> list[int]:

@@ -204,6 +204,50 @@ def test_a_degenerate_unitary_is_raised_when_its_trial_is_reached(monkeypatch):
     assert len(calls) == 8  # every trial was drawn first
 
 
+ROTATIONS = {"unitary-covariance": lambda rng: bool(rng.integers(0, 2)), "basis-independence": lambda rng: True}
+
+
+@pytest.mark.parametrize("name", sorted(ROTATIONS))
+def test_metric_unitaries_are_one_stack_and_the_per_trial_loop(name, monkeypatch):
+    """Each trial's unitary, orthonormalized in one stack, is the one a
+    trial-by-trial ``random_unitary`` draws after the trial's tangent."""
+    names = [entry[0] for entry in monometric.verify._SUITES["metric"]]
+    run = _Run("metric", seed=42, trials=30, dims=(2, 3, 5), prop=names.index(name))
+    draw = monometric.verify._diagonal_density if name == "basis-independence" else random_density
+    loop = []
+    for rng, n, rho in _trial_base_states(run, run.trials, draw):
+        a = random_tangent(rng, n, hermitian=ROTATIONS[name](rng))
+        loop.append(monometric.verify._rotation_residual(rho, a, random_unitary(rng, n)))
+    stacks = []
+    each = monometric.verify.orthonormal_columns_each
+    monkeypatch.setattr(monometric.verify, "orthonormal_columns_each", lambda gs: stacks.append(gs) or each(gs))
+    residuals = monometric.verify._SUITES["metric"][run.prop][3](run)
+    assert [r.hex() for r in residuals] == [r.hex() for r in loop]
+    assert len(stacks) == 1
+
+
+def test_a_degenerate_metric_unitary_is_raised_when_its_trial_is_reached(monkeypatch):
+    real = monometric.verify.ginibre
+    calls = []
+
+    def collapsed_fourth(rng, rows, cols):
+        g = real(rng, rows, cols)
+        calls.append(rows)
+        if len(calls) == 4:
+            g[:, 1] = g[:, 0]
+        return g
+
+    monkeypatch.setattr(monometric.verify, "ginibre", collapsed_fourth)
+    names = [entry[0] for entry in monometric.verify._SUITES["metric"]]
+    run = _Run("metric", seed=1, trials=8, dims=(2, 3), prop=names.index("unitary-covariance"))
+    residuals = monometric.verify._unitary_covariance(run)
+    for _ in range(3):
+        assert next(residuals) <= 1e-9
+    with pytest.raises(DegenerateSample, match="column 1"):
+        next(residuals)
+    assert len(calls) == 8  # every trial was drawn first
+
+
 def test_image_states_are_held_to_the_trial_floor():
     identity = KrausChannel(operators=(np.eye(2, dtype=complex),))
     rho = np.diag([1.0 - 1e-9, 1e-9]).astype(complex)  # above the state floor only
