@@ -16,19 +16,21 @@ own outcome. ``random_channel_each`` gives every draw its own generator
 each draw gets its channel, bit for bit as alone, or its own error.
 ``_kraus_map`` is the one formula for T(X): ``apply_channel`` runs it on
 one channel and ``apply_channel_each`` on a stack of channels per shape.
-Both batchers group their members with ``errors._batched``.
+``monotonicity_trial_each`` owns a contraction trial and forms its states,
+images and tangent images as stacks. All group with ``errors._batched``.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateSample, DimensionMismatch, DomainError, MonometricError, _batched, unwrap
+from .errors import DegenerateSample, DimensionMismatch, DomainError, MonometricError, _batched, _outcome_of, unwrap
 from .linalg import _trial_dims, as_matrix, dagger, frobenius
-from .metric import DensityMatrix, MetricSpec, _coerce_state, metric_quadratic
+from .metric import DensityMatrix, MetricSpec, metric_quadratic
 from .sampling import ginibre, orthonormal_columns_each
 
 TRACE_PRESERVATION_TOL = 1e-10
@@ -130,17 +132,12 @@ def apply_channel_each(channels: Sequence[KrausChannel], xs) -> list[np.ndarray 
     channel or of an input is the pair's outcome. The pairs whose channels
     have the same number and shape of operators are mapped as one stack."""
 
-    def pair(channel, x):
-        try:
-            return unwrap(channel), _input(channel, unwrap(x))
-        except MonometricError as exc:
-            return exc
-
     def images(pairs):
         ops = zip(*(c.operators for c, _ in pairs))
         return list(_kraus_map([np.stack(k) for k in ops], np.stack([x for _, x in pairs])))
 
-    return _batched(map(pair, channels, xs), lambda p: (len(p[0].operators), *p[0].operators[0].shape), images)
+    pairs = [_outcome_of(lambda c, x: (c, _input(c, x)), c, x) for c, x in zip(channels, xs)]
+    return _batched(pairs, lambda p: (len(p[0].operators), *p[0].operators[0].shape), images)
 
 
 def random_channel(n: int, m: int, k: int, seed: int) -> KrausChannel:
@@ -151,6 +148,24 @@ def random_channel(n: int, m: int, k: int, seed: int) -> KrausChannel:
     generator, up to RESAMPLE_CAP draws in all, before giving up.
     """
     return unwrap(random_channel_each([(n, m, k, seed)])[0])
+
+
+def _intake(n, m, k, seed) -> tuple[tuple[int, int, int], np.random.Generator]:
+    """A draw's operator shape (k, m, n) and its generator
+    ``np.random.default_rng([seed])``, or it raises the draw's DomainError."""
+    n, m = _trial_dims((n, m))
+    try:
+        count = operator.index(k)
+    except TypeError:
+        count = 0
+    if count < 1:
+        raise DomainError(f"need a whole number of operators, at least one, got {k!r}")
+    if m * count < n:
+        raise DomainError(f"isometry needs m*k >= n, got {m * count} < {n}")
+    try:
+        return (count, m, n), np.random.default_rng([seed])
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"channel seed must be a nonnegative integer, got {seed!r}") from exc
 
 
 def random_channel_each(draws) -> list[KrausChannel | MonometricError]:
@@ -164,29 +179,16 @@ def random_channel_each(draws) -> list[KrausChannel | MonometricError]:
     The operator sets are then checked together, one stack per shape
     (k, m, n), by the check ``KrausChannel`` runs.
     """
-    out: list = [None] * len(draws)
-    shapes, pending = {}, {}
-    for i, (n, m, k, seed) in enumerate(draws):
-        try:
-            n, m = _trial_dims((n, m))
-            if k < 1:
-                raise DomainError("need at least one operator")
-            if m * k < n:
-                raise DomainError(f"isometry needs m*k >= n, got {m * k} < {n}")
-        except MonometricError as exc:
-            out[i] = exc
-            continue
-        shapes[i] = (k, m, n)
-        pending[i] = np.random.default_rng([seed])
+    out = [_outcome_of(_intake, *draw) for draw in draws]
+    pending = {i: intake for i, intake in enumerate(out) if not isinstance(intake, MonometricError)}
     for _ in range(RESAMPLE_CAP):
         if not pending:
             break
         drawn = list(pending)
-        gaussians = [ginibre(pending[i], shapes[i][0] * shapes[i][1], shapes[i][2]) for i in drawn]
+        gaussians = [ginibre(rng, k * m, n) for (k, m, n), rng in pending.values()]
         for i, iso in zip(drawn, orthonormal_columns_each(gaussians)):
             if not isinstance(iso, DegenerateSample):
-                del pending[i]
-                out[i] = iso.reshape(shapes[i])
+                out[i] = iso.reshape(pending.pop(i)[0])
     for i in pending:
         out[i] = DegenerateSample(f"no isometry after {RESAMPLE_CAP} draws")
     return _batched(out, np.shape, _channels)
@@ -199,26 +201,30 @@ class TrialResult:
     slack: float
 
 
-def monotonicity_trial(
-    spec: MetricSpec,
-    channel: KrausChannel,
-    rho,
-    a,
-    image: DensityMatrix | MonometricError | None = None,
-) -> TrialResult:
+def monotonicity_trial(spec: MetricSpec, channel: KrausChannel, rho, a) -> TrialResult:
     """One contraction check: slack = K(A, A) - K(T(A), T(A)) at T(rho).
 
     Nonnegative slack is the contraction property; the image state must
     clear a 1e-8 eigenvalue floor or the trial raises NotAState for the
-    caller to resample. A caller that validated the image state already,
-    ``T(rho)`` under ``floor=TRIAL_STATE_FLOOR``, passes the outcome as
-    ``image``: the state, or the error that rejected it, raised here.
+    caller to resample.
     """
-    state = _coerce_state(rho)
-    rhs = metric_quadratic(spec, state, a)
-    if image is None:
-        image = DensityMatrix.from_matrix(
-            apply_channel(channel, state.matrix), floor=TRIAL_STATE_FLOOR
-        )
-    lhs = metric_quadratic(spec, unwrap(image), apply_channel(channel, as_matrix(a)))
-    return TrialResult(lhs=lhs, rhs=rhs, slack=rhs - lhs)
+    return unwrap(monotonicity_trial_each(spec, [channel], [rho], [a])[0])
+
+
+def monotonicity_trial_each(spec, channels, states, tangents) -> list[TrialResult | MonometricError]:
+    """Per trial, in order: ``monotonicity_trial(spec, channel, rho, a)``,
+    bit for bit, or the error it raises. A trial's first error, of its
+    channel, its state (a DensityMatrix is used as it is, the others are
+    validated as one stack), K(A, A) at rho, then its image T(rho), which
+    is validated as one stack under TRIAL_STATE_FLOOR, is its outcome."""
+    states = _batched(
+        states,
+        lambda rho: isinstance(rho, DensityMatrix),
+        lambda group: group if isinstance(group[0], DensityMatrix) else DensityMatrix.from_matrices(group),
+    )
+    rhs = [_outcome_of(metric_quadratic, spec, state, a) for state, a in zip(states, tangents)]
+    matrices = [q if isinstance(q, MonometricError) else s.matrix for q, s in zip(rhs, states)]
+    images = DensityMatrix.from_matrices(apply_channel_each(channels, matrices), floor=TRIAL_STATE_FLOOR)
+    mapped = apply_channel_each(channels, tangents)
+    lhs = [_outcome_of(metric_quadratic, spec, *pair) for pair in zip(images, mapped)]
+    return [q if isinstance(q, MonometricError) else TrialResult(q, r, r - q) for r, q in zip(rhs, lhs)]

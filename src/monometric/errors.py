@@ -2,11 +2,11 @@
 
 An outcome is what one member of a batch gets: its value, or the
 ``MonometricError`` it would raise alone. ``unwrap`` raises an outcome
-that is an error and returns any other. ``_batched`` is the one way a
-batch is run: an item that is an error already is its own outcome, and
-the others are handed over in groups of one key, each putting its
-outcome back in its place, so a member's outcome never depends on which
-members share its batch.
+that is an error and returns any other; ``_outcome_of`` makes a call on
+outcomes an outcome. ``_batched`` is the one way a batch is run: an item
+that is an error already is its own outcome, and the others are handed
+over in groups of one key, each putting its outcome back in its place,
+so a member's outcome never depends on which members share its batch.
 """
 
 
@@ -47,6 +47,18 @@ def unwrap(outcome):
     if isinstance(outcome, MonometricError):
         raise outcome
     return outcome
+
+
+def _outcome_of(fn, *args):
+    """``fn`` called on ``args``, or the first error: an argument that is
+    one, untouched and never raised, or the ``MonometricError`` fn raises."""
+    for arg in args:
+        if isinstance(arg, MonometricError):
+            return arg
+    try:
+        return fn(*args)
+    except MonometricError as exc:
+        return exc
 
 
 def _batched(items, key, solve) -> list:

@@ -6,9 +6,9 @@ orthonormalization is modified Gram-Schmidt with one reorthogonalization
 pass, which keeps the whole pipeline free of LAPACK and byte-stable. It
 is written once, for a stack (B, rows, cols) of matrices, in
 ``_gram_schmidt``: each member gets its own outcome, its orthonormal
-columns bit for bit as alone or its own error, so ``orthonormal_columns``
-is that code on a one-member stack and ``orthonormal_columns_each`` runs
-it once per shape of a list, grouped by ``errors._batched``.
+columns bit for bit as alone or its own error. ``orthonormal_columns_each``
+runs it once per shape of a list, grouped by ``errors._batched``, and
+``orthonormal_columns`` is its one-member call.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 from .errors import DegenerateSample, DomainError, MonometricError, _batched, unwrap
+from .linalg import _matrix
 from .monotone import WeightFunction
 
 RANK_TOL = 1e-8
@@ -39,14 +40,14 @@ def orthonormal_columns(g: np.ndarray) -> np.ndarray:
     Raises DegenerateSample when a column's remainder collapses below
     RANK_TOL relative to the expected column scale.
     """
-    return unwrap(_gram_schmidt(np.asarray(g)[None])[0])
+    return unwrap(orthonormal_columns_each([g])[0])
 
 
 def orthonormal_columns_each(gs) -> list[np.ndarray | MonometricError]:
     """Per matrix, in order: what ``orthonormal_columns`` gives it alone,
-    its orthonormal columns bit for bit or the error it raises. The
-    matrices of one shape are orthonormalized as one stack."""
-    return _batched(map(np.asarray, gs), np.shape, lambda group: _gram_schmidt(np.stack(group)))
+    its orthonormal columns bit for bit or the error it raises, one that
+    is not 2D included. Those of one shape are orthonormalized as one stack."""
+    return _batched(map(_matrix, gs), np.shape, lambda group: _gram_schmidt(np.stack(group)))
 
 
 def _gram_schmidt(g: np.ndarray) -> list[np.ndarray | MonometricError]:

@@ -18,9 +18,10 @@ exactly that reason.
 The contraction properties and unitary-equality draw their trials in
 order from these same streams, then build the channels together
 (``random_channel_each``, or one Gram-Schmidt stack of the unitaries'
-Gaussians) and validate the states and image states together with
-``DensityMatrix.from_matrices``; each of them gives every member bit for
-bit its own outcome, so every value is as in a one-by-one loop.
+Gaussians) and run the trials together in
+``channels.monotonicity_trial_each``, which forms their states, image
+states and tangent images as stacks; each of them gives every member bit
+for bit its own outcome, so every value is as in a one-by-one loop.
 Rejections, errors and the NaN stop are taken in attempt order, and no
 attempt is drawn past the point where a one-by-one loop would stop, so
 the trials that run are the same, and a channel that cannot be drawn
@@ -44,11 +45,10 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .channels import (
-    TRIAL_STATE_FLOOR,
     KrausChannel,
     apply_channel,
-    apply_channel_each,
     monotonicity_trial,
+    monotonicity_trial_each,
     random_channel_each,
 )
 from .chentsov import (
@@ -61,7 +61,7 @@ from .chentsov import (
     eval_canonical_c,
     normalize_C0,
 )
-from .errors import DegenerateSample, DomainError, MonometricError, NotAState, unwrap
+from .errors import DegenerateSample, DomainError, NotAState, _outcome_of, unwrap
 from .linalg import _trial_count, _trial_dims
 from .metric import DensityMatrix, MetricSpec, metric_form, metric_quadratic
 from .monotone import (
@@ -594,27 +594,6 @@ def _trial_base_states(
         yield rng, n, unwrap(state)
 
 
-def _trial_states(
-    channels: Sequence[KrausChannel | MonometricError], rhos: Sequence[np.ndarray]
-) -> Iterator[tuple[DensityMatrix, DensityMatrix | MonometricError]]:
-    """Per contraction draw, in order: its state and its image state, or
-    the error that rejects the image. ``channels`` holds each draw's
-    channel or the error that kept it from being drawn. States are
-    validated together by ``DensityMatrix.from_matrices``, the images
-    mapped together by ``apply_channel_each`` and validated the same way;
-    both pass a draw's error through untouched. A draw's own error, its
-    channel's and then its state's, is raised when its draw is reached, as
-    a draw-by-draw loop would raise it."""
-    states = DensityMatrix.from_matrices(rhos)
-    images = DensityMatrix.from_matrices(
-        apply_channel_each(channels, [s.matrix if isinstance(s, DensityMatrix) else s for s in states]),
-        floor=TRIAL_STATE_FLOOR,
-    )
-    for channel, state, image in zip(channels, states, images):
-        unwrap(channel)
-        yield unwrap(state), image
-
-
 def _contraction_worst(run: _Run, spec: MetricSpec, variant: int, target_trials: int) -> float:
     """Worst (smallest) slack over accepted trials, NaN if any slack is
     NaN; attempt k draws from ``run.rng(variant, k)``, so rejected draws
@@ -624,10 +603,11 @@ def _contraction_worst(run: _Run, spec: MetricSpec, variant: int, target_trials:
     no attempt is drawn past the point where a one-by-one loop would stop.
     Each attempt draws its channel's parameters, its state and its tangent
     from its generator; a chunk's channels come from one
-    ``random_channel_each``, and its states and image states are validated
-    as stacks. Errors and rejections are taken in attempt order. Raises
-    DegenerateSample when CONTRACTION_DRAWS_PER_TRIAL draws per wanted
-    trial yield fewer than ``target_trials`` accepted ones.
+    ``random_channel_each``, its states from one ``from_matrices`` and its
+    trials from one ``monotonicity_trial_each``. Errors and rejections are
+    taken in attempt order. Raises DegenerateSample when
+    CONTRACTION_DRAWS_PER_TRIAL draws per wanted trial yield fewer than
+    ``target_trials`` accepted ones.
     """
     worst = math.inf
     accepted = 0
@@ -649,11 +629,13 @@ def _contraction_worst(run: _Run, spec: MetricSpec, variant: int, target_trials:
             rhos.append(random_density(rng, n))
             tangents.append(random_tangent(rng, n, hermitian=bool(rng.integers(0, 2))))
         channels = random_channel_each(draws)
-        for channel, a, (state, image) in zip(channels, tangents, _trial_states(channels, rhos)):
-            try:
-                result = monotonicity_trial(spec, channel, state, a, image)
-            except NotAState:
+        states = DensityMatrix.from_matrices(rhos)
+        for state, outcome in zip(states, monotonicity_trial_each(spec, channels, states, tangents)):
+            # a draw's own error, its channel's and then its state's, is its
+            # outcome and raised; a NotAState of its image rejects the draw
+            if isinstance(outcome, NotAState) and outcome is not state:
                 continue
+            result = unwrap(outcome)
             if math.isnan(result.slack):
                 return math.nan
             accepted += 1
@@ -682,12 +664,10 @@ def _unitary_equality(run: _Run):
         gaussians.append(ginibre(rng, n, n))
         rhos.append(random_density(rng, n))
         tangents.append(random_tangent(rng, n, hermitian=bool(rng.integers(0, 2))))
-    channels = [
-        u if isinstance(u, MonometricError) else KrausChannel(operators=(u,))
-        for u in orthonormal_columns_each(gaussians)
-    ]
-    for channel, a, (state, image) in zip(channels, tangents, _trial_states(channels, rhos)):
-        yield abs(monotonicity_trial(_SPEC, channel, state, a, image).slack)
+    unitaries = orthonormal_columns_each(gaussians)
+    channels = [_outcome_of(lambda u: KrausChannel(operators=(u,)), u) for u in unitaries]
+    for outcome in monotonicity_trial_each(_SPEC, channels, rhos, tangents):
+        yield abs(unwrap(outcome).slack)
 
 # pinching a diagonal state kills exactly the off-diagonal part
 @_property("channels", "pinching-contraction", 1e-9)

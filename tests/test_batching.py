@@ -1,6 +1,7 @@
 """The one batching contract: every member of a batch gets, in order, what
 its one-item call gives it, bit for bit, or the error that call raises;
-and ``errors._batched``, the helper every batcher runs through."""
+and ``errors._batched`` and ``errors._outcome_of``, the helpers every
+batcher runs through."""
 
 import math
 
@@ -9,18 +10,23 @@ import pytest
 
 import monometric.metric
 from monometric import (
+    BridgeMC,
+    DegenerateSample,
     DensityMatrix,
     DimensionMismatch,
     DomainError,
     KrausChannel,
+    MetricSpec,
     MonometricError,
     NotAState,
+    TrialResult,
     apply_channel,
     hermitian_eig,
+    monotonicity_trial,
     random_channel,
 )
-from monometric.channels import apply_channel_each, random_channel_each
-from monometric.errors import _batched
+from monometric.channels import apply_channel_each, monotonicity_trial_each, random_channel_each
+from monometric.errors import _batched, _outcome_of
 from monometric.linalg import HermitianEigen, hermitian_eig_each
 from monometric.sampling import orthonormal_columns, orthonormal_columns_each, random_density, random_hermitian
 
@@ -35,6 +41,8 @@ def bits(value):
         return value.matrix.tobytes(), bits(value.eig)
     if isinstance(value, KrausChannel):
         return tuple(k.tobytes() for k in value.operators)
+    if isinstance(value, TrialResult):
+        return np.array([value.lhs, value.rhs, value.slack]).tobytes()
     return np.asarray(value).tobytes()
 
 
@@ -84,6 +92,7 @@ def columns_case():
         np.ones((3, 2)),  # dependent columns
         rng.standard_normal((3, 2)),
         a,
+        np.ones(3),  # not a matrix
         rng.standard_normal((3, 3)),
     ]
     return unary(orthonormal_columns_each), orthonormal_columns, [(g,) for g in members]
@@ -97,7 +106,10 @@ def channel_case():
         (3, 2, 1, 14),  # no isometry: m k < n
         (9, 2, 5, 15),  # dimension outside the trial range
         (2, 2, 2, 16),
+        (2, 2, 2, -1),  # a negative seed
+        (2, 2, 1.5, 18),  # a fractional operator count
         (2, 2, 2, 11),
+        (2, 2, 2, 2.5),  # a fractional seed
         (2, 3, 1, 17),
     ]
     return random_channel_each, random_channel, draws
@@ -137,12 +149,40 @@ def state_case():
     return unary(DensityMatrix.from_matrices), DensityMatrix.from_matrix, [(m,) for m in members]
 
 
+def trial_case():
+    rng = np.random.default_rng(11)
+    spec = MetricSpec(c=BridgeMC(0.5))
+    two, three = random_channel(2, 2, 2, seed=31), random_channel(3, 2, 2, seed=32)
+    identity = KrausChannel(operators=(np.eye(2, dtype=complex),))
+    rho = random_density(rng, 2)
+
+    def tangent(n):
+        return random_hermitian(rng, n)
+
+    trials = [
+        (two, rho, tangent(2)),
+        (three, DensityMatrix.from_matrix(random_density(rng, 3)), tangent(3)),  # a state used as it is
+        (DegenerateSample("no channel"), random_density(rng, 2), tangent(2)),  # a channel error
+        (two, NotAState("rejected earlier"), tangent(2)),  # a state error
+        (two, 2.0 * random_density(rng, 2), tangent(2)),  # a state of trace two
+        (identity, np.diag([1.0 - 1e-9, 1e-9]), tangent(2)),  # an image below the trial floor
+        (two, rho, tangent(3)),  # a tangent of the wrong dimension
+        (three, random_density(rng, 2), tangent(2)),  # a state of the wrong dimension for its channel
+        (random_channel(2, 3, 1, seed=33), random_density(rng, 2), tangent(2)),  # a rank-deficient image
+        (random_channel(2, 2, 3, seed=34), random_density(rng, 2), tangent(2)),
+        (two, rho, tangent(2)),
+    ]
+    each = lambda trials: monotonicity_trial_each(spec, *zip(*trials))  # noqa: E731
+    return each, lambda *trial: monotonicity_trial(spec, *trial), trials
+
+
 CASES = {
     "hermitian_eig_each": eig_case,
     "orthonormal_columns_each": columns_case,
     "random_channel_each": channel_case,
     "apply_channel_each": apply_case,
     "from_matrices": state_case,
+    "monotonicity_trial_each": trial_case,
 }
 
 
@@ -171,12 +211,33 @@ def test_the_three_bad_members_get_their_own_error():
     assert isinstance(images[1], DimensionMismatch)
 
 
+def test_a_bad_draw_or_non_matrix_gets_its_own_domain_error():
+    """Each of these lists once raised numpy's error for the whole list."""
+    channels = random_channel_each([(2, 2, 2, 1), (2, 2, 2, -1), (2, 2, 1.5, 1)])
+    assert bits(channels[0]) == bits(random_channel(2, 2, 2, 1))
+    assert bits(channels[1]) == (DomainError, "channel seed must be a nonnegative integer, got -1")
+    assert bits(channels[2]) == (DomainError, "need a whole number of operators, at least one, got 1.5")
+    with pytest.raises(DomainError, match="seed"):
+        random_channel(2, 2, 2, -1)
+    columns = orthonormal_columns_each([np.ones(3), np.eye(2)])
+    assert bits(columns[0]) == (DomainError, "expected a 2D matrix, got ndim=1")
+    assert bits(columns[1]) == alone(orthonormal_columns, (np.eye(2),))
+    with pytest.raises(DomainError, match="ndim=1"):
+        orthonormal_columns(np.ones(3))
+
+
 def test_an_error_in_place_of_an_item_is_its_own_outcome():
     error = NotAState("rejected earlier")
     c = random_channel(2, 2, 2, seed=1)
     assert DensityMatrix.from_matrices([error, np.eye(2) / 2])[0] is error
     assert hermitian_eig_each([np.eye(2), error])[1] is error
     assert apply_channel_each([c, error], [error, np.eye(2)]) == [error, error]
+    spec = MetricSpec(c=BridgeMC(0.5))
+    assert monotonicity_trial_each(spec, [c, error], [error, np.eye(2) / 2], [0, 0]) == [error, error]
+    # a channel error comes before a state error of the same trial
+    no_channel = DegenerateSample("no channel")
+    (outcome,) = monotonicity_trial_each(spec, [no_channel], [error], [np.eye(2)])
+    assert outcome is no_channel
 
 
 def test_from_matrices_diagonalizes_every_passing_matrix_in_one_call(monkeypatch):
@@ -234,3 +295,25 @@ class TestBatched:
     def test_solve_must_give_one_outcome_per_item(self):
         with pytest.raises(ValueError):
             _batched([1, 2], lambda x: 0, lambda group: group[:1])
+
+
+class TestOutcomeOf:
+    def test_a_value_is_fn_called_on_the_arguments(self):
+        assert _outcome_of(lambda x, y: x - y, 5, 3) == 2
+
+    def test_the_first_error_argument_is_the_outcome_and_fn_never_runs(self):
+        first, second = DomainError("first"), NotAState("second")
+        assert _outcome_of(pytest.fail, 1, first, second) is first
+        assert _outcome_of(pytest.fail, second, first) is second
+
+    def test_an_error_fn_raises_is_the_outcome(self):
+        error = DimensionMismatch("raised")
+
+        def raises(x):
+            raise error
+
+        assert _outcome_of(raises, 1) is error
+
+    def test_an_exception_that_is_not_an_outcome_propagates(self):
+        with pytest.raises(ZeroDivisionError):
+            _outcome_of(lambda x: 1 / x, 0)

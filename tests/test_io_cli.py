@@ -605,11 +605,11 @@ class TestVerifyCommand:
         assert "sampler gave up" in capsys.readouterr().err
 
     def test_contraction_sampling_is_bounded(self, monkeypatch):
-        def rejected(*args, **kwargs):
-            raise NotAState("forced rejection")
+        def rejected(spec, channels, states, tangents):
+            return [NotAState("forced rejection") for _ in channels]
 
-        monkeypatch.setattr(monometric.verify, "monotonicity_trial", rejected)
+        monkeypatch.setattr(monometric.verify, "monotonicity_trial_each", rejected)
         spec = MetricSpec(c=BridgeMC(0.5))
         run = monometric.verify._Run("channels", seed=0, trials=2, dims=(2, 3), prop=3)
-        with pytest.raises(DegenerateSample):
+        with pytest.raises(DegenerateSample, match="0 of 2 contraction trials accepted after 20 draws"):
             monometric.verify._contraction_worst(run, spec, 0, 2)

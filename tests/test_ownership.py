@@ -7,7 +7,10 @@ stack way ``_jacobi_stack``; every other module hands its matrices to
 its stacked ``_gram_schmidt``. Trace preservation has one owner,
 ``KrausChannel``: only ``channels`` names its stacked check
 ``_kraus_check``, and no other module builds a ``KrausChannel`` through
-``__new__``, which skips ``__post_init__``. Grouping items by key is
+``__new__``, which skips ``__post_init__``. A contraction trial has one
+owner, ``channels.monotonicity_trial_each``: only ``channels`` names the
+trial floor ``TRIAL_STATE_FLOOR`` or maps stacks with
+``apply_channel_each``. Grouping items by key is
 written once, in ``errors._batched``: no other module groups with
 ``setdefault(key, []).append`` or ``defaultdict(list)``. The kernel
 integral's sum over the jumps of a weight is written only in
@@ -25,11 +28,13 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "monometric"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "linalg.py"]
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
-# private names, each read only in the module that owns it
+# names, each read only in the module that owns it
 OWNED = {
     "_jacobi_stack": "linalg.py",
     "_gram_schmidt": "sampling.py",
     "_kraus_check": "channels.py",
+    "TRIAL_STATE_FLOOR": "channels.py",
+    "apply_channel_each": "channels.py",
 }
 
 
@@ -55,6 +60,18 @@ def test_finds_a_name_however_it_is_written():
             f"f = {name}\n",
         ):
             assert name in names(source), source
+
+
+def test_finds_a_trial_name_where_a_second_module_forms_images():
+    """The shape the trial rule forbids outside ``channels``: images mapped
+    and validated under the trial floor by the caller, under any import."""
+    caller = (
+        "from .channels import (\n    TRIAL_STATE_FLOOR,\n    apply_channel_each as each,\n)\n"
+        "images = DensityMatrix.from_matrices(each(channels, xs), floor=TRIAL_STATE_FLOOR)\n"
+    )
+    assert {"TRIAL_STATE_FLOOR", "apply_channel_each"} <= names(caller)
+    assert "TRIAL_STATE_FLOOR" in names("from . import channels\nfloor = channels.TRIAL_STATE_FLOOR\n")
+    assert {"TRIAL_STATE_FLOOR", "apply_channel_each"} <= names((PACKAGE / "channels.py").read_text(encoding="utf-8"))
 
 
 def test_every_other_module_is_checked():

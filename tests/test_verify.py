@@ -23,7 +23,7 @@ from monometric import (
     eval_bridge,
     monotonicity_trial,
 )
-from monometric.channels import TRIAL_STATE_FLOOR, apply_channel, random_channel_each
+from monometric.channels import monotonicity_trial_each, random_channel_each
 from monometric.cli import main
 from monometric.sampling import random_density, random_tangent, random_unitary
 from oracle_loops import random_channel_loop, same_channel
@@ -34,7 +34,6 @@ from monometric.verify import (
     _invalid_kernel,
     _Run,
     _trial_base_states,
-    _trial_states,
     run_chentsov_suite,
     run_metric_suite,
     run_monotone_suite,
@@ -55,8 +54,10 @@ def test_nan_bridge_values_fail_the_properties_they_enter(monkeypatch):
 
 
 def test_nan_slack_makes_the_contraction_worst_nan(monkeypatch):
-    nan_trial = lambda *args: TrialResult(lhs=1.0, rhs=1.0, slack=math.nan)  # noqa: E731
-    monkeypatch.setattr(monometric.verify, "monotonicity_trial", nan_trial)
+    def nan_trials(spec, channels, states, tangents):
+        return [TrialResult(lhs=1.0, rhs=1.0, slack=math.nan) for _ in channels]
+
+    monkeypatch.setattr(monometric.verify, "monotonicity_trial_each", nan_trials)
     spec = MetricSpec(c=BridgeMC(0.5))
     run = _Run("channels", seed=0, trials=2, dims=(2, 3), prop=3)
     assert math.isnan(_contraction_worst(run, spec, 0, 2))
@@ -103,21 +104,23 @@ def test_batched_contraction_matches_the_per_attempt_loop(spec, dims, trials, mo
     called, seen = [], []
     draws = []
 
-    def recorded_trial(spec, channel, rho, a, *image):
-        called.append(a)
-        result = monotonicity_trial(spec, channel, rho, a, *image)
-        seen.append(a)
-        return result
+    def recorded_trials(spec, channels, states, tangents):
+        called.extend(tangents)
+        outcomes = monotonicity_trial_each(spec, channels, states, tangents)
+        seen.extend(a for a, outcome in zip(tangents, outcomes) if isinstance(outcome, TrialResult))
+        # a rejected draw is rejected by its image alone
+        assert all(isinstance(outcome, (TrialResult, NotAState)) for outcome in outcomes)
+        return outcomes
 
     def counted_channels(chunk):
         draws.extend(chunk)
         return random_channel_each(chunk)
 
-    monkeypatch.setattr(monometric.verify, "monotonicity_trial", recorded_trial)
+    monkeypatch.setattr(monometric.verify, "monotonicity_trial_each", recorded_trials)
     monkeypatch.setattr(monometric.verify, "random_channel_each", counted_channels)
     batched = _contraction_worst(run, spec, 1, trials)
     attempt_of = {a.tobytes(): k for k, a in enumerate(tangents)}
-    # every draw, rejected or not, goes through monotonicity_trial
+    # every draw, rejected or not, goes through monotonicity_trial_each
     assert [attempt_of[a.tobytes()] for a in called] == list(range(len(tangents)))
     assert [attempt_of[a.tobytes()] for a in seen] == accepted
     # each attempt's channel is drawn once, and nothing past the loop's last attempt
@@ -170,16 +173,49 @@ def test_a_channel_that_cannot_be_drawn_is_raised_at_its_attempt(monkeypatch):
 
     reached = []
 
-    def recorded_trial(spec, channel, rho, a, *image):
-        reached.append(a)
-        return monotonicity_trial(spec, channel, rho, a, *image)
+    def recorded_trials(spec, channels, states, tangents):
+        outcomes = monotonicity_trial_each(spec, channels, states, tangents)
+        assert outcomes[3] is channels[3]  # the channel error is the draw's outcome
+        for outcome in outcomes:
+            reached.append(outcome)
+            yield outcome
 
     monkeypatch.setattr(monometric.verify, "random_channel_each", third_gives_up)
-    monkeypatch.setattr(monometric.verify, "monotonicity_trial", recorded_trial)
+    monkeypatch.setattr(monometric.verify, "monotonicity_trial_each", recorded_trials)
     run = _Run("channels", seed=5, trials=10, dims=(2, 3), prop=3)
     with pytest.raises(DegenerateSample, match="fourth attempt"):
         _contraction_worst(run, MetricSpec(c=BridgeMC(0.5)), 0, 10)
-    assert len(reached) == 3  # the attempts before it ran
+    # the attempts before it ran, then the loop stopped at its own
+    assert len(reached) == 4
+    assert all(isinstance(outcome, (TrialResult, NotAState)) for outcome in reached[:3])
+
+
+@pytest.mark.parametrize("bad", (0, 3))
+def test_a_state_that_is_not_one_is_raised_at_its_attempt_not_rejected(bad, monkeypatch):
+    """Only an image state is a rejected draw: a draw whose own state fails
+    validation raises its NotAState when its attempt is reached, after a
+    channel error of the same draw."""
+    drawn = []
+
+    def trace_two_at_bad(rng, n):
+        drawn.append(n)
+        m = random_density(rng, n)
+        return 2.0 * m if len(drawn) - 1 == bad else m
+
+    monkeypatch.setattr(monometric.verify, "random_density", trace_two_at_bad)
+    run = _Run("channels", seed=5, trials=10, dims=(2, 3), prop=3)
+    with pytest.raises(NotAState, match="trace"):
+        _contraction_worst(run, MetricSpec(c=BridgeMC(0.5)), 0, 10)
+    drawn.clear()
+
+    def gives_up_at_bad(draws):
+        out = random_channel_each(draws)
+        out[bad] = DegenerateSample("forced at the bad attempt")
+        return out
+
+    monkeypatch.setattr(monometric.verify, "random_channel_each", gives_up_at_bad)
+    with pytest.raises(DegenerateSample, match="bad attempt"):
+        _contraction_worst(run, MetricSpec(c=BridgeMC(0.5)), 0, 10)
 
 
 def test_a_degenerate_unitary_is_raised_when_its_trial_is_reached(monkeypatch):
@@ -251,14 +287,18 @@ def test_a_degenerate_metric_unitary_is_raised_when_its_trial_is_reached(monkeyp
 def test_image_states_are_held_to_the_trial_floor():
     identity = KrausChannel(operators=(np.eye(2, dtype=complex),))
     rho = np.diag([1.0 - 1e-9, 1e-9]).astype(complex)  # above the state floor only
-    with pytest.raises(NotAState):
-        monotonicity_trial(MetricSpec(c=BridgeMC(0.5)), identity, rho, np.eye(2))
-    ((state, image),) = _trial_states([identity], [rho])
-    assert isinstance(state, DensityMatrix)
-    assert isinstance(image, NotAState)
-    with pytest.raises(NotAState) as raised:
-        monotonicity_trial(MetricSpec(c=BridgeMC(0.5)), identity, state, np.eye(2), image)
-    assert raised.value is image
+    spec = MetricSpec(c=BridgeMC(0.5))
+    with pytest.raises(NotAState, match="floor 1.0e-08") as alone:
+        monotonicity_trial(spec, identity, rho, np.eye(2))
+    state = DensityMatrix.from_matrix(rho)
+    for given in (rho, state):
+        (image,) = monotonicity_trial_each(spec, [identity], [given], [np.eye(2)])
+        assert isinstance(image, NotAState)
+        assert str(image) == str(alone.value)
+    # the same state clears the floor under a channel that mixes it
+    mixing = KrausChannel(operators=(np.sqrt(0.5) * np.eye(2, dtype=complex), np.sqrt(0.5) * np.eye(2)[::-1]))
+    (result,) = monotonicity_trial_each(spec, [mixing], [state], [np.eye(2)])
+    assert isinstance(result, TrialResult)
 
 
 def test_an_image_that_does_not_converge_is_raised_at_its_draw(monkeypatch):
@@ -266,12 +306,18 @@ def test_an_image_that_does_not_converge_is_raised_at_its_draw(monkeypatch):
     monkeypatch.setattr(monometric.linalg, "MAX_SWEEPS", 1)
     rho = np.diag([0.2, 0.3, 0.5]).astype(complex)
     rotate = KrausChannel(operators=(random_unitary(np.random.default_rng(5), 3),))
-    ((state, image),) = _trial_states([rotate], [rho])
-    assert isinstance(state, DensityMatrix)
+    spec = MetricSpec(c=BridgeMC(0.5))
+    state = DensityMatrix.from_matrix(rho)
+    (image,) = monotonicity_trial_each(spec, [rotate], [state], [np.eye(3)])
     assert isinstance(image, NoConvergence)
     with pytest.raises(NoConvergence) as raised:
-        monotonicity_trial(MetricSpec(c=BridgeMC(0.5)), rotate, state, np.eye(3), image)
-    assert raised.value is image
+        monotonicity_trial(spec, rotate, state, np.eye(3))
+    assert str(raised.value) == str(image)
+    # in a contraction run it is raised, not taken for a rejected draw
+    monkeypatch.setattr(monometric.verify, "monotonicity_trial_each", lambda *args: [image] * len(args[1]))
+    run = _Run("channels", seed=5, trials=3, dims=(2, 3), prop=3)
+    with pytest.raises(NoConvergence):
+        _contraction_worst(run, spec, 0, 3)
 
 
 def test_a_draw_that_does_not_converge_leaves_the_stack_to_the_others(monkeypatch):
@@ -285,24 +331,23 @@ def test_a_draw_that_does_not_converge_leaves_the_stack_to_the_others(monkeypatc
     )
     count = monometric.linalg.SMALL_STACK // 2
     rhos = [np.diag([0.5 - 0.01 * k, 0.5 + 0.01 * k]).astype(complex) for k in range(count)]
+    rng = np.random.default_rng(11)
+    tangents = [random_tangent(rng, 2, hermitian=bool(k % 2)) for k in range(count)]
     identity = KrausChannel(operators=(np.eye(2, dtype=complex),))
     rotate = KrausChannel(operators=(random_unitary(np.random.default_rng(7), 2),))
     channels = [rotate if k == 5 else identity for k in range(count)]
-    out = list(_trial_states(channels, rhos))
+    spec = MetricSpec(c=BridgeMC(0.5))
+    out = monotonicity_trial_each(spec, channels, rhos, tangents)
     assert calls == [count, count]  # the states, then the images, the stuck one among them
-    assert [state.matrix.tolist() for state, _ in out] == [r.tolist() for r in rhos]
-    assert isinstance(out[5][1], NoConvergence)
-    for k, (rho, (state, image)) in enumerate(zip(rhos, out)):
-        alone = DensityMatrix.from_matrix(rho, floor=TRIAL_STATE_FLOOR)
-        assert np.array_equal(state.eig.eigenvalues, alone.eig.eigenvalues)
-        assert np.array_equal(state.eig.eigenvectors, alone.eig.eigenvectors)
-        if k == 5:
+    assert isinstance(out[5], NoConvergence)
+    for channel, rho, a, outcome in zip(channels, rhos, tangents, out):
+        if outcome is out[5]:
             with pytest.raises(NoConvergence) as raised:
-                DensityMatrix.from_matrix(apply_channel(rotate, rho), floor=TRIAL_STATE_FLOOR)
-            assert str(raised.value) == str(image)
+                monotonicity_trial(spec, channel, rho, a)
+            assert str(raised.value) == str(outcome)
         else:
-            assert np.array_equal(image.eig.eigenvalues, alone.eig.eigenvalues)
-            assert np.array_equal(image.eig.eigenvectors, alone.eig.eigenvectors)
+            alone = monotonicity_trial(spec, channel, rho, a)
+            assert [outcome.lhs.hex(), outcome.rhs.hex()] == [alone.lhs.hex(), alone.rhs.hex()]
 
 
 def one_by_one(cls, ms, floor=monometric.metric.STATE_EIG_FLOOR):
@@ -397,7 +442,7 @@ def test_rejecting_every_image_still_hits_the_draw_cap(monkeypatch):
         draws.extend(chunk)
         return random_channel_each(chunk)
 
-    monkeypatch.setattr(monometric.verify, "TRIAL_STATE_FLOOR", 1.0)
+    monkeypatch.setattr(monometric.channels, "TRIAL_STATE_FLOOR", 1.0)
     monkeypatch.setattr(monometric.verify, "random_channel_each", counted_channels)
     run = _Run("channels", seed=0, trials=3, dims=(2, 3), prop=3)
     with pytest.raises(DegenerateSample, match="0 of 3"):
