@@ -16,8 +16,8 @@ own outcome. ``random_channel_each`` gives every draw its own generator
 each draw gets its channel, bit for bit as alone, or its own error.
 ``_kraus_map`` is the one formula for T(X): ``apply_channel`` runs it on
 one channel and ``apply_channel_each`` on a stack of channels per shape.
-``monotonicity_trial_each`` owns a contraction trial and forms its states,
-images and tangent images as stacks. All group with ``errors._batched``.
+``monotonicity_trial_each`` owns a contraction trial and maps its states
+and tangents as one stack. The batchers group with ``errors._batched``.
 """
 
 from __future__ import annotations
@@ -206,25 +206,23 @@ def monotonicity_trial(spec: MetricSpec, channel: KrausChannel, rho, a) -> Trial
 
     Nonnegative slack is the contraction property; the image state must
     clear a 1e-8 eigenvalue floor or the trial raises NotAState for the
-    caller to resample.
+    caller to resample. A DensityMatrix ``rho`` is used as it is, any
+    other is validated first.
     """
-    return unwrap(monotonicity_trial_each(spec, [channel], [rho], [a])[0])
+    state = rho if isinstance(rho, DensityMatrix) else DensityMatrix.from_matrices([rho])[0]
+    return unwrap(monotonicity_trial_each(spec, [channel], [state], [a])[0])
 
 
 def monotonicity_trial_each(spec, channels, states, tangents) -> list[TrialResult | MonometricError]:
     """Per trial, in order: ``monotonicity_trial(spec, channel, rho, a)``,
-    bit for bit, or the error it raises. A trial's first error, of its
-    channel, its state (a DensityMatrix is used as it is, the others are
-    validated as one stack), K(A, A) at rho, then its image T(rho), which
-    is validated as one stack under TRIAL_STATE_FLOOR, is its outcome."""
-    states = _batched(
-        states,
-        lambda rho: isinstance(rho, DensityMatrix),
-        lambda group: group if isinstance(group[0], DensityMatrix) else DensityMatrix.from_matrices(group),
-    )
-    rhs = [_outcome_of(metric_quadratic, spec, state, a) for state, a in zip(states, tangents)]
+    bit for bit, or the error it raises; each state is a ``from_matrices``
+    outcome. A trial's first error, of its channel, its state, K(A, A) at
+    rho, then its image T(rho), is its outcome. One ``apply_channel_each``
+    maps states and tangents; the images are validated under TRIAL_STATE_FLOOR."""
+    trials = zip(channels, states, tangents, strict=True)  # so the halves of the map line up
+    rhs = [_outcome_of(metric_quadratic, spec, state, a) for _, state, a in trials]
     matrices = [q if isinstance(q, MonometricError) else s.matrix for q, s in zip(rhs, states)]
-    images = DensityMatrix.from_matrices(apply_channel_each(channels, matrices), floor=TRIAL_STATE_FLOOR)
-    mapped = apply_channel_each(channels, tangents)
-    lhs = [_outcome_of(metric_quadratic, spec, *pair) for pair in zip(images, mapped)]
+    mapped = apply_channel_each([*channels, *channels], [*matrices, *tangents])
+    images = DensityMatrix.from_matrices(mapped[: len(matrices)], floor=TRIAL_STATE_FLOOR)
+    lhs = [_outcome_of(metric_quadratic, spec, *pair) for pair in zip(images, mapped[len(matrices) :])]
     return [q if isinstance(q, MonometricError) else TrialResult(q, r, r - q) for r, q in zip(rhs, lhs)]

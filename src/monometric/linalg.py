@@ -22,10 +22,10 @@ share one path: ``_check`` gives each member of a stack the member or
 its error, and ``_solve`` each checked member its own decomposition or
 error; ``hermitian_eig_each`` groups a list into one stack per shape
 with ``errors._batched``, the package's one grouping. The stack way
-runs only below ``SMALL_DIM``, where one matrix takes the scalar way,
-and other stacks go matrix by matrix, so each matrix comes out as
-``hermitian_eig`` gives it alone (up to the sign of a zero, as above),
-or with the error it raises alone.
+runs only below ``SMALL_DIM``, where one matrix takes the scalar way it
+rounds as; other stacks go matrix by matrix, whether or not the stack
+would be faster (``_solve``), so each matrix comes out as ``hermitian_eig``
+gives it alone (up to the sign of a zero, as above), or with its error.
 ``_measure`` is the one rescale: it finds each member's largest entry,
 scales a member with an entry above ``RESCALE_ABOVE`` exactly by a power
 of two and takes its Frobenius norm. The check measures a matrix once,
@@ -100,10 +100,13 @@ def as_matrix(m) -> np.ndarray:
 
 def _matrix(m) -> np.ndarray | MonometricError:
     """``m`` as ``as_matrix`` coerces it, or the error it raises; an error
-    ``m`` is its own outcome."""
+    ``m`` is its own outcome, and what numpy cannot read is a DomainError."""
     if isinstance(m, MonometricError):
         return m
-    a = np.asarray(m, dtype=np.complex128)
+    try:
+        a = np.asarray(m, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError) as exc:
+        return DomainError(f"not a matrix of complex numbers: {exc}")
     return a if a.ndim == 2 else DomainError(f"expected a 2D matrix, got ndim={a.ndim}")
 
 
@@ -246,7 +249,8 @@ def _solve(a: np.ndarray) -> list[HermitianEigen | MonometricError]:
     unitary per step from it up. Below ``SMALL_DIM``, a stack with
     B n >= SMALL_STACK runs as one ``_jacobi_stack``; every other stack
     goes member by member the way one matrix goes: a small stack is faster
-    so, and from ``SMALL_DIM`` up one unitary per step beats the stack.
+    so. From ``SMALL_DIM`` up the stack, though faster at n = 12-16, would
+    round as the scalar way, not as one matrix; no caller sends one there.
     """
     count, n, _ = a.shape
     if n > MAX_DIM:

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, MonometricError, NotAState, NotHermitian, _batched, unwrap
+from .errors import DimensionMismatch, DomainError, MonometricError, NotAState, NotHermitian, _outcome_of, unwrap
 from .linalg import HermitianEigen, _matrix, as_matrix, hermitian_eig, hermitian_eig_each
 
 STATE_EIG_FLOOR = 1e-10
@@ -48,12 +48,9 @@ class DensityMatrix:
 
     @classmethod
     def from_matrix(cls, m, floor: float = STATE_EIG_FLOOR) -> "DensityMatrix":
+        """``from_matrices`` on one matrix, by ``hermitian_eig`` directly: cheaper, same bits."""
         a = as_matrix(m)
-        try:
-            state = _rejection(a) or cls._outcome(a, hermitian_eig(a), floor)
-        except NotHermitian as exc:
-            state = cls._outcome(a, exc, floor)
-        return unwrap(state)
+        return unwrap(_rejection(a) or cls._outcome(a, _outcome_of(hermitian_eig, a), floor))
 
     @classmethod
     def from_matrices(
@@ -61,13 +58,12 @@ class DensityMatrix:
     ) -> list["DensityMatrix | MonometricError"]:
         """``from_matrix`` on each matrix: per matrix, in order, the state or
         the error it would raise; an error in place of a matrix is its own
-        outcome. The matrices ``_rejection`` passes go through one
+        outcome, untouched. The matrices ``_rejection`` passes go through one
         ``hermitian_eig_each``, so each state's eigendecomposition is bit for
         bit the one ``from_matrix`` gives it, whatever the batch."""
         mats = [a if isinstance(a, MonometricError) else _rejection(a) or a for a in map(_matrix, ms)]
-        return _batched(mats, lambda a: None, lambda group: [
-            cls._outcome(a, dec, floor) for a, dec in zip(group, hermitian_eig_each(group))
-        ])
+        decs = hermitian_eig_each(mats)
+        return [a if isinstance(a, MonometricError) else cls._outcome(a, dec, floor) for a, dec in zip(mats, decs)]
 
     @classmethod
     def _outcome(cls, a: np.ndarray, dec, floor: float) -> "DensityMatrix | MonometricError":

@@ -18,9 +18,9 @@ exactly that reason.
 The contraction properties and unitary-equality draw their trials in
 order from these same streams, then build the channels together
 (``random_channel_each``, or one Gram-Schmidt stack of the unitaries'
-Gaussians) and run the trials together in
-``channels.monotonicity_trial_each``, which forms their states, image
-states and tangent images as stacks; each of them gives every member bit
+Gaussians), validate the states with one ``from_matrices`` and run the
+trials together in ``channels.monotonicity_trial_each``, which maps them
+and their tangents as one stack; each of them gives every member bit
 for bit its own outcome, so every value is as in a one-by-one loop.
 Rejections, errors and the NaN stop are taken in attempt order, and no
 attempt is drawn past the point where a one-by-one loop would stop, so
@@ -666,7 +666,7 @@ def _unitary_equality(run: _Run):
         tangents.append(random_tangent(rng, n, hermitian=bool(rng.integers(0, 2))))
     unitaries = orthonormal_columns_each(gaussians)
     channels = [_outcome_of(lambda u: KrausChannel(operators=(u,)), u) for u in unitaries]
-    for outcome in monotonicity_trial_each(_SPEC, channels, rhos, tangents):
+    for outcome in monotonicity_trial_each(_SPEC, channels, DensityMatrix.from_matrices(rhos), tangents):
         yield abs(unwrap(outcome).slack)
 
 # pinching a diagonal state kills exactly the off-diagonal part

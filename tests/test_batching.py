@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+import monometric.channels
 import monometric.metric
 from monometric import (
     BridgeMC,
@@ -27,7 +28,7 @@ from monometric import (
 )
 from monometric.channels import apply_channel_each, monotonicity_trial_each, random_channel_each
 from monometric.errors import _batched, _outcome_of
-from monometric.linalg import HermitianEigen, hermitian_eig_each
+from monometric.linalg import HermitianEigen, as_matrix, hermitian_eig_each
 from monometric.sampling import orthonormal_columns, orthonormal_columns_each, random_density, random_hermitian
 
 
@@ -62,6 +63,17 @@ def alone(fn, args):
         return bits(exc)
 
 
+# what numpy cannot read as a complex matrix: each member that is one
+# gets its own DomainError
+UNREADABLE = {
+    "ragged": [[1.0, 2.0], [3.0]],
+    "string": "abc",
+    "dict": {"a": 1.0},
+    "state": DensityMatrix.from_matrix(np.eye(2) / 2),
+    "past the float range": [[10**400, 0], [0, 1]],
+}
+
+
 def eig_case():
     rng = np.random.default_rng(3)
     a, b = random_hermitian(rng, 2), random_hermitian(rng, 3)
@@ -77,6 +89,7 @@ def eig_case():
         np.eye(33),  # above the dimension cap
         np.full((2, 2), 1.7e308),  # an eigenvalue beyond the float range
         a,
+        *UNREADABLE.values(),
         random_hermitian(rng, 3),
     ]
     return unary(hermitian_eig_each), hermitian_eig, [(m,) for m in members]
@@ -93,6 +106,7 @@ def columns_case():
         rng.standard_normal((3, 2)),
         a,
         np.ones(3),  # not a matrix
+        *UNREADABLE.values(),
         rng.standard_normal((3, 3)),
     ]
     return unary(orthonormal_columns_each), orthonormal_columns, [(g,) for g in members]
@@ -126,6 +140,7 @@ def apply_case():
         (three, np.zeros((3, 3, 1))),  # input that is not a matrix
         (random_channel(2, 3, 1, seed=23), random_density(rng, 2)),
         (two, x),
+        *((two, m) for m in UNREADABLE.values()),
         (two, random_density(rng, 2)),
     ]
     return (lambda pairs: apply_channel_each(*zip(*pairs))), apply_channel, pairs
@@ -144,6 +159,7 @@ def state_case():
         np.array([[0.5, 0.1], [0.2, 0.5]]),  # not Hermitian
         np.diag([1.0, 0.0]),  # on the boundary
         rho,
+        *UNREADABLE.values(),
         random_density(rng, 2),
     ]
     return unary(DensityMatrix.from_matrices), DensityMatrix.from_matrix, [(m,) for m in members]
@@ -161,10 +177,10 @@ def trial_case():
 
     trials = [
         (two, rho, tangent(2)),
-        (three, DensityMatrix.from_matrix(random_density(rng, 3)), tangent(3)),  # a state used as it is
+        (three, random_density(rng, 3), tangent(3)),
         (DegenerateSample("no channel"), random_density(rng, 2), tangent(2)),  # a channel error
-        (two, NotAState("rejected earlier"), tangent(2)),  # a state error
-        (two, 2.0 * random_density(rng, 2), tangent(2)),  # a state of trace two
+        (two, NotAState("rejected earlier"), tangent(2)),  # a state error passed in
+        (two, 2.0 * random_density(rng, 2), tangent(2)),  # a state of trace two, rejected
         (identity, np.diag([1.0 - 1e-9, 1e-9]), tangent(2)),  # an image below the trial floor
         (two, rho, tangent(3)),  # a tangent of the wrong dimension
         (three, random_density(rng, 2), tangent(2)),  # a state of the wrong dimension for its channel
@@ -172,6 +188,10 @@ def trial_case():
         (random_channel(2, 2, 3, seed=34), random_density(rng, 2), tangent(2)),
         (two, rho, tangent(2)),
     ]
+    # each state as the batch takes it: a from_matrices outcome
+    states = DensityMatrix.from_matrices([rho for _, rho, _ in trials])
+    assert isinstance(states[1], DensityMatrix) and isinstance(states[4], NotAState)
+    trials = [(channel, state, a) for (channel, _, a), state in zip(trials, states)]
     each = lambda trials: monotonicity_trial_each(spec, *zip(*trials))  # noqa: E731
     return each, lambda *trial: monotonicity_trial(spec, *trial), trials
 
@@ -226,6 +246,45 @@ def test_a_bad_draw_or_non_matrix_gets_its_own_domain_error():
         orthonormal_columns(np.ones(3))
 
 
+@pytest.mark.parametrize("m", UNREADABLE.values(), ids=UNREADABLE.keys())
+def test_what_numpy_cannot_read_is_a_domain_error(m):
+    """Each of these once raised numpy's ValueError, TypeError or
+    OverflowError, for the whole list in a batch."""
+    c = random_channel(2, 2, 2, seed=1)
+    entries = (as_matrix, hermitian_eig, DensityMatrix.from_matrix, orthonormal_columns, lambda x: apply_channel(c, x))
+    for one in entries:
+        with pytest.raises(DomainError, match="^not a matrix of complex numbers: "):
+            one(m)
+    x = np.eye(2) / 2
+    for outcomes, good in [
+        (hermitian_eig_each([x, m, x]), hermitian_eig(x)),
+        (DensityMatrix.from_matrices([x, m, x]), DensityMatrix.from_matrix(x)),
+        (orthonormal_columns_each([x, m, x]), orthonormal_columns(x)),
+        (apply_channel_each([c, c, c], [x, m, x]), apply_channel(c, x)),
+    ]:
+        assert isinstance(outcomes[1], DomainError)
+        assert [bits(outcomes[0]), bits(outcomes[2])] == [bits(good)] * 2
+
+
+def test_a_trial_batch_maps_its_states_and_tangents_in_one_call(monkeypatch):
+    calls = []
+    inner = monometric.channels.apply_channel_each
+
+    def spy(channels, xs):
+        calls.append((len(channels), len(xs)))
+        return inner(channels, xs)
+
+    monkeypatch.setattr(monometric.channels, "apply_channel_each", spy)
+    each, one, trials = trial_case()
+    each(trials)
+    one(*trials[0])
+    assert calls == [(2 * len(trials),) * 2, (2, 2)]
+    # a channel short or over would shift the tangents onto other channels
+    channels, states, tangents = zip(*trials)
+    with pytest.raises(ValueError):
+        monotonicity_trial_each(MetricSpec(c=BridgeMC(0.5)), channels[1:], states, tangents)
+
+
 def test_an_error_in_place_of_an_item_is_its_own_outcome():
     error = NotAState("rejected earlier")
     c = random_channel(2, 2, 2, seed=1)
@@ -233,7 +292,8 @@ def test_an_error_in_place_of_an_item_is_its_own_outcome():
     assert hermitian_eig_each([np.eye(2), error])[1] is error
     assert apply_channel_each([c, error], [error, np.eye(2)]) == [error, error]
     spec = MetricSpec(c=BridgeMC(0.5))
-    assert monotonicity_trial_each(spec, [c, error], [error, np.eye(2) / 2], [0, 0]) == [error, error]
+    state = DensityMatrix.from_matrix(np.eye(2) / 2)
+    assert monotonicity_trial_each(spec, [c, error], [error, state], [0, 0]) == [error, error]
     # a channel error comes before a state error of the same trial
     no_channel = DegenerateSample("no channel")
     (outcome,) = monotonicity_trial_each(spec, [no_channel], [error], [np.eye(2)])
@@ -245,14 +305,18 @@ def test_from_matrices_diagonalizes_every_passing_matrix_in_one_call(monkeypatch
     inner = monometric.metric.hermitian_eig_each
 
     def spy(ms):
-        calls.append(len(ms))
+        calls.append(list(ms))
         return inner(ms)
 
     monkeypatch.setattr(monometric.metric, "hermitian_eig_each", spy)
     rng = np.random.default_rng(13)
-    ms = [random_density(rng, n) for n in (2, 3, 2, 5, 3)] + [np.eye(2)]
+    passing = [random_density(rng, n) for n in (2, 3, 2, 5, 3)]
+    ms = passing[:2] + [np.eye(2)] + passing[2:]  # trace two: rejected before the eigensolve
     DensityMatrix.from_matrices(ms)
-    assert calls == [5]
+    (handed,) = calls
+    matrices = [m for m in handed if not isinstance(m, MonometricError)]
+    assert [m.tobytes() for m in matrices] == [m.tobytes() for m in passing]
+    assert isinstance(handed[2], NotAState)
 
 
 class TestBatched:

@@ -19,6 +19,7 @@ from monometric import (
     KrausChannel,
     MetricSpec,
     MonometricError,
+    NotAState,
     apply_channel,
     metric_quadratic,
     monotonicity_trial,
@@ -193,6 +194,36 @@ class TestMonotonicityTrial:
                 continue
             accepted += 1
             assert trial.slack >= -1e-9 * (1 + abs(trial.rhs))
+
+    def test_a_raw_state_and_its_density_matrix_give_the_same_bits(self):
+        rng = np.random.default_rng(37)
+        ch = random_channel(3, 2, 2, seed=78)
+        rho = random_density(rng, 3)
+        a = random_tangent(rng, 3, False)
+        raw = monotonicity_trial(BURES_SPEC, ch, rho, a)
+        state = monotonicity_trial(BURES_SPEC, ch, DensityMatrix.from_matrix(rho), a)
+        fields = lambda t: [t.lhs.hex(), t.rhs.hex(), t.slack.hex()]  # noqa: E731
+        assert fields(raw) == fields(state)
+        # K(T(A), T(A)) at T(rho), each formed alone
+        image = DensityMatrix.from_matrix(apply_channel(ch, rho), floor=monometric.channels.TRIAL_STATE_FLOOR)
+        assert raw.lhs.hex() == metric_quadratic(BURES_SPEC, image, apply_channel(ch, a)).hex()
+
+    @pytest.mark.parametrize(
+        "rho, message",
+        [
+            (np.eye(2), "state trace (2+0j) not 1"),
+            (
+                np.array([[0.5, 0.1], [0.2, 0.5]]),
+                "state not Hermitian: matrix has symmetry defect 8.120e-02, above tol 1.000e-10",
+            ),
+            (np.diag([1.0, 0.0]), "smallest eigenvalue 0.000e+00 at or below floor 1.0e-10"),
+        ],
+        ids=["trace two", "not Hermitian", "on the boundary"],
+    )
+    def test_a_raw_state_that_is_not_one_raises_its_not_a_state(self, rho, message):
+        with pytest.raises(NotAState) as raised:
+            monotonicity_trial(BURES_SPEC, random_channel(2, 2, 2, seed=1), rho, np.eye(2))
+        assert str(raised.value) == message
 
     def test_canonical_metric_contracts(self):
         h = random_step_weight(np.random.default_rng(4))

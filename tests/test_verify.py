@@ -291,7 +291,7 @@ def test_image_states_are_held_to_the_trial_floor():
     with pytest.raises(NotAState, match="floor 1.0e-08") as alone:
         monotonicity_trial(spec, identity, rho, np.eye(2))
     state = DensityMatrix.from_matrix(rho)
-    for given in (rho, state):
+    for given in (*DensityMatrix.from_matrices([rho]), state):
         (image,) = monotonicity_trial_each(spec, [identity], [given], [np.eye(2)])
         assert isinstance(image, NotAState)
         assert str(image) == str(alone.value)
@@ -337,7 +337,7 @@ def test_a_draw_that_does_not_converge_leaves_the_stack_to_the_others(monkeypatc
     rotate = KrausChannel(operators=(random_unitary(np.random.default_rng(7), 2),))
     channels = [rotate if k == 5 else identity for k in range(count)]
     spec = MetricSpec(c=BridgeMC(0.5))
-    out = monotonicity_trial_each(spec, channels, rhos, tangents)
+    out = monotonicity_trial_each(spec, channels, DensityMatrix.from_matrices(rhos), tangents)
     assert calls == [count, count]  # the states, then the images, the stuck one among them
     assert isinstance(out[5], NoConvergence)
     for channel, rho, a, outcome in zip(channels, rhos, tangents, out):
