@@ -17,6 +17,12 @@ is called once per unordered pair of eigenvalues, n(n-1)/2 calls per form,
 and its value is used for both orders; any other kernel, a plain function
 included, is called at all n(n-1) ordered pairs. The sum runs in the same
 order either way, so the form has the same bits.
+
+The coefficients depend only on the state's eigenvalues and the spec, never
+on the tangents, so each ``DensityMatrix`` keeps those of the last spec it
+was evaluated with: a further form at the same state and the same spec
+object (compared with ``is``) calls no kernel. A kernel that raises leaves
+nothing kept. Kernels are taken to be pure functions of their arguments.
 """
 
 from __future__ import annotations
@@ -40,11 +46,15 @@ class DensityMatrix:
 
     ``eig`` is the eigendecomposition computed while validating;
     ``metric_form`` reuses it, so a state that validates is one the form
-    can evaluate.
+    can evaluate. It reuses the form's coefficients too: ``_coefficients``
+    is the last ``(spec, coefficients)`` pair a form at this state built,
+    read and written only by ``metric_form``, and not part of equality or
+    repr.
     """
 
     matrix: np.ndarray
     eig: HermitianEigen = field(compare=False, repr=False)
+    _coefficients: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_matrix(cls, m, floor: float = STATE_EIG_FLOOR) -> "DensityMatrix":
@@ -122,8 +132,10 @@ def metric_form(spec: MetricSpec, rho, a, b) -> complex:
     """Evaluate K(A, B) at the state rho.
 
     Uses the eigendecomposition the state carries; a raw matrix is
-    validated (and so diagonalized) first. A kernel value with a nonzero
-    imaginary part raises DomainError; NaN and infinite values propagate.
+    validated (and so diagonalized) first. The coefficients are the state's
+    kept ones when they were built for this very spec, else they are built
+    and kept. A kernel value with a nonzero imaginary part raises
+    DomainError; NaN and infinite values propagate.
     """
     state = _coerce_state(rho)
     am = as_matrix(a)
@@ -136,10 +148,14 @@ def metric_form(spec: MetricSpec, rho, a, b) -> complex:
     dec = state.eig
     u = dec.eigenvectors
     uh = u.conj().T
-    w = dec.eigenvalues.tolist()
     at = (uh @ am @ u).tolist()
     bt = (uh @ bm @ u).tolist()
-    kern = _kernel_values(spec, w)
+    kept = state._coefficients
+    if kept is not None and kept[0] is spec:
+        kern = kept[1]
+    else:
+        kern = _kernel_values(spec, dec.eigenvalues.tolist())
+        object.__setattr__(state, "_coefficients", (spec, kern))
     # conj(at)*bt is grouped first: at B = A the product is exactly real,
     # so the quadratic form stays real to the bit even for wild kernels
     total = 0j

@@ -23,10 +23,11 @@ from monometric import (
     TrialResult,
     apply_channel,
     hermitian_eig,
+    metric_quadratic,
     monotonicity_trial,
     random_channel,
 )
-from monometric.channels import apply_channel_each, monotonicity_trial_each, random_channel_each
+from monometric.channels import TRIAL_STATE_FLOOR, apply_channel_each, monotonicity_trial_each, random_channel_each
 from monometric.errors import _batched, _outcome_of
 from monometric.linalg import HermitianEigen, as_matrix, hermitian_eig_each
 from monometric.sampling import orthonormal_columns, orthonormal_columns_each, random_density, random_hermitian
@@ -165,9 +166,11 @@ def state_case():
     return unary(DensityMatrix.from_matrices), DensityMatrix.from_matrix, [(m,) for m in members]
 
 
+TRIAL_SPEC = MetricSpec(c=BridgeMC(0.5))
+
+
 def trial_case():
     rng = np.random.default_rng(11)
-    spec = MetricSpec(c=BridgeMC(0.5))
     two, three = random_channel(2, 2, 2, seed=31), random_channel(3, 2, 2, seed=32)
     identity = KrausChannel(operators=(np.eye(2, dtype=complex),))
     rho = random_density(rng, 2)
@@ -192,8 +195,8 @@ def trial_case():
     states = DensityMatrix.from_matrices([rho for _, rho, _ in trials])
     assert isinstance(states[1], DensityMatrix) and isinstance(states[4], NotAState)
     trials = [(channel, state, a) for (channel, _, a), state in zip(trials, states)]
-    each = lambda trials: monotonicity_trial_each(spec, *zip(*trials))  # noqa: E731
-    return each, lambda *trial: monotonicity_trial(spec, *trial), trials
+    each = lambda trials: monotonicity_trial_each(TRIAL_SPEC, *zip(*trials))  # noqa: E731
+    return each, lambda *trial: monotonicity_trial(TRIAL_SPEC, *trial), trials
 
 
 CASES = {
@@ -212,6 +215,42 @@ def test_every_member_gets_what_it_gets_alone_in_order(case):
     expected = [alone(one, args) for args in members]
     assert [bits(outcome) for outcome in each(members)] == expected
     # the mixed list holds several values and several errors
+    errors = sum(map(is_error, expected))
+    assert errors >= 2 and len(expected) - errors >= 3
+
+
+def direct_trial(channel, state, a) -> TrialResult:
+    """A contraction trial formed outside the trial's code path: rhs =
+    K(A, A) at rho, lhs = K(T(A), T(A)) at T(rho), each with
+    ``metric_quadratic`` and ``apply_channel`` on states built afresh, so
+    no kept coefficients are shared with the batch. The first error of the
+    channel, the state, rhs, T(rho) and T(A) is raised."""
+    for given in (channel, state):
+        if isinstance(given, MonometricError):
+            raise given
+    rho = DensityMatrix.from_matrix(state.matrix)
+    rhs = metric_quadratic(TRIAL_SPEC, rho, a)
+    image = DensityMatrix.from_matrix(apply_channel(channel, rho.matrix), floor=TRIAL_STATE_FLOOR)
+    lhs = metric_quadratic(TRIAL_SPEC, image, apply_channel(channel, a))
+    return TrialResult(lhs, rhs, rhs - lhs)
+
+
+def trial_hex(outcome):
+    """A trial's lhs, rhs and slack by ``hex``, or an error's type and message."""
+    if isinstance(outcome, MonometricError):
+        return type(outcome), str(outcome)
+    return outcome.lhs.hex(), outcome.rhs.hex(), outcome.slack.hex()
+
+
+def test_each_trial_is_its_two_forms_taken_directly():
+    each, _, trials = trial_case()
+    expected = []
+    for trial in trials:
+        try:
+            expected.append(trial_hex(direct_trial(*trial)))
+        except MonometricError as exc:
+            expected.append(trial_hex(exc))
+    assert [trial_hex(outcome) for outcome in each(trials)] == expected
     errors = sum(map(is_error, expected))
     assert errors >= 2 and len(expected) - errors >= 3
 

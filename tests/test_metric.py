@@ -1,5 +1,6 @@
 """Sesquilinear form on tangent matrices at a positive definite state."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -327,6 +328,16 @@ class CountedKernel:
         return self.c(x, y)
 
 
+def form_bits(value: complex) -> tuple[str, str]:
+    return value.real.hex(), value.imag.hex()
+
+
+def matrices_per_form(name: str, n: int) -> int:
+    """The kernel calls that build one coefficient matrix at dimension n."""
+    pairs = n * (n - 1)
+    return pairs // 2 if name in ("bridge", "canonical") else pairs
+
+
 FORM_KERNELS = {
     "bridge": BridgeMC(0.25),
     "canonical": CanonicalMC.normalized(random_step_weight(np.random.default_rng(5), 16)),
@@ -347,7 +358,7 @@ class TestOneCallPerUnorderedPair:
             for a, b in ((h1, h1), (n1, n1), (h2, n2), (n2, h1)):
                 got = metric_form(spec, rho, a, b)
                 want = ordered_pair_form(spec, rho, a, b)
-                assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), name
+                assert form_bits(got) == form_bits(want), name
 
     @pytest.mark.parametrize("n", (1, 2, 3, 8))
     def test_kernel_calls_per_form(self, n):
@@ -357,8 +368,7 @@ class TestOneCallPerUnorderedPair:
         for name, c in FORM_KERNELS.items():
             counted = CountedKernel(c)
             metric_form(MetricSpec(c=counted), rho, a, a)
-            pairs = n * (n - 1)
-            assert counted.calls == (pairs // 2 if name in ("bridge", "canonical") else pairs), name
+            assert counted.calls == matrices_per_form(name, n), name
 
     def test_a_kernel_that_is_not_symmetric_gives_an_asymmetric_form(self):
         """c(x, y) = 1/x: K(A, B) with A = E_01 and B = E_10 reads c at
@@ -366,8 +376,95 @@ class TestOneCallPerUnorderedPair:
         rho = DensityMatrix.from_matrix(np.diag([0.2, 0.8]).astype(complex))
         e01 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         spec = MetricSpec(c=FromMonotone(Identity()))
-        assert metric_form(spec, rho, e01, e01) == pytest.approx(1.0 / 0.2)
-        assert metric_form(spec, rho, e01.T, e01.T) == pytest.approx(1.0 / 0.8)
+        assert metric_form(spec, rho, e01, e01) == pytest.approx(1.0 / 0.2, rel=1e-15, abs=0.0)
+        assert metric_form(spec, rho, e01.T, e01.T) == pytest.approx(1.0 / 0.8, rel=1e-15, abs=0.0)
+
+
+class TestKeptCoefficients:
+    """A state keeps the coefficients of the last spec a form at it built,
+    and a form at the same state and the same spec object reuses them."""
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 8))
+    def test_four_forms_at_one_state_and_spec_build_one_matrix(self, n):
+        rng = np.random.default_rng([53, n])
+        rho = DensityMatrix.from_matrix(random_density(rng, n))
+        h1, h2 = (random_tangent(rng, n, hermitian=True) for _ in range(2))
+        n1, n2 = (random_tangent(rng, n, hermitian=False) for _ in range(2))
+        for name, c in FORM_KERNELS.items():
+            counted = CountedKernel(c)
+            spec = MetricSpec(c=counted, diagonal_constant=1.5)
+            for a, b in ((h1, h1), (n1, n1), (h2, n2), (n2, h1)):
+                got = metric_form(spec, rho, a, b)
+                want = ordered_pair_form(MetricSpec(c=c, diagonal_constant=1.5), rho, a, b)
+                assert form_bits(got) == form_bits(want), name
+            assert counted.calls == matrices_per_form(name, n), name
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 8))
+    def test_each_spec_in_turn_gets_its_own_coefficients(self, n):
+        rng = np.random.default_rng([59, n])
+        rho = DensityMatrix.from_matrix(random_density(rng, n))
+        a, b = (random_tangent(rng, n, hermitian=False) for _ in range(2))
+        first, second = CountedKernel(FORM_KERNELS["bridge"]), CountedKernel(FORM_KERNELS["canonical"])
+        spec_a, spec_b = MetricSpec(c=first), MetricSpec(c=second, diagonal_constant=2.5)
+        plain = {spec_a: MetricSpec(c=first.c), spec_b: MetricSpec(c=second.c, diagonal_constant=2.5)}
+        for spec in (spec_a, spec_b, spec_a):
+            want = ordered_pair_form(plain[spec], rho, a, b)
+            assert form_bits(metric_form(spec, rho, a, b)) == form_bits(want)
+        # three matrices: A's twice, B's once
+        one = matrices_per_form("bridge", n)
+        assert (first.calls, second.calls) == (2 * one, one)
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 8))
+    def test_states_of_one_batch_share_nothing(self, n):
+        rng = np.random.default_rng([61, n])
+        states = DensityMatrix.from_matrices([random_density(rng, n) for _ in range(2)])
+        a = random_tangent(rng, n, hermitian=False)
+        counted = CountedKernel(FORM_KERNELS["bridge"])
+        spec = MetricSpec(c=counted)
+        for state in (*states, *states):
+            want = ordered_pair_form(MetricSpec(c=counted.c), state, a, a)
+            assert form_bits(metric_form(spec, state, a, a)) == form_bits(want)
+        assert counted.calls == 2 * matrices_per_form("bridge", n)
+
+    # at n = 1 no kernel is called, so only n >= 2 can show a kernel value
+    @pytest.mark.parametrize("n", (2, 3, 8))
+    def test_a_kernel_that_raises_raises_on_every_form_and_is_not_kept(self, n):
+        rng = np.random.default_rng([67, n])
+        rho = DensityMatrix.from_matrix(random_density(rng, n))
+        a = random_tangent(rng, n, hermitian=False)
+        good = CountedKernel(FORM_KERNELS["bridge"])
+        bad = CountedKernel(lambda x, y: complex(x, y))
+        spec_good, spec_bad = MetricSpec(c=good), MetricSpec(c=bad)
+        first = metric_form(spec_good, rho, a, a)
+        for calls in (1, 2, 3):
+            with pytest.raises(DomainError, match="is not real"):
+                metric_quadratic(spec_bad, rho, a)
+            assert bad.calls == calls
+        # what was kept before the failing forms is kept still
+        assert form_bits(metric_form(spec_good, rho, a, a)) == form_bits(first)
+        assert good.calls == matrices_per_form("bridge", n)
+
+    @pytest.mark.parametrize("n", (2, 3, 8))
+    def test_a_nan_kernel_value_propagates_on_every_form(self, n):
+        rng = np.random.default_rng([71, n])
+        rho = DensityMatrix.from_matrix(random_density(rng, n))
+        a = random_tangent(rng, n, hermitian=False)
+        counted = CountedKernel(lambda x, y: math.nan)
+        spec = MetricSpec(c=counted)
+        for _ in range(3):
+            assert math.isnan(metric_quadratic(spec, rho, a))
+        assert counted.calls == matrices_per_form("plain", n)
+
+    def test_equality_and_repr_do_not_see_the_kept_coefficients(self):
+        m = random_density(np.random.default_rng(73), 3)
+        rho = DensityMatrix.from_matrix(m)
+        twin = DensityMatrix.from_matrix(m)
+        before = repr(rho)
+        assert before == repr(twin)
+        metric_quadratic(BURES_SPEC, rho, np.eye(3))
+        assert repr(rho) == before == repr(twin)
+        assert rho == rho and rho != twin
+        assert {f.name for f in dataclasses.fields(DensityMatrix) if f.init} == {"matrix", "eig"}
 
 
 class TestSesquilinearAxioms:
@@ -389,7 +486,7 @@ class TestSesquilinearAxioms:
         a = random_tangent(rng, 3, False)
         b = random_tangent(rng, 3, False)
         assert metric_form(BURES_SPEC, rho, a, b) == pytest.approx(
-            np.conj(metric_form(BURES_SPEC, rho, b, a)), rel=1e-11, abs=0.0
+            np.conj(metric_form(BURES_SPEC, rho, b, a)), rel=1e-15, abs=0.0
         )
 
     def test_linearity_in_second_argument(self):

@@ -14,8 +14,10 @@ trial floor ``TRIAL_STATE_FLOOR`` or maps stacks with
 written once, in ``errors._batched``: no other module groups with
 ``setdefault(key, []).append`` or ``defaultdict(list)``. The kernel
 integral's sum over the jumps of a weight is written only in
-``monotone``: no other module reads ``jumps`` or ``kernel_constant``. And
-every test's ``approx`` that states a ``rel=`` states its ``abs=`` too:
+``monotone``: no other module reads ``jumps`` or ``kernel_constant``. A
+state's kept coefficients have one reader and writer, ``metric_form``: no
+module but ``metric`` names the field ``_coefficients``, as a name, an
+attribute or a string. And every test's ``approx`` that states a ``rel=`` states its ``abs=`` too:
 pytest's default ``abs=1e-12`` would otherwise pass a small expected
 value far more loosely than written."""
 
@@ -220,6 +222,43 @@ def test_only_errors_groups_by_key(path):
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "monotone.py"], ids=lambda p: p.name)
 def test_only_monotone_reads_the_jumps_of_a_weight(path):
     assert {"jumps", "kernel_constant"} & names(path.read_text(encoding="utf-8")) == set()
+
+
+KEPT_COEFFICIENTS = "_coefficients"
+
+
+def field_mentions(source: str, field: str = KEPT_COEFFICIENTS) -> list[int]:
+    """The lines that name ``field``: as a name, an attribute, an imported
+    name or a string, the way ``getattr`` and ``object.__setattr__`` take it."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            (isinstance(node, ast.Name) and node.id == field)
+            or (isinstance(node, ast.Attribute) and node.attr == field)
+            or (isinstance(node, ast.Constant) and node.value == field)
+            or (isinstance(node, ast.alias) and field in (node.name, node.asname))
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_finds_the_kept_coefficients_however_they_are_named():
+    for source in (
+        "kern = state._coefficients[1]\n",
+        "kept = getattr(state, '_coefficients', None)\n",
+        "object.__setattr__(state, '_coefficients', None)\n",
+        "vars(state)['_coefficients'] = None\n",
+        "from .metric import _coefficients\n",
+        "_coefficients = {}\n",
+    ):
+        assert field_mentions(source) == [1], source
+    assert field_mentions("coefficients = state.coefficients\nx = '_coefficients_'\n") == []
+    assert len(field_mentions((PACKAGE / "metric.py").read_text(encoding="utf-8"))) >= 3
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "metric.py"], ids=lambda p: p.name)
+def test_only_metric_names_the_kept_coefficients(path):
+    assert field_mentions(path.read_text(encoding="utf-8")) == []
 
 
 def approx_without_abs(source: str) -> list[int]:
