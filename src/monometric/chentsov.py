@@ -60,9 +60,16 @@ def eval_bridge(gamma: float, x: float, y: float) -> float:
 
 
 def c_from_f(f: MonotoneFunction, x: float, y: float) -> float:
-    """Kernel induced by an operator monotone function: 1/(y f(x/y))."""
+    """Kernel induced by an operator monotone function: 1/(y f(x/y)).
+
+    f need not be symmetric, so x/y is not swapped for y/x: where the
+    ratio overflows to inf or underflows to 0 the error names (x, y).
+    """
     x, y = _check_positive_pair(x, y)
-    return 1.0 / (y * f(x / y))
+    ratio = x / y
+    if not 0.0 < ratio < math.inf:
+        raise DomainError(f"kernel arguments ({x}, {y}) have a ratio x/y beyond the float range")
+    return 1.0 / (y * f(ratio))
 
 
 def eval_canonical_c(c0: float, h: WeightFunction, x: float, y: float) -> float:

@@ -57,13 +57,18 @@ class WeightFunction:
     value changes, d_k being the value before b_k minus the value after
     (0 outside [0,1]), and ``kernel_constant`` is sum d_k log1p(b_k^2);
     both are derived once, for ``weighted_kernel_integral``, and take no
-    part in equality, hashing or repr.
+    part in equality, hashing or repr. ``_kept_integral`` is the
+    ``(t, value)`` pair of the last integral taken at this weight, t
+    already folded into (0, 1]; ``weighted_kernel_integral`` is its one
+    reader and writer, and it takes no part in equality, hashing or repr
+    either.
     """
 
     breakpoints: tuple[float, ...]
     values: tuple[float, ...]
     jumps: tuple[tuple[float, float], ...] = field(init=False, repr=False, compare=False)
     kernel_constant: float = field(init=False, repr=False, compare=False)
+    _kept_integral: tuple[float, float] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bp = tuple(float(b) for b in self.breakpoints)
@@ -130,16 +135,29 @@ def weighted_kernel_integral(h: WeightFunction, t: float) -> float:
     integrand is invariant under t -> 1/t, so t > 1 is folded to 1/t
     first: the values at t and at 1/t agree to the bit wherever
     1/(1/t) == t.
+
+    The weight keeps the folded t and the value of its last integral, so
+    a second call at the same folded t, such as c(y, x) after c(x, y) or
+    f(1/t) after f(t), returns the kept float without summing again. The
+    pair is written as one tuple after the sum, so it never pairs a t
+    with another t's value, and a call that raises keeps nothing. It is
+    stored straight into the instance dict, as ``functools.cached_property``
+    stores its value: a third of the cost of ``object.__setattr__``.
     """
     t = float(t)
     if not 0.0 < t < math.inf:
         raise DomainError(f"argument {t} not positive and finite")
     if t > 1.0:
         t = 1.0 / t
+    kept = h._kept_integral
+    if kept is not None and kept[0] == t:
+        return kept[1]
     total = 0.0
     for b, d in h.jumps:
         total += d * (math.log(b + t) + math.log1p(b * t))
-    return h.kernel_constant - total
+    value = h.kernel_constant - total
+    h.__dict__["_kept_integral"] = (t, value)
+    return value
 
 
 def _kernel_integral_at_log(h: WeightFunction, log_t: float) -> float:
@@ -186,7 +204,12 @@ class MonotoneFunction:
 
     Subclasses implement ``_value``; ``__call__`` adds the shared domain
     check, and a subclass with parameters checks them once, when it is
-    built. Instances are immutable and safe to share.
+    built. Instances are immutable and safe to share: no call changes
+    their parameters, their equality, hash or repr, or any value they
+    give. The one state a call writes is the kept last integral of a
+    ``WeightFunction`` (see ``weighted_kernel_integral``), a pure cache
+    written as one tuple, so a shared weight returns the same bits
+    whichever caller evaluated it last.
     """
 
     def _value(self, t: float) -> float:

@@ -91,7 +91,7 @@ class TestApplyChannel:
         x = random_density(rng, 3)
         out = apply_channel(KrausChannel(operators=(u,)), x)
         assert np.allclose(out, u @ x @ u.conj().T)
-        assert np.trace(out) == pytest.approx(np.trace(x))
+        assert np.trace(out) == pytest.approx(np.trace(x), rel=1e-14, abs=0.0)
 
     def test_preserves_trace_and_hermiticity(self):
         rng = np.random.default_rng(9)
@@ -164,7 +164,7 @@ class TestMonotonicityTrial:
         trial = monotonicity_trial(BURES_SPEC, pinching_channel(), rho, a)
         assert trial.lhs == pytest.approx(0.0, abs=1e-12)
         assert trial.rhs > 0.0
-        assert trial.slack == pytest.approx(trial.rhs)
+        assert trial.slack == pytest.approx(trial.rhs, rel=0.0, abs=1e-12)
 
     def test_slack_composition(self):
         rng = np.random.default_rng(31)
@@ -172,8 +172,8 @@ class TestMonotonicityTrial:
         rho = DensityMatrix.from_matrix(random_density(rng, 3))
         a = random_tangent(rng, 3, True)
         trial = monotonicity_trial(BURES_SPEC, ch, rho, a)
-        assert trial.slack == pytest.approx(trial.rhs - trial.lhs)
-        assert trial.rhs == pytest.approx(metric_quadratic(BURES_SPEC, rho, a))
+        assert trial.slack == pytest.approx(trial.rhs - trial.lhs, rel=1e-15, abs=0.0)
+        assert trial.rhs == pytest.approx(metric_quadratic(BURES_SPEC, rho, a), rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
     def test_bridge_metrics_contract(self, gamma):

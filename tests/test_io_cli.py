@@ -143,9 +143,9 @@ class TestJsonFormats:
             weight_from_json(payload)
 
     def test_monotone_specs(self):
-        assert monotone_from_json({"family": "gamma", "gamma": 0.5})(4.0) == pytest.approx(2.0)
-        assert monotone_from_json({"family": "min"})(3.0) == pytest.approx(1.5)
-        assert monotone_from_json({"family": "max"})(3.0) == pytest.approx(2.0)
+        assert monotone_from_json({"family": "gamma", "gamma": 0.5})(4.0) == pytest.approx(2.0, rel=1e-15, abs=0.0)
+        assert monotone_from_json({"family": "min"})(3.0) == pytest.approx(1.5, rel=1e-15, abs=0.0)
+        assert monotone_from_json({"family": "max"})(3.0) == pytest.approx(2.0, rel=1e-15, abs=0.0)
         auto = monotone_from_json(
             {"h": {"breakpoints": [0.0, 1.0], "values": [0.5]}, "beta": "auto"}
         )
@@ -160,13 +160,13 @@ class TestJsonFormats:
             monotone_from_json({"family": ["min"]})
 
     def test_mc_specs(self):
-        assert mc_from_json({"kind": "bridge", "gamma": 0.5})(4.0, 9.0) == pytest.approx(1 / 6)
+        assert mc_from_json({"kind": "bridge", "gamma": 0.5})(4.0, 9.0) == pytest.approx(1 / 6, rel=1e-15, abs=0.0)
         canonical = mc_from_json(
             {"kind": "canonical", "c0": "auto", "h": {"breakpoints": [0.0, 1.0], "values": [0.0]}}
         )
         assert canonical(2.0, 4.0) == pytest.approx(1 / 3, rel=1e-10, abs=0.0)
         via_f = mc_from_json({"kind": "from_f", "f": {"family": "gamma", "gamma": 1.0}})
-        assert via_f(2.0, 4.0) == pytest.approx(0.375)
+        assert via_f(2.0, 4.0) == pytest.approx(0.375, rel=1e-15, abs=0.0)
 
     def test_mc_rejects_unknown_kind(self):
         with pytest.raises(DomainError):
@@ -299,6 +299,20 @@ class TestEvalC:
         # 1e300 / 1e-10 is beyond the float range, while c = 1/sqrt(xy) is not
         half = write_json(files["tmp"] / "half.json", {"breakpoints": [0.0, 1.0], "values": [0.5]})
         assert main(["eval-c", "--h-file", half, "--c0", "auto", "--x", "1e-10", "--y", "1e300"]) == 0
+        assert float(capsys.readouterr().out) == pytest.approx(1e-145, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("x, y", [("1e300", "1e-10"), ("1e-300", "1e300")])
+    def test_from_f_ratio_beyond_the_float_range_exits_2_naming_the_arguments(self, x, y, files, capsys):
+        spec = write_json(files["tmp"] / "sqrt.json", {"family": "gamma", "gamma": 0.5})
+        assert main(["eval-c", "--from-f", spec, "--x", x, "--y", y]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"kernel arguments ({float(x)}, {float(y)}) have a ratio x/y beyond the float range" in err
+
+    def test_from_f_subnormal_ratio_evaluates(self, files, capsys):
+        # 1e-10 / 1e300 underflows only to a subnormal, so c = 1/sqrt(xy) is taken
+        spec = write_json(files["tmp"] / "sqrt.json", {"family": "gamma", "gamma": 0.5})
+        assert main(["eval-c", "--from-f", spec, "--x", "1e-10", "--y", "1e300"]) == 0
         assert float(capsys.readouterr().out) == pytest.approx(1e-145, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("g, x", [("0", "5e-324"), ("1", "5e-324")])

@@ -103,8 +103,8 @@ class TestHermitianEig:
 
     def test_already_diagonal(self):
         dec = hermitian_eig(np.diag([0.25, 0.75]).astype(complex))
-        assert dec.eigenvalues[0] == pytest.approx(0.25)
-        assert dec.eigenvalues[1] == pytest.approx(0.75)
+        assert dec.eigenvalues[0] == pytest.approx(0.25, rel=1e-15, abs=0.0)
+        assert dec.eigenvalues[1] == pytest.approx(0.75, rel=1e-15, abs=0.0)
 
     def test_eigenvalues_sorted_ascending(self):
         rng = np.random.default_rng(11)
@@ -600,7 +600,8 @@ class TestHugeNorms:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert require_hermitian(m) is not None
-            assert hermitian_eig(m).eigenvalues.tolist() == pytest.approx([1e200 - 1e180, 1e200 + 1e180])
+            expected = [1e200 - 1e180, 1e200 + 1e180]
+            assert hermitian_eig(m).eigenvalues.tolist() == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     def test_huge_antisymmetric_matrix_is_not_hermitian_without_overflow(self):
         m = np.array([[0.0, 1e308], [-1e308, 0.0]])
@@ -746,7 +747,7 @@ class TestMatrixFunction:
 
 class TestMinEigenvalue:
     def test_diagonal(self):
-        assert min_eigenvalue(np.diag([0.3, 0.7])) == pytest.approx(0.3)
+        assert min_eigenvalue(np.diag([0.3, 0.7])) == pytest.approx(0.3, rel=1e-15, abs=0.0)
 
     def test_zero_matrix(self):
         assert min_eigenvalue(np.zeros((3, 3))) == 0.0

@@ -1,6 +1,7 @@
 """Operator monotone functions: closed forms, canonical representation,
 transforms, the exponential-order class, and monotonicity sampling."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 import monometric.monotone
 from monometric import (
+    CanonicalMC,
     CanonicalMonotone,
     ConstantOne,
     DomainError,
@@ -30,6 +32,7 @@ from monometric import (
     maximal_function,
     minimal_function,
     normalize_beta,
+    normalize_C0,
     sharp,
     sqrt_function,
     tilde,
@@ -67,10 +70,10 @@ def quadrature_f(beta, h, t):
 
 class TestGammaFamily:
     def test_sqrt_member(self):
-        assert eval_gamma_family(0.5, 4.0) == pytest.approx(2.0)
+        assert eval_gamma_family(0.5, 4.0) == pytest.approx(2.0, rel=1e-15, abs=0.0)
 
     def test_max_member(self):
-        assert eval_gamma_family(0.0, 3.0) == pytest.approx(2.0)
+        assert eval_gamma_family(0.0, 3.0) == pytest.approx(2.0, rel=1e-15, abs=0.0)
 
     @given(gammas)
     def test_normalized_at_one(self, g):
@@ -184,8 +187,8 @@ class TestCanonicalRepresentation:
 
 class TestKernelIntegral:
     def test_closed_form_values(self):
-        assert closed_form_kernel_integral(1.0) == pytest.approx(math.log(0.5))
-        assert closed_form_kernel_integral(2.0) == pytest.approx(math.log(4.0 / 9.0))
+        assert closed_form_kernel_integral(1.0) == pytest.approx(math.log(0.5), rel=1e-15, abs=0.0)
+        assert closed_form_kernel_integral(2.0) == pytest.approx(math.log(4.0 / 9.0), rel=2e-15, abs=0.0)
 
     def test_weighted_integral_matches_log_closed_form(self):
         h1 = const_weight(1.0)
@@ -206,8 +209,15 @@ EXTREME_T = (5e-324, 1e-300, 1e300, 1.7976931348623157e308)
 SUM_WEIGHTS = [const_weight(0.0), const_weight(1.0), *(step_weight(seed) for seed in range(6))]
 
 
+def twin(h: WeightFunction) -> WeightFunction:
+    """An equal weight that is another object, so it keeps no integral ``h`` took."""
+    return WeightFunction(breakpoints=h.breakpoints, values=h.values)
+
+
 class TestTelescopedKernelIntegral:
     def test_value_at_reciprocal_is_bitwise_equal(self):
+        """Each side sums the jumps on its own weight, so neither reads a
+        value the other kept."""
         ts = [float(t) for t in np.geomspace(1e-300, 1e300, 241)] + [0.3, 1.0, 7.0]
         ts += [float(t) for t in np.random.default_rng(11).uniform(0.5, 2.0, 40)]
         checked = 0
@@ -216,7 +226,8 @@ class TestTelescopedKernelIntegral:
                 continue
             checked += 1
             for h in SUM_WEIGHTS:
-                assert weighted_kernel_integral(h, t) == weighted_kernel_integral(h, 1.0 / t), (h, t)
+                at_t = weighted_kernel_integral(twin(h), t)
+                assert at_t == weighted_kernel_integral(twin(h), 1.0 / t), (h, t)
         assert checked > 200
 
     def test_splitting_a_piece_leaves_the_integral_bitwise(self):
@@ -252,6 +263,117 @@ class TestTelescopedKernelIntegral:
         back = weight_from_json(weight_to_json(h))
         assert back == h and back.jumps == h.jumps
         assert back.kernel_constant == h.kernel_constant
+
+
+def counted(h: WeightFunction) -> list[int]:
+    """Wrap the jumps of ``h`` so that each sum over them is counted; the
+    one-item list returned holds the count."""
+    count = [0]
+
+    class Jumps(tuple):
+        def __iter__(self):
+            count[0] += 1
+            return super().__iter__()
+
+    object.__setattr__(h, "jumps", Jumps(h.jumps))
+    return count
+
+
+def bits(value: float) -> bytes:
+    """The float's bytes: unlike ``==``, they tell -0.0 from 0.0."""
+    return np.float64(value).tobytes()
+
+
+class TestKeptIntegral:
+    """Each weight keeps the folded t and value of its last integral."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_hit_gives_the_bits_of_a_fresh_weight(self, seed):
+        h = step_weight(seed)
+        sums = counted(h)
+        c0, beta = normalize_C0(h), normalize_beta(h)
+        assert sums == [1]  # both normalizations take the integral at t = 1
+        assert bits(c0) == bits(normalize_C0(twin(h)))
+        assert bits(beta) == bits(normalize_beta(twin(h)))
+        assert bits(normalize_C0(h)) == bits(c0)
+        kinds = {
+            "c": (CanonicalMC(c0, h), lambda: CanonicalMC(c0, twin(h))),
+            "f": (CanonicalMonotone(beta, h), lambda: CanonicalMonotone(beta, twin(h))),
+            "F": (ExpOrderFunction(beta, h), lambda: ExpOrderFunction(beta, twin(h))),
+        }
+        for r, y in ((1.5, 2.0), (1e10, 1e-3), (7.3, 1e3), (1.0 + 2.0**-52, 0.5)):
+            x = r * y
+            # (kind, arguments, whether the call repeats the folded t of the one before)
+            calls = [
+                ("c", (x, y), False), ("c", (y, x), True), ("f", (r,), False), ("f", (1.0 / r,), True),
+                ("F", (math.log(r),), False), ("F", (-math.log(r),), False),
+            ]
+            for kind, args, repeat in calls:
+                kept, fresh = kinds[kind]
+                before = sums[0]
+                assert bits(kept(*args)) == bits(fresh()(*args)), (kind, args)
+                if repeat:
+                    assert sums[0] == before, (kind, args)
+
+    def test_two_weights_at_one_t_each_keep_their_own_value(self):
+        a, b = step_weight(0), const_weight(0.5)
+        sums_a, sums_b = counted(a), counted(b)
+        t = 0.37
+        want_a, want_b = weighted_kernel_integral(twin(a), t), weighted_kernel_integral(twin(b), t)
+        assert want_a != want_b
+        for _ in range(3):
+            assert bits(weighted_kernel_integral(a, t)) == bits(want_a)
+            assert bits(weighted_kernel_integral(b, t)) == bits(want_b)
+        assert sums_a == [1] and sums_b == [1]
+
+    def test_one_pair_is_kept(self):
+        h = step_weight(1)
+        sums = counted(h)
+        for t in (0.37, 0.5, 0.37, 0.37):
+            assert bits(weighted_kernel_integral(h, t)) == bits(weighted_kernel_integral(twin(h), t))
+        assert sums == [3]
+
+    @pytest.mark.parametrize("t", [0.25, 0.5, 4.0, 7.3, 1e10])
+    def test_t_and_its_reciprocal_sum_once(self, t):
+        h = step_weight(2)
+        sums = counted(h)
+        first = weighted_kernel_integral(h, t)
+        assert bits(weighted_kernel_integral(h, 1.0 / t)) == bits(first)
+        assert sums == [1]
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, -math.inf, math.nan])
+    def test_a_call_that_raises_keeps_nothing(self, bad):
+        h = step_weight(1)
+        sums = counted(h)
+        want = weighted_kernel_integral(h, 0.37)
+        with pytest.raises(DomainError, match="not positive and finite"):
+            weighted_kernel_integral(h, bad)
+        with pytest.raises(DomainError, match="not positive and finite"):
+            CanonicalMonotone(0.0, h).log_value(bad)
+        assert bits(weighted_kernel_integral(h, 0.37)) == bits(want)
+        assert sums == [1]
+
+    def test_the_overflowing_ratio_path_neither_reads_nor_writes_the_kept_pair(self):
+        h = step_weight(2)
+        sums = counted(h)
+        c = CanonicalMC.normalized(h)  # keeps the integral at t = 1
+        fresh = CanonicalMC(c.c0, twin(h))
+        pairs = ((1e300, 1e-10), (1e-300, 1e300), (1.0, 5e-324))
+        for x, y in pairs:
+            assert (x / y if x > y else y / x) == math.inf
+            assert bits(c(x, y)) == bits(fresh(x, y)), (x, y)
+        assert sums == [1 + len(pairs)]
+        assert bits(weighted_kernel_integral(h, 1.0)) == bits(weighted_kernel_integral(twin(h), 1.0))
+        assert sums == [1 + len(pairs)]  # t = 1 is still the kept pair
+
+    def test_an_evaluation_leaves_equality_hash_repr_and_json_alone(self):
+        h = step_weight(3)
+        other = twin(h)
+        before = (hash(h), repr(h), weight_to_json(h))
+        CanonicalMonotone.normalized(h)(2.5)
+        assert h == other and other == h and hash(h) == hash(other)
+        assert (hash(h), repr(h), weight_to_json(h)) == before
+        assert {f.name for f in dataclasses.fields(WeightFunction) if f.init} == {"breakpoints", "values"}
 
 
 class TestSharpTransform:
@@ -309,15 +431,15 @@ class TestTildeTransform:
 class TestKuboAndo:
     def test_single_unit_atom(self):
         for t in (0.3, 1.0, 9.0):
-            assert eval_kubo_ando([(1.0, 1.0)], t) == pytest.approx(2 * t / (1 + t))
+            assert eval_kubo_ando([(1.0, 1.0)], t) == pytest.approx(2 * t / (1 + t), rel=1e-15, abs=0.0)
 
     def test_split_atoms_give_max(self):
         atoms = [(0.0, 0.5), (math.inf, 0.5)]
         for t in (0.3, 1.0, 9.0):
-            assert eval_kubo_ando(atoms, t) == pytest.approx((1 + t) / 2)
+            assert eval_kubo_ando(atoms, t) == pytest.approx((1 + t) / 2, rel=1e-15, abs=0.0)
 
     def test_atom_at_infinity_is_identity(self):
-        assert eval_kubo_ando([(math.inf, 1.0)], 7.3) == pytest.approx(7.3)
+        assert eval_kubo_ando([(math.inf, 1.0)], 7.3) == pytest.approx(7.3, rel=1e-15, abs=0.0)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -328,7 +450,7 @@ class TestKuboAndo:
     def test_wrapper_matches_function(self):
         f = KuboAndo(atoms=((0.5, 0.3), (2.0, 0.7)))
         for t in (0.2, 1.0, 4.0):
-            assert f(t) == pytest.approx(eval_kubo_ando(f.atoms, t))
+            assert f(t) == pytest.approx(eval_kubo_ando(f.atoms, t), rel=1e-15, abs=0.0)
 
 
 class TestFunctionalEquation:
@@ -339,7 +461,7 @@ class TestFunctionalEquation:
 
     def test_identity_violates(self):
         # f(2) = 2 while 2 f(1/2) = 1, so the residual at t=2 is exactly 1
-        assert check_functional_equation(Identity(), [2.0]) == pytest.approx(1.0)
+        assert check_functional_equation(Identity(), [2.0]) == pytest.approx(1.0, rel=1e-15, abs=0.0)
 
     def test_nan_function_gives_nan(self):
         assert math.isnan(check_functional_equation(lambda t: math.nan, T_GRID))
@@ -405,10 +527,10 @@ class TestExpOrderClass:
 class TestWeightExtension:
     def test_constant_weight_rules(self):
         ext = extend_weight(const_weight(0.3))
-        assert ext(-0.5) == pytest.approx(0.3)
-        assert ext(-1.0) == pytest.approx(0.3)
-        assert ext(-2.0) == pytest.approx(0.7)
-        assert ext(-1e9) == pytest.approx(0.7)
+        assert ext(-0.5) == pytest.approx(0.3, rel=1e-15, abs=0.0)
+        assert ext(-1.0) == pytest.approx(0.3, rel=1e-15, abs=0.0)
+        assert ext(-2.0) == pytest.approx(0.7, rel=1e-15, abs=0.0)
+        assert ext(-1e9) == pytest.approx(0.7, rel=1e-15, abs=0.0)
 
     def test_half_is_self_dual(self):
         ext = extend_weight(const_weight(0.5))
@@ -429,8 +551,8 @@ class TestWeightExtension:
         assert ext.mirror_pieces() == [(-1.0, -0.4, 0.9), (-0.4, -0.0, 0.2)]
         far = ext.far_pieces()
         assert far[0][0] == -math.inf
-        assert far[0][2] == pytest.approx(0.8)
-        assert far[1][2] == pytest.approx(0.1)
+        assert far[0][2] == pytest.approx(0.8, rel=1e-15, abs=0.0)
+        assert far[1][2] == pytest.approx(0.1, rel=1e-15, abs=0.0)
 
 
 class TestWeightFunctionValidation:
@@ -452,7 +574,7 @@ class TestWeightFunctionValidation:
     def test_blend_interpolates(self):
         a, b = const_weight(0.0), const_weight(1.0)
         mixed = a.blend(b, 0.25)
-        assert mixed(0.5) == pytest.approx(0.75)
+        assert mixed(0.5) == pytest.approx(0.75, rel=1e-15, abs=0.0)
 
     def test_call_picks_piece(self):
         h = WeightFunction(breakpoints=(0.0, 0.4, 1.0), values=(0.2, 0.9))

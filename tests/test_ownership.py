@@ -17,9 +17,12 @@ integral's sum over the jumps of a weight is written only in
 ``monotone``: no other module reads ``jumps`` or ``kernel_constant``. A
 state's kept coefficients have one reader and writer, ``metric_form``: no
 module but ``metric`` names the field ``_coefficients``, as a name, an
-attribute or a string. And every test's ``approx`` that states a ``rel=`` states its ``abs=`` too:
-pytest's default ``abs=1e-12`` would otherwise pass a small expected
-value far more loosely than written."""
+attribute or a string. A weight's kept integral has one reader and
+writer, ``weighted_kernel_integral``: no module but ``monotone`` names the
+field ``_kept_integral`` in any of those ways. And every test's
+``approx`` states its ``abs=``: pytest's defaults, ``rel=1e-6`` and
+``abs=1e-12``, would otherwise pass a value far more loosely than it
+allows, and a small expected value more loosely still."""
 
 import ast
 from pathlib import Path
@@ -261,15 +264,37 @@ def test_only_metric_names_the_kept_coefficients(path):
     assert field_mentions(path.read_text(encoding="utf-8")) == []
 
 
+KEPT_INTEGRAL = "_kept_integral"
+
+
+def test_finds_the_kept_integral_however_it_is_named():
+    for source in (
+        "value = h._kept_integral[1]\n",
+        "kept = getattr(h, '_kept_integral', None)\n",
+        "object.__setattr__(h, '_kept_integral', (t, v))\n",
+        "vars(h)['_kept_integral'] = None\n",
+        "from .monotone import _kept_integral\n",
+        "_kept_integral = {}\n",
+    ):
+        assert field_mentions(source, KEPT_INTEGRAL) == [1], source
+    assert field_mentions("kept = h.kept_integral\nx = '_kept_integral_'\n", KEPT_INTEGRAL) == []
+    assert len(field_mentions((PACKAGE / "monotone.py").read_text(encoding="utf-8"), KEPT_INTEGRAL)) >= 3
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "monotone.py"], ids=lambda p: p.name)
+def test_only_monotone_names_the_kept_integral(path):
+    assert field_mentions(path.read_text(encoding="utf-8"), KEPT_INTEGRAL) == []
+
+
 def approx_without_abs(source: str) -> list[int]:
-    """The lines of the ``approx`` calls that pass ``rel=`` and no ``abs=``."""
+    """The lines of the ``approx`` calls that pass no ``abs=``, with or
+    without ``rel=``."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            keys = {k.arg for k in node.keywords}
-            if name == "approx" and "rel" in keys and "abs" not in keys:
+            if name == "approx" and "abs" not in {k.arg for k in node.keywords}:
                 lines.append(node.lineno)
     return lines
 
@@ -277,7 +302,8 @@ def approx_without_abs(source: str) -> list[int]:
 def test_finds_an_approx_without_abs_however_it_is_written():
     assert approx_without_abs("x == pytest.approx(1.0, rel=1e-9)\n") == [1]
     assert approx_without_abs("from pytest import approx\nx == approx(\n    1.0,\n    rel=1e-9,\n)\n") == [2]
-    assert approx_without_abs("x == pytest.approx(1.0, rel=1e-9, abs=0.0)\ny == pytest.approx(1.0)\n") == []
+    assert approx_without_abs("x == pytest.approx(1.0)\n") == [1]
+    assert approx_without_abs("x == pytest.approx(1.0, rel=1e-9, abs=0.0)\ny == pytest.approx(1.0, abs=1e-12)\n") == []
 
 
 def test_every_test_module_is_checked():
