@@ -64,12 +64,15 @@ def c_from_f(f: MonotoneFunction, x: float, y: float) -> float:
 
     f need not be symmetric, so x/y is not swapped for y/x: where the
     ratio overflows to inf or underflows to 0 the error names (x, y).
+    Where y f(x/y) underflows to 0 the value is past the float range and
+    reads inf, as ``BridgeMC`` and ``CanonicalMC`` read there.
     """
     x, y = _check_positive_pair(x, y)
     ratio = x / y
     if not 0.0 < ratio < math.inf:
         raise DomainError(f"kernel arguments ({x}, {y}) have a ratio x/y beyond the float range")
-    return 1.0 / (y * f(ratio))
+    denominator = y * f(ratio)
+    return 1.0 / denominator if denominator != 0.0 else math.inf
 
 
 def eval_canonical_c(c0: float, h: WeightFunction, x: float, y: float) -> float:

@@ -23,6 +23,11 @@ on the tangents, so each ``DensityMatrix`` keeps those of the last spec it
 was evaluated with: a further form at the same state and the same spec
 object (compared with ``is``) calls no kernel. A kernel that raises leaves
 nothing kept. Kernels are taken to be pure functions of their arguments.
+``metric_form`` and ``metric_quadratic`` share the private steps: one
+tangent transform (``_eigenbasis``), one reader and writer of the kept
+coefficients (``_kept_coefficients``) and one sum (``_sum``). The quadratic
+form takes A into the eigenbasis once and sums it against itself, so it is
+bit for bit the real part of ``metric_form(spec, rho, a, a)``.
 """
 
 from __future__ import annotations
@@ -48,8 +53,8 @@ class DensityMatrix:
     ``metric_form`` reuses it, so a state that validates is one the form
     can evaluate. It reuses the form's coefficients too: ``_coefficients``
     is the last ``(spec, coefficients)`` pair a form at this state built,
-    read and written only by ``metric_form``, and not part of equality or
-    repr.
+    read and written only by ``_kept_coefficients``, and not part of
+    equality or repr.
     """
 
     matrix: np.ndarray
@@ -138,24 +143,37 @@ def metric_form(spec: MetricSpec, rho, a, b) -> complex:
     DomainError; NaN and infinite values propagate.
     """
     state = _coerce_state(rho)
-    am = as_matrix(a)
-    bm = as_matrix(b)
+    at, bt = _eigenbasis(state, a, b)
+    return _sum(_kept_coefficients(state, spec), at, bt)
+
+
+def _eigenbasis(state: DensityMatrix, *tangents) -> list[list[list[complex]]]:
+    """Each of one or two tangents X as U*XU in the state's eigenbasis, a
+    list of rows; DimensionMismatch, naming both (or the one twice), unless
+    they are n x n."""
+    ms = [as_matrix(t) for t in tangents]
     n = state.dim
-    if am.shape != (n, n) or bm.shape != (n, n):
-        raise DimensionMismatch(
-            f"state is {n}x{n}, tangents are {am.shape} and {bm.shape}"
-        )
-    dec = state.eig
-    u = dec.eigenvectors
+    if ms[0].shape != (n, n) or ms[-1].shape != (n, n):
+        raise DimensionMismatch(f"state is {n}x{n}, tangents are {ms[0].shape} and {ms[-1].shape}")
+    u = state.eig.eigenvectors
     uh = u.conj().T
-    at = (uh @ am @ u).tolist()
-    bt = (uh @ bm @ u).tolist()
+    return [(uh @ m @ u).tolist() for m in ms]
+
+
+def _kept_coefficients(state: DensityMatrix, spec: MetricSpec) -> list[list[float]]:
+    """The state's coefficients for ``spec``: the kept ones when they were
+    built for this very spec object, else built by ``_kernel_values`` and
+    kept. The one reader and writer of ``_coefficients``."""
     kept = state._coefficients
     if kept is not None and kept[0] is spec:
-        kern = kept[1]
-    else:
-        kern = _kernel_values(spec, dec.eigenvalues.tolist())
-        object.__setattr__(state, "_coefficients", (spec, kern))
+        return kept[1]
+    kern = _kernel_values(spec, state.eig.eigenvalues.tolist())
+    object.__setattr__(state, "_coefficients", (spec, kern))
+    return kern
+
+
+def _sum(kern: list[list[float]], at: list, bt: list) -> complex:
+    """SUM_ij k_ij conj(At_ij) Bt_ij, row by row."""
     # conj(at)*bt is grouped first: at B = A the product is exactly real,
     # so the quadratic form stays real to the bit even for wild kernels
     total = 0j
@@ -199,11 +217,14 @@ def _kernel_values(spec: MetricSpec, w: list[float]) -> list[list[float]]:
 def metric_quadratic(spec: MetricSpec, rho, a) -> float:
     """K(A, A), returned as a real number.
 
-    Every term of the double sum is real at B = A, so a nonvanishing
-    imaginary part can only signal an internal fault; it is checked
-    against QUADRATIC_IMAG_TOL and never expected to fire.
+    Bit for bit ``metric_form(spec, rho, a, a)``, with A taken into the
+    eigenbasis once. Every term of the double sum is real at B = A, so a
+    nonvanishing imaginary part can only signal an internal fault; it is
+    checked against QUADRATIC_IMAG_TOL and never expected to fire.
     """
-    val = metric_form(spec, rho, a, a)
+    state = _coerce_state(rho)
+    (at,) = _eigenbasis(state, a)
+    val = _sum(_kept_coefficients(state, spec), at, at)
     if abs(val.imag) > QUADRATIC_IMAG_TOL:
         raise MonometricError(
             f"quadratic form came out non-real: imag {val.imag:.3e}"

@@ -15,23 +15,26 @@ Either way a report is a pure function of the command line; reruns are
 byte identical. Wall time is measured but kept out of the report body for
 exactly that reason.
 
-The contraction properties and unitary-equality draw their trials in
-order from these same streams, then build the channels together
-(``random_channel_each``, or one Gram-Schmidt stack of the unitaries'
-Gaussians), validate the states with one ``from_matrices`` and run the
-trials together in ``channels.monotonicity_trial_each``, which maps them
-and their tangents as one stack; each of them gives every member bit
-for bit its own outcome, so every value is as in a one-by-one loop.
-Rejections, errors and the NaN stop are taken in attempt order, and no
-attempt is drawn past the point where a one-by-one loop would stop, so
-the trials that run are the same, and a channel that cannot be drawn
-raises when its attempt is reached. The metric properties likewise draw
-every trial's state first, each from its trial's own stream, and validate
-them together (``_trial_base_states``); each trial then draws its
-tangents and unitaries after its state, as before. Unitary-covariance and
-basis-independence orthonormalize their unitaries' Gaussians together
-(``_rotation_residuals``) and raise a degenerate one when its trial is
-reached.
+The contraction properties, unitary-equality and pinching-contraction draw
+their trials in order from these same streams, then build the channels
+together (``random_channel_each``, one Gram-Schmidt stack of the
+unitaries' Gaussians, or one pinching per dimension), validate the states
+with one ``from_matrices`` and run the trials together in
+``channels.monotonicity_trial_each``, which maps them and their tangents
+as one stack; each of them gives every member bit for bit its own
+outcome, so every value is as in a one-by-one loop. Rejections, errors
+and the NaN stop are taken in attempt order, and no attempt is drawn past
+the point where a one-by-one loop would stop, so the trials that run are
+the same, and a channel that cannot be drawn raises when its attempt is
+reached. The metric properties likewise draw every trial's state first,
+each from its trial's own stream, and validate them together
+(``_trial_base_states``); each trial then draws its tangents and
+unitaries after its state, as before. Unitary-covariance and
+basis-independence orthonormalize their unitaries' Gaussians together and
+validate their rotated states together (``_rotation_residuals``), as
+continuity-smoke does its perturbed states, and raise a trial's error
+when its trial is reached. So no state in ``verify`` is diagonalized
+alone.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ import numpy as np
 from .channels import (
     KrausChannel,
     apply_channel,
-    monotonicity_trial,
     monotonicity_trial_each,
     random_channel_each,
 )
@@ -534,27 +536,28 @@ def _sesquilinearity(run: _Run):
         yield abs(lhs - rhs)
 
 
-def _rotation_residual(rho: DensityMatrix, a: np.ndarray, u: np.ndarray) -> float:
-    """Relative change of K(A, A) when state and tangent are conjugated by u."""
-    q1 = metric_quadratic(_SPEC, rho, a)
-    rho_u = DensityMatrix.from_matrix(u @ rho.matrix @ u.conj().T)
-    q2 = metric_quadratic(_SPEC, rho_u, u @ a @ u.conj().T)
-    return abs(q1 - q2) / max(1.0, abs(q1))
-
-
 def _rotation_residuals(run: _Run, draw, hermitian: Callable[[np.random.Generator], bool]):
-    """``_rotation_residual`` per trial of ``run.draws(run.trials)``. Each
+    """Per trial of ``run.draws(run.trials)``, the relative change of K(A, A)
+    when state and tangent are conjugated by the trial's unitary. Each
     trial draws its state with ``draw``, then its tangent, Hermitian as
     ``hermitian`` decides, then its unitary's Gaussian, all from its own
     generator. The states are validated by one ``from_matrices``, the
-    Gaussians orthonormalized by one ``orthonormal_columns_each``, and a
-    trial's error is raised when its trial is reached."""
+    Gaussians orthonormalized by one ``orthonormal_columns_each`` and the
+    rotated states validated by one more ``from_matrices``; a trial's
+    error, of its state, its unitary, K(A, A), then its rotated state, is
+    raised when its trial is reached."""
     trials = list(run.draws(run.trials))
     states = DensityMatrix.from_matrices([draw(rng, n) for rng, n in trials])
     tangents = [random_tangent(rng, n, hermitian=hermitian(rng)) for rng, n in trials]
     unitaries = orthonormal_columns_each([ginibre(rng, n, n) for rng, n in trials])
-    for state, a, u in zip(states, tangents, unitaries):
-        yield _rotation_residual(unwrap(state), a, unwrap(u))
+    rotated = DensityMatrix.from_matrices(
+        [_outcome_of(lambda s, u: u @ s.matrix @ u.conj().T, s, u) for s, u in zip(states, unitaries)]
+    )
+    for state, a, u, rho_u in zip(states, tangents, unitaries, rotated):
+        rho, u = unwrap(state), unwrap(u)
+        q1 = metric_quadratic(_SPEC, rho, a)
+        q2 = metric_quadratic(_SPEC, unwrap(rho_u), u @ a @ u.conj().T)
+        yield abs(q1 - q2) / max(1.0, abs(q1))
 
 
 # unitary conjugation leaves the quadratic form unchanged
@@ -567,15 +570,21 @@ def _unitary_covariance(run: _Run):
 def _basis_independence(run: _Run):
     return _rotation_residuals(run, _diagonal_density, lambda rng: True)
 
-# smoke test only — small state perturbations move K proportionally
+# smoke test only — small state perturbations move K proportionally; the
+# perturbed states are validated by one from_matrices, and a trial's error,
+# of its state, K(A, A), then its perturbed state, raised when it is reached
 @_property("metric", "continuity-smoke", 1e3)
 def _continuity_smoke(run: _Run):
     delta = 1e-6
-    for rng, n, rho in _trial_base_states(run, min(run.trials, 20)):
-        a = random_tangent(rng, n, hermitian=True)
-        q1 = metric_quadratic(_SPEC, rho, a)
-        perturbed = (1.0 - delta) * rho.matrix + delta * np.eye(n) / n
-        q2 = metric_quadratic(_SPEC, DensityMatrix.from_matrix(perturbed), a)
+    trials = list(run.draws(min(run.trials, 20)))
+    states = DensityMatrix.from_matrices([random_density(rng, n) for rng, n in trials])
+    tangents = [random_tangent(rng, n, hermitian=True) for rng, n in trials]
+    perturbed = DensityMatrix.from_matrices(
+        [_outcome_of(lambda s: (1.0 - delta) * s.matrix + delta * np.eye(s.dim) / s.dim, s) for s in states]
+    )
+    for state, a, moved in zip(states, tangents, perturbed):
+        q1 = metric_quadratic(_SPEC, unwrap(state), a)
+        q2 = metric_quadratic(_SPEC, unwrap(moved), a)
         yield abs(q2 - q1) / (delta * max(1.0, abs(q1)))
 
 
@@ -672,13 +681,18 @@ def _unitary_equality(run: _Run):
 # pinching a diagonal state kills exactly the off-diagonal part
 @_property("channels", "pinching-contraction", 1e-9)
 def _pinching_contraction(run: _Run):
+    pinching = {
+        n: KrausChannel(operators=tuple(np.diag(e) for e in np.eye(n, dtype=complex))) for n in run.dims
+    }
+    channels, rhos, tangents = [], [], []
     for rng, n in run.draws(min(run.trials, 50)):
-        projectors = tuple(np.diag(e) for e in np.eye(n, dtype=complex))
-        channel = KrausChannel(operators=projectors)
-        rho = DensityMatrix.from_matrix(_diagonal_density(rng, n))
+        channels.append(pinching[n])
+        rhos.append(_diagonal_density(rng, n))
         a = random_tangent(rng, n, hermitian=True)
         np.fill_diagonal(a, 0.0)
-        result = monotonicity_trial(_SPEC, channel, rho, a)
+        tangents.append(a)
+    for outcome in monotonicity_trial_each(_SPEC, channels, DensityMatrix.from_matrices(rhos), tangents):
+        result = unwrap(outcome)
         yield abs(result.lhs)
         yield -result.slack
 

@@ -82,6 +82,16 @@ class TestFromMonotone:
             assert c_from_f(f, x, y).hex() == (1.0 / (y * f(x / y))).hex()
         assert c_from_f(f, 1e-10, 1e300) == pytest.approx(1e-145, rel=1e-12, abs=0.0)
 
+    def test_a_value_past_the_float_range_reads_inf(self):
+        # f(1) = e^-700 and y = 1e-300, so y f(x/y) underflows to 0 and
+        # 1/(y f) is past the float range
+        f = CanonicalMonotone(-700.0, WeightFunction((0.0, 1.0), (0.5,)))
+        assert 1e-300 * f(1.0) == 0.0
+        assert FromMonotone(f)(1e-300, 1e-300) == math.inf
+        assert c_from_f(f, 1e-300, 1e-300) == math.inf
+        # where y f does not underflow the value keeps its formula's bits
+        assert c_from_f(f, 1e-10, 1e-10).hex() == (1.0 / (1e-10 * f(1.0))).hex()
+
     @given(gammas, coords, coords)
     def test_round_trip_through_bridge(self, g, x, y):
         assert c_from_f(GammaFamily(g), x, y) == pytest.approx(

@@ -309,6 +309,14 @@ class TestEvalC:
         assert out == ""
         assert f"kernel arguments ({float(x)}, {float(y)}) have a ratio x/y beyond the float range" in err
 
+    def test_from_f_value_past_the_float_range_exits_2_and_prints_nothing(self, files, capsys):
+        # y f(x/y) underflows to 0, so c = 1/(y f) is too large for a float
+        spec = write_json(files["tmp"] / "low.json", {"h": {"breakpoints": [0, 1], "values": [0.5]}, "beta": -700})
+        assert main(["eval-c", "--from-f", spec, "--x", "1e-300", "--y", "1e-300"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: result inf is not a finite float\n"
+
     def test_from_f_subnormal_ratio_evaluates(self, files, capsys):
         # 1e-10 / 1e300 underflows only to a subnormal, so c = 1/sqrt(xy) is taken
         spec = write_json(files["tmp"] / "sqrt.json", {"family": "gamma", "gamma": 0.5})

@@ -380,6 +380,93 @@ class TestOneCallPerUnorderedPair:
         assert metric_form(spec, rho, e01.T, e01.T) == pytest.approx(1.0 / 0.8, rel=1e-15, abs=0.0)
 
 
+QUADRATIC_KERNELS = {
+    "bridge-0": BridgeMC(0.0),
+    "bridge-0.5": BridgeMC(0.5),
+    "bridge-1": BridgeMC(1.0),
+    "canonical": CanonicalMC.normalized(random_step_weight(np.random.default_rng(7), 8)),
+    "from-identity": FromMonotone(Identity()),
+    "plain": lambda x, y: 2.0 / (x + y),
+    "invalid": _invalid_kernel,
+}
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` gives: ("value", its real part's bytes), or the
+    type and message of what it raises."""
+    try:
+        return "value", np.float64(np.real(fn(*args))).tobytes()
+    except Exception as exc:  # noqa: BLE001 - the error is what is compared
+        return type(exc), str(exc)
+
+
+class TestOneTransformPerQuadraticForm:
+    """``metric_quadratic`` takes A into the eigenbasis once and is bit for
+    bit the real part of ``metric_form(spec, rho, a, a)``."""
+
+    @pytest.mark.parametrize("n", range(2, 33))
+    def test_is_the_form_at_b_equal_a_to_the_bit(self, n):
+        rng = np.random.default_rng([79, n])
+        m = random_density(rng, n)
+        tangents = [random_tangent(rng, n, hermitian=h) for h in (True, False)]
+        for name, c in QUADRATIC_KERNELS.items():
+            spec = MetricSpec(c=c, diagonal_constant=1.5)
+            for a in tangents:
+                # the quadratic form builds the coefficients of a fresh state,
+                # the sesquilinear form reads them back
+                rho = DensityMatrix.from_matrix(m)
+                got = np.float64(metric_quadratic(spec, rho, a)).tobytes()
+                assert got == np.float64(metric_form(spec, rho, a, a).real).tobytes(), name
+                assert got == np.float64(ordered_pair_form(spec, rho, a, a).real).tobytes(), name
+
+    @pytest.mark.parametrize("n", (2, 3, 8))
+    def test_non_finite_tangents_and_kernel_values_give_what_the_form_gives(self, n):
+        rng = np.random.default_rng([83, n])
+        rho = DensityMatrix.from_matrix(random_density(rng, n))
+        a = random_tangent(rng, n, hermitian=False)
+        tangents = []
+        for value in (math.nan, math.inf, -math.inf, 1e300):
+            bad = a.copy()
+            bad[0, n - 1] = value
+            tangents.append(bad)
+        tangents.append(np.full((n, n), 1e300))
+        kernels = [BridgeMC(0.5), *(lambda x, y, v=v: v for v in (math.inf, -math.inf, math.nan, 2 + 1j))]
+        for c in kernels:
+            spec = MetricSpec(c=c)
+            for t in (a, *tangents):
+                with np.errstate(all="ignore"):
+                    assert outcome(metric_quadratic, spec, rho, t) == outcome(metric_form, spec, rho, t, t)
+        # with warnings as errors, a NaN made in the transform is raised alike
+        for t in tangents:
+            assert outcome(metric_quadratic, BURES_SPEC, rho, t) == outcome(metric_form, BURES_SPEC, rho, t, t)
+
+    def test_bad_tangents_and_states_raise_what_the_form_raises(self):
+        rho = qubit_mixed()
+        for rho_in, a in (
+            (rho, np.zeros((3, 3))),
+            (rho, np.zeros((2, 3))),
+            (rho, np.zeros(4)),
+            (rho, [["x", 1], [1, 1]]),
+            (np.eye(2), SIGMA_X),
+        ):
+            want = outcome(metric_form, BURES_SPEC, rho_in, a, a)
+            assert want[0] != "value"
+            assert outcome(metric_quadratic, BURES_SPEC, rho_in, a) == want
+        with pytest.raises(DimensionMismatch) as raised:
+            metric_quadratic(BURES_SPEC, rho, np.zeros((3, 3)))
+        assert str(raised.value) == "state is 2x2, tangents are (3, 3) and (3, 3)"
+
+    def test_one_transform_per_quadratic_form(self, monkeypatch):
+        rho = DensityMatrix.from_matrix(random_density(np.random.default_rng(89), 3))
+        calls = []
+        real = monometric.metric.as_matrix
+        monkeypatch.setattr(monometric.metric, "as_matrix", lambda m: calls.append(1) or real(m))
+        metric_quadratic(BURES_SPEC, rho, np.eye(3))
+        assert len(calls) == 1
+        metric_form(BURES_SPEC, rho, np.eye(3), np.eye(3))
+        assert len(calls) == 3
+
+
 class TestKeptCoefficients:
     """A state keeps the coefficients of the last spec a form at it built,
     and a form at the same state and the same spec object reuses them."""
@@ -397,6 +484,20 @@ class TestKeptCoefficients:
                 got = metric_form(spec, rho, a, b)
                 want = ordered_pair_form(MetricSpec(c=c, diagonal_constant=1.5), rho, a, b)
                 assert form_bits(got) == form_bits(want), name
+            assert counted.calls == matrices_per_form(name, n), name
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 8))
+    def test_quadratic_and_sesquilinear_forms_share_one_matrix(self, n):
+        rng = np.random.default_rng([97, n])
+        rho = DensityMatrix.from_matrix(random_density(rng, n))
+        a, b = (random_tangent(rng, n, hermitian=False) for _ in range(2))
+        for name, c in FORM_KERNELS.items():
+            counted = CountedKernel(c)
+            spec = MetricSpec(c=counted)
+            for _ in range(2):
+                metric_quadratic(spec, rho, a)
+                metric_form(spec, rho, a, b)
+                metric_quadratic(spec, rho, b)
             assert counted.calls == matrices_per_form(name, n), name
 
     @pytest.mark.parametrize("n", (1, 2, 3, 8))

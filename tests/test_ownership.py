@@ -15,12 +15,14 @@ written once, in ``errors._batched``: no other module groups with
 ``setdefault(key, []).append`` or ``defaultdict(list)``. The kernel
 integral's sum over the jumps of a weight is written only in
 ``monotone``: no other module reads ``jumps`` or ``kernel_constant``. A
-state's kept coefficients have one reader and writer, ``metric_form``: no
-module but ``metric`` names the field ``_coefficients``, as a name, an
-attribute or a string. A weight's kept integral has one reader and
+state's kept coefficients have one reader and writer,
+``metric._kept_coefficients``, which ``metric_form`` and
+``metric_quadratic`` share: no module but ``metric`` names the field
+``_coefficients``, as a name, an attribute or a string. A weight's kept integral has one reader and
 writer, ``weighted_kernel_integral``: no module but ``monotone`` names the
 field ``_kept_integral`` in any of those ways. And every test's
-``approx`` states its ``abs=``: pytest's defaults, ``rel=1e-6`` and
+``approx`` states its ``abs=``, under whatever name its module binds
+``pytest.approx`` to: pytest's defaults, ``rel=1e-6`` and
 ``abs=1e-12``, would otherwise pass a value far more loosely than it
 allows, and a small expected value more loosely still."""
 
@@ -286,15 +288,40 @@ def test_only_monotone_names_the_kept_integral(path):
     assert field_mentions(path.read_text(encoding="utf-8"), KEPT_INTEGRAL) == []
 
 
+def approx_names(tree: ast.AST) -> set[str]:
+    """The names a module binds to ``pytest.approx``: ``approx`` itself, an
+    ``import ... as`` alias of it, and a name assigned from one of those
+    or from an ``approx`` attribute, followed until no new name turns up."""
+    bound = {"approx"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "pytest":
+            bound.update(a.asname for a in node.names if a.name == "approx" and a.asname)
+    assigns = [node for node in ast.walk(tree) if isinstance(node, ast.Assign)]
+    while True:
+        more = {
+            target.id
+            for node in assigns
+            if (isinstance(node.value, ast.Name) and node.value.id in bound)
+            or (isinstance(node.value, ast.Attribute) and node.value.attr == "approx")
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        if more <= bound:
+            return bound
+        bound |= more
+
+
 def approx_without_abs(source: str) -> list[int]:
     """The lines of the ``approx`` calls that pass no ``abs=``, with or
-    without ``rel=``."""
+    without ``rel=``, under any name the module binds to ``approx``."""
+    tree = ast.parse(source)
+    bound = approx_names(tree)
     lines = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name == "approx" and "abs" not in {k.arg for k in node.keywords}:
+            called = func.attr == "approx" if isinstance(func, ast.Attribute) else getattr(func, "id", None) in bound
+            if called and "abs" not in {k.arg for k in node.keywords}:
                 lines.append(node.lineno)
     return lines
 
@@ -304,6 +331,11 @@ def test_finds_an_approx_without_abs_however_it_is_written():
     assert approx_without_abs("from pytest import approx\nx == approx(\n    1.0,\n    rel=1e-9,\n)\n") == [2]
     assert approx_without_abs("x == pytest.approx(1.0)\n") == [1]
     assert approx_without_abs("x == pytest.approx(1.0, rel=1e-9, abs=0.0)\ny == pytest.approx(1.0, abs=1e-12)\n") == []
+    # aliases: imported under another name, or assigned to one
+    assert approx_without_abs("from pytest import approx as near\nx == near(1.0)\n") == [2]
+    assert approx_without_abs("import pytest as pt\nx == pt.approx(1.0, rel=1e-9)\n") == [2]
+    assert approx_without_abs("near = pytest.approx\nclose = near\nx == close(1.0)\ny == near(2.0, abs=0.0)\n") == [3]
+    assert approx_without_abs("from pytest import raises as near\nnear(ValueError)\n") == []
 
 
 def test_every_test_module_is_checked():

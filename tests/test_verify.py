@@ -3,10 +3,12 @@ the falsification canary fails when the kernel it must catch is valid."""
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import monometric.channels
 import monometric.linalg
 import monometric.metric
 import monometric.verify
@@ -21,6 +23,7 @@ from monometric import (
     NotAState,
     TrialResult,
     eval_bridge,
+    metric_form,
     monotonicity_trial,
 )
 from monometric.channels import monotonicity_trial_each, random_channel_each
@@ -243,6 +246,18 @@ def test_a_degenerate_unitary_is_raised_when_its_trial_is_reached(monkeypatch):
 ROTATIONS = {"unitary-covariance": lambda rng: bool(rng.integers(0, 2)), "basis-independence": lambda rng: True}
 
 
+def rotation_residual_loop(rho, a, u):
+    """One rotation trial alone: the relative change of K(A, A) when state
+    and tangent are conjugated by u, the rotated state built by
+    ``from_matrix`` and each form taken by ``metric_form``."""
+    spec = monometric.verify._SPEC
+    q1 = metric_form(spec, rho, a, a).real
+    rho_u = DensityMatrix.from_matrix(u @ rho.matrix @ u.conj().T)
+    b = u @ a @ u.conj().T
+    q2 = metric_form(spec, rho_u, b, b).real
+    return abs(q1 - q2) / max(1.0, abs(q1))
+
+
 @pytest.mark.parametrize("name", sorted(ROTATIONS))
 def test_metric_unitaries_are_one_stack_and_the_per_trial_loop(name, monkeypatch):
     """Each trial's unitary, orthonormalized in one stack, is the one a
@@ -253,7 +268,7 @@ def test_metric_unitaries_are_one_stack_and_the_per_trial_loop(name, monkeypatch
     loop = []
     for rng, n, rho in _trial_base_states(run, run.trials, draw):
         a = random_tangent(rng, n, hermitian=ROTATIONS[name](rng))
-        loop.append(monometric.verify._rotation_residual(rho, a, random_unitary(rng, n)))
+        loop.append(rotation_residual_loop(rho, a, random_unitary(rng, n)))
     stacks = []
     each = monometric.verify.orthonormal_columns_each
     monkeypatch.setattr(monometric.verify, "orthonormal_columns_each", lambda gs: stacks.append(gs) or each(gs))
@@ -368,17 +383,124 @@ def test_metric_suite_with_stacked_states_is_the_one_by_one_loop(trials, dims, s
     assert run_metric_suite(trials, dims, seed) == stacked
 
 
-def test_metric_suite_diagonalizes_base_states_as_stacks(monkeypatch):
-    """One ``hermitian_eig`` per rotated and perturbed state only: the
-    seven properties' base states go through stacks."""
+def spy(monkeypatch, module, name):
+    """The list of calls to ``module.name``, counted through every binding
+    of it in the package: a module that imports it by name holds its own."""
+    real = getattr(module, name)
     calls = []
-    eig = monometric.metric.hermitian_eig
-    monkeypatch.setattr(monometric.metric, "hermitian_eig", lambda m: calls.append(m) or eig(m))
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod in [m for key, m in sys.modules.items() if key == "monometric" or key.startswith("monometric.")]:
+        if getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_metric_suite_diagonalizes_base_states_as_stacks(monkeypatch):
+    """No ``hermitian_eig``: the seven properties' base states, and the
+    rotated and perturbed states, all go through stacks."""
+    calls = spy(monkeypatch, monometric.linalg, "hermitian_eig")
+    stacks = spy(monkeypatch, monometric.linalg, "hermitian_eig_each")
     trials = 30
     assert run_metric_suite(trials, (2, 3), 42).passed
-    # unitary-covariance and basis-independence rotate each state, and
-    # continuity-smoke perturbs each of its states
-    assert len(calls) == 2 * trials + min(trials, 20)
+    assert calls == []
+    # six properties draw a state per trial and continuity-smoke one per
+    # trial up to 20; unitary-covariance and basis-independence rotate each
+    # of theirs, and continuity-smoke perturbs each of its own
+    base = 6 * trials + min(trials, 20)
+    assert sum(len(ms) for (ms,) in stacks) == base + 2 * trials + min(trials, 20)
+
+
+def test_verify_all_solves_no_state_and_runs_no_trial_alone(monkeypatch):
+    eigs = spy(monkeypatch, monometric.linalg, "hermitian_eig")
+    trials = spy(monkeypatch, monometric.channels, "monotonicity_trial")
+    assert run_verification("all", 200, 42).passed
+    assert (len(eigs), len(trials)) == (0, 0)
+
+
+def test_a_rotated_state_that_is_not_one_is_raised_when_its_trial_is_reached(monkeypatch):
+    """A "unitary" 2U rotates a state into one of trace 4: its NotAState is
+    raised after the residuals of the trials before it, and only once the
+    trial's own K(A, A) is taken."""
+    each = monometric.verify.orthonormal_columns_each
+
+    def doubled_fourth(gs):
+        out = each(gs)
+        out[3] = 2.0 * out[3]
+        return out
+
+    monkeypatch.setattr(monometric.verify, "orthonormal_columns_each", doubled_fourth)
+    names = [entry[0] for entry in monometric.verify._SUITES["metric"]]
+    run = _Run("metric", seed=1, trials=8, dims=(2, 3), prop=names.index("unitary-covariance"))
+    quadratics = spy(monkeypatch, monometric.verify, "metric_quadratic")
+    residuals = monometric.verify._unitary_covariance(run)
+    for _ in range(3):
+        assert next(residuals) <= 1e-9
+    with pytest.raises(NotAState, match="trace"):
+        next(residuals)
+    assert len(quadratics) == 2 * 3 + 1
+    # a NaN residual before it stops the fold first
+    tangent = monometric.verify.random_tangent
+    drawn = []
+
+    def nan_second(rng, n, hermitian):
+        drawn.append(n)
+        a = tangent(rng, n, hermitian)
+        return a * math.nan if len(drawn) == 2 else a
+
+    monkeypatch.setattr(monometric.verify, "random_tangent", nan_second)
+    assert math.isnan(monometric.verify._fold(0.0, monometric.verify._unitary_covariance(run)))
+
+
+def pinching_loop(run):
+    """pinching-contraction trial by trial: a state validated alone and one
+    ``monotonicity_trial`` per trial, as the property ran before its trials
+    were batched."""
+    out = []
+    for rng, n in run.draws(min(run.trials, 50)):
+        channel = KrausChannel(operators=tuple(np.diag(e) for e in np.eye(n, dtype=complex)))
+        rho = DensityMatrix.from_matrix(monometric.verify._diagonal_density(rng, n))
+        a = random_tangent(rng, n, hermitian=True)
+        np.fill_diagonal(a, 0.0)
+        result = monotonicity_trial(monometric.verify._SPEC, channel, rho, a)
+        out.extend((abs(result.lhs), -result.slack))
+    return out
+
+
+PINCHING = [entry[0] for entry in monometric.verify._SUITES["channels"]].index("pinching-contraction")
+
+
+@pytest.mark.parametrize("trials, dims, seed", [(200, (2, 3), 42), (37, (2, 3, 5), 5), (9, (8, 2), 307)])
+def test_pinching_trials_are_one_batch_and_the_per_trial_loop(trials, dims, seed, monkeypatch):
+    run = _Run("channels", seed=seed, trials=trials, dims=dims, prop=PINCHING)
+    loop = pinching_loop(run)
+    batches = spy(monkeypatch, monometric.verify, "monotonicity_trial_each")
+    residuals = list(monometric.verify._pinching_contraction(run))
+    assert np.array(residuals).tobytes() == np.array(loop).tobytes()
+    assert [len(tangents) for _, _, _, tangents in batches] == [min(trials, 50)]
+
+
+@pytest.mark.parametrize("bad", (0, 3))
+def test_a_pinching_state_that_is_not_one_is_raised_when_its_trial_is_reached(bad, monkeypatch):
+    real = monometric.verify._diagonal_density
+    drawn = []
+
+    def trace_two_at_bad(rng, n):
+        drawn.append(n)
+        m = real(rng, n)
+        return 2.0 * m if len(drawn) - 1 == bad else m
+
+    monkeypatch.setattr(monometric.verify, "_diagonal_density", trace_two_at_bad)
+    run = _Run("channels", seed=5, trials=8, dims=(2, 3), prop=PINCHING)
+    residuals = monometric.verify._pinching_contraction(run)
+    for _ in range(2 * bad):
+        assert next(residuals) <= 1e-9
+    with pytest.raises(NotAState, match="trace"):
+        next(residuals)
+    assert len(drawn) == 8  # every trial was drawn first
 
 
 @pytest.mark.parametrize("bad_trial", (0, 3, 6))
