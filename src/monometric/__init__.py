@@ -6,15 +6,15 @@ families, canonical integral representations over piecewise-constant
 weights, or operator monotone functions. Ships samplers and property
 suites that exercise the defining axioms, including contraction under
 completely positive trace-preserving maps.
+
+``import monometric`` loads the core: ``errors``, ``linalg``, ``monotone``,
+``chentsov`` and ``metric``. The harness modules ``channels``,
+``quadrature``, ``sampling`` and ``verify`` load on first use of one of
+their names or of the module itself.
 """
 
-from .channels import (
-    KrausChannel,
-    TrialResult,
-    apply_channel,
-    monotonicity_trial,
-    random_channel,
-)
+import importlib
+
 from .chentsov import (
     BridgeMC,
     CanonicalMC,
@@ -66,13 +66,18 @@ from .monotone import (
     tilde,
     to_monotone,
 )
-from .quadrature import DEFAULT_QUAD, QuadratureConfig, integrate
-from .verify import (
-    PropertyResult,
-    SuiteReport,
-    VerificationReport,
-    run_verification,
-)
+
+# The one owner of deferred loading: each harness module and the public
+# names it defines. ``__getattr__`` reads a name from its module on every
+# access and binds nothing here, so the module stays the one holder of the
+# name and a patch of the module is seen through the package too.
+_DEFERRED = {
+    "channels": ("KrausChannel", "TrialResult", "apply_channel", "monotonicity_trial", "random_channel"),
+    "quadrature": ("DEFAULT_QUAD", "QuadratureConfig", "integrate"),
+    "sampling": (),
+    "verify": ("PropertyResult", "SuiteReport", "VerificationReport", "run_verification"),
+}
+_HOME = {name: module for module, names in _DEFERRED.items() for name in names}
 
 __version__ = "0.1.0"
 
@@ -141,3 +146,15 @@ __all__ = [
     "tilde",
     "to_monotone",
 ]
+
+
+def __getattr__(name):
+    if name in _DEFERRED:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_DEFERRED, *_HOME})

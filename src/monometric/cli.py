@@ -3,7 +3,8 @@
 Commands: eval-f, eval-c, metric, bridge-table, verify. Numeric output
 uses 15 significant digits; identical flags and seed give byte-identical
 stdout. Exit codes: 0 success, 1 verification failure, 2 malformed
-input (a result too large for a float included), 3 quadrature failure,
+input (a result too large for a float, and a bridge-table of more than
+``MAX_TABLE_ROWS`` rows, included), 3 quadrature failure,
 4 invalid state, 5 a random sampler gave up (a channel or a contraction
 trial could not be drawn from well-formed flags).
 
@@ -34,7 +35,6 @@ from .errors import (
 from .io import load_json_file, matrix_from_json, mc_from_json, monotone_from_json
 from .linalg import TRIAL_DIMS
 from .metric import DensityMatrix, MetricSpec, metric_form, metric_quadratic
-from .verify import report_to_dict, run_verification
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -42,6 +42,10 @@ EXIT_MALFORMED = 2
 EXIT_QUADRATURE = 3
 EXIT_NOT_A_STATE = 4
 EXIT_DEGENERATE_SAMPLE = 5
+
+# bridge-table builds every row before it writes one; a grid or a table
+# past this many rows is malformed input, refused before anything is built
+MAX_TABLE_ROWS = 1_000_000
 
 
 def fmt15(value: float) -> str:
@@ -79,8 +83,8 @@ def _parse_grid(spec: str, flag: str) -> list[float]:
         lo, hi, n = float(parts[1]), float(parts[2]), int(parts[3])
     except ValueError as exc:
         raise DomainError(f"bad {flag} spec {spec!r}: {exc}") from exc
-    if n < 1:
-        raise DomainError(f"bad {flag} spec {spec!r}: need n >= 1")
+    if not 1 <= n <= MAX_TABLE_ROWS:
+        raise DomainError(f"bad {flag} spec {spec!r}: need 1 <= n <= {MAX_TABLE_ROWS}")
     if parts[0] == "log":
         if not (lo > 0.0 and hi > 0.0):
             raise DomainError(f"bad {flag} spec {spec!r}: log grid needs positive ends")
@@ -136,6 +140,10 @@ def cmd_bridge_table(args) -> int:
     ys = _parse_grid(args.y_grid, "--y-grid")
     if not gammas or not xs or not ys:
         raise DomainError("gamma list and both grids must be non-empty")
+    if len(gammas) * len(xs) * len(ys) > MAX_TABLE_ROWS:
+        raise DomainError(
+            f"{len(gammas)} x {len(xs)} x {len(ys)} rows exceed the table limit of {MAX_TABLE_ROWS}"
+        )
     # every row is computed before any is written, so a failing run prints nothing
     rows = [
         f"{fmt15(g)},{fmt15(x)},{fmt15(y)},{fmt15(_finite(eval_bridge(g, x, y)))}\n"
@@ -148,6 +156,9 @@ def cmd_bridge_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # the harness loads here, so the evaluating commands never import it
+    from .verify import report_to_dict, run_verification
+
     report = run_verification(
         suite=args.suite,
         trials=args.trials,

@@ -4,17 +4,18 @@ Complex matrices travel as nested arrays of [re, im] pairs. All loaders
 raise DomainError on malformed structure, on a boolean where a number
 belongs and on any number that float() rejects, so the CLI can map every
 input problem to one exit code. The CLI reads its function and kernel
-flags through the same spec readers.
+flags through the same spec readers. Only ``channel_from_json`` imports
+``channels``, when it is called, so reading matrices, weights and kernels
+loads none of the property harness.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .channels import KrausChannel
 from .chentsov import BridgeMC, CanonicalMC, FromMonotone, MCFunction
 from .errors import DomainError
 from .monotone import (
@@ -28,6 +29,9 @@ from .monotone import (
     minimal_function,
     sqrt_function,
 )
+
+if TYPE_CHECKING:
+    from .channels import KrausChannel
 
 _FAMILY_BUILDERS = {
     "min": minimal_function,
@@ -158,6 +162,8 @@ def mc_from_json(obj) -> MCFunction:
 
 
 def channel_from_json(obj) -> KrausChannel:
+    from .channels import KrausChannel
+
     if not isinstance(obj, dict) or "kraus" not in obj:
         raise DomainError("channel spec needs a 'kraus' field")
     ops = obj["kraus"]

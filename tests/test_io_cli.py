@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import monometric.cli
 import monometric.verify
 from monometric import (
     BridgeMC,
@@ -566,6 +567,31 @@ class TestBridgeTable:
         assert main(["bridge-table", "--gammas", "0", "--x-grid", "1,abc", "--y-grid", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "--x-grid" in captured.err
+
+    @pytest.mark.parametrize(
+        "grid", ["log:1:10:100000000000", "lin:0:1:99999999999999999999"], ids=["log-1e11", "lin-1e20"]
+    )
+    def test_grid_past_the_row_cap_exits_2_before_it_is_built(self, grid, capsys):
+        assert main(["bridge-table", "--gammas", "0", "--x-grid", grid, "--y-grid", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--x-grid" in captured.err
+
+    def test_rows_past_the_cap_exit_2(self, capsys):
+        # two 1000-point grids and two gammas: each grid is under the cap, the table is not
+        argv = ["bridge-table", "--gammas", "0,1", "--x-grid", "log:1:10:1000", "--y-grid", "lin:1:2:1000"]
+        assert 1000 <= monometric.cli.MAX_TABLE_ROWS < 2 * 1000 * 1000
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "table limit" in captured.err
+
+    def test_the_cap_counts_the_product_of_the_three_lists(self, capsys, monkeypatch):
+        monkeypatch.setattr(monometric.cli, "MAX_TABLE_ROWS", 12)
+        argv = ["bridge-table", "--gammas", "0,0.5", "--x-grid", "lin:1:2:2", "--y-grid", "1,2,3"]
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 12
+        assert main([*argv[:-1], "1,2,3,4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "2 x 2 x 4 rows exceed the table limit of 12" in captured.err
 
     def test_bad_value_after_the_first_row_prints_no_rows(self, capsys):
         argv = ["bridge-table", "--gammas", "0.5", "--x-grid", "1,inf", "--y-grid", "1"]

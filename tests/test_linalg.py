@@ -56,6 +56,17 @@ def spy_on_stack_way(monkeypatch, calls):
 WAYS = {"scalar": scalar_way, "vectorized": vectorized_way}
 
 
+def same_bits(a, b, any_zero_sign=False):
+    """``a`` and ``b`` have one dtype and shape and the same bytes, so -0.0
+    differs from 0.0. ``any_zero_sign`` lets an entry that is exactly zero
+    carry either sign, in the real and in the imaginary part, as the stack
+    way may round it: adding 0.0 turns every -0.0 into 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    if any_zero_sign:
+        a, b = a + 0.0, b + 0.0
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def hermitian_part(m):
     return 0.5 * (m + m.conj().T)
 
@@ -133,8 +144,8 @@ class TestHermitianEig:
         m = random_hermitian(np.random.default_rng(3), 4)
         d1 = hermitian_eig(m)
         d2 = hermitian_eig(m)
-        assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
-        assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
+        assert same_bits(d1.eigenvalues, d2.eigenvalues)
+        assert same_bits(d1.eigenvectors, d2.eigenvectors)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
@@ -187,8 +198,8 @@ class TestRoundRobin:
             dec = hermitian_eig(m)
             eigs, vecs = WAYS[way](m)
             order = np.argsort(eigs, kind="stable")
-            assert np.array_equal(dec.eigenvalues, eigs[order])
-            assert np.array_equal(dec.eigenvectors, vecs[:, order])
+            assert same_bits(dec.eigenvalues, eigs[order])
+            assert same_bits(dec.eigenvectors, vecs[:, order])
 
 
 @pytest.mark.parametrize("n", ALL_DIMS)
@@ -200,7 +211,7 @@ def test_both_ways_across_the_supported_range(n):
         for name, way in WAYS.items():
             eigs, vecs = way(m)
             again = way(m)
-            assert np.array_equal(eigs, again[0]) and np.array_equal(vecs, again[1]), (kind, name)
+            assert same_bits(eigs, again[0]) and same_bits(vecs, again[1]), (kind, name)
             order = np.argsort(eigs, kind="stable")
             eigs, vecs = eigs[order], vecs[:, order]
             assert np.allclose(eigs, ref, rtol=0.0, atol=1e-12 * scale), (kind, name)
@@ -234,13 +245,13 @@ def test_stack_members_match_the_scalar_way(n):
     for j, (kind, m) in enumerate(inputs.items()):
         # the stack rounds as the scalar way does, bit for bit
         ref, ref_vecs = scalar_way(m)
-        assert np.array_equal(stack_eigs[j], ref), kind
-        assert np.array_equal(stack_vecs[j], ref_vecs), kind
+        assert same_bits(stack_eigs[j], ref, any_zero_sign=True), kind
+        assert same_bits(stack_vecs[j], ref_vecs, any_zero_sign=True), kind
         scale = 1.0 + np.linalg.norm(m)
         eigs, vecs = outs[j].eigenvalues, outs[j].eigenvectors
         alone = hermitian_eig(m)
-        assert np.array_equal(eigs, alone.eigenvalues), kind
-        assert np.array_equal(vecs, alone.eigenvectors), kind
+        assert same_bits(eigs, alone.eigenvalues, any_zero_sign=True), kind
+        assert same_bits(vecs, alone.eigenvectors, any_zero_sign=True), kind
         assert np.all(np.diff(eigs) >= 0), kind
         assert np.allclose(eigs, np.linalg.eigvalsh(m), rtol=0.0, atol=1e-12 * scale), kind
         recon = (vecs * eigs) @ vecs.conj().T
@@ -266,8 +277,8 @@ def test_stack_members_are_what_hermitian_eig_gives_alone(n):
     for count in counts:
         outs = la.hermitian_eig_each(list(ms[:count]))
         for j in range(count):
-            assert np.array_equal(outs[j].eigenvalues, alone[j].eigenvalues), (count, j)
-            assert np.array_equal(outs[j].eigenvectors, alone[j].eigenvectors), (count, j)
+            assert same_bits(outs[j].eigenvalues, alone[j].eigenvalues, any_zero_sign=True), (count, j)
+            assert same_bits(outs[j].eigenvectors, alone[j].eigenvectors, any_zero_sign=True), (count, j)
 
 
 class TestStack:
@@ -279,8 +290,8 @@ class TestStack:
         alone = stack_way(small[None])
         # a target shared with the 1e3-scaled member would stop the small
         # one after no rotation at all
-        assert np.array_equal(together[0][1], alone[0][0])
-        assert np.array_equal(together[1][1], alone[1][0])
+        assert same_bits(together[0][1], alone[0][0])
+        assert same_bits(together[1][1], alone[1][0])
         ref = np.linalg.eigvalsh(small)
         assert np.allclose(np.sort(alone[0][0]), ref, rtol=0.0, atol=WAYS_TOL)
         ref_big = np.linalg.eigvalsh(stack[3])
@@ -295,7 +306,8 @@ class TestStack:
             assert not stuck.size
             for j, m in enumerate(ms):
                 ref, ref_vecs = scalar_way(m)
-                assert np.array_equal(eigs[j], ref) and np.array_equal(vecs[j], ref_vecs)
+                assert same_bits(eigs[j], ref, any_zero_sign=True)
+                assert same_bits(vecs[j], ref_vecs, any_zero_sign=True)
             outs = la.hermitian_eig_each(list(ms))
             assert len(outs) == count
             for m, out in zip(ms, outs):
@@ -333,9 +345,10 @@ class TestStack:
             pytest.fail("no scale splits the two sums")
         m = member(scale)
         ref, ref_vecs = scalar_way(m)
-        assert np.array_equal(ref_vecs, np.eye(n))  # stopped before the first sweep
+        assert same_bits(ref_vecs, np.eye(n, dtype=complex))  # stopped before the first sweep
         eigs, vecs, _ = stack_way(m[None])
-        assert np.array_equal(eigs[0], ref) and np.array_equal(vecs[0], ref_vecs)
+        assert same_bits(eigs[0], ref, any_zero_sign=True)
+        assert same_bits(vecs[0], ref_vecs, any_zero_sign=True)
 
     @pytest.mark.parametrize("n", (2, 3, 5, 11, 12))
     def test_small_stacks_go_matrix_by_matrix(self, n, monkeypatch):
@@ -351,8 +364,8 @@ class TestStack:
             # either way each member is what hermitian_eig gives alone
             for m, out in zip(ms, outs):
                 alone = hermitian_eig(m)
-                assert np.array_equal(out.eigenvalues, alone.eigenvalues)
-                assert np.array_equal(out.eigenvectors, alone.eigenvectors)
+                assert same_bits(out.eigenvalues, alone.eigenvalues, any_zero_sign=True)
+                assert same_bits(out.eigenvectors, alone.eigenvectors, any_zero_sign=True)
 
     @pytest.mark.parametrize("sweeps", (0, 1))
     def test_no_convergence_when_sweeps_are_exhausted(self, sweeps, monkeypatch):
@@ -432,8 +445,8 @@ def assert_outcome_alone(out, m):
     if isinstance(alone, MonometricError):
         assert (type(out), str(out)) == (type(alone), str(alone))
         return
-    assert np.array_equal(out.eigenvalues, alone.eigenvalues)
-    assert np.array_equal(out.eigenvectors, alone.eigenvectors)
+    assert same_bits(out.eigenvalues, alone.eigenvalues, any_zero_sign=True)
+    assert same_bits(out.eigenvectors, alone.eigenvectors, any_zero_sign=True)
 
 
 class TestEigEach:
@@ -530,8 +543,8 @@ class TestRescale:
         outs = la.hermitian_eig_each(ms)
         for j, m in enumerate(ms):
             alone = hermitian_eig(m)
-            assert np.array_equal(outs[j].eigenvalues, alone.eigenvalues), j
-            assert np.array_equal(outs[j].eigenvectors, alone.eigenvectors), j
+            assert same_bits(outs[j].eigenvalues, alone.eigenvalues, any_zero_sign=True), j
+            assert same_bits(outs[j].eigenvectors, alone.eigenvectors, any_zero_sign=True), j
 
     @pytest.mark.parametrize("n", (2, 3, 12))
     def test_power_of_two_scale_is_exact(self, n):
@@ -542,8 +555,8 @@ class TestRescale:
         base = hermitian_eig(m)
         for k in (500, 700, 1000):
             big = hermitian_eig(m * 2.0**k)
-            assert np.array_equal(big.eigenvalues, base.eigenvalues * 2.0**k), k
-            assert np.array_equal(big.eigenvectors, base.eigenvectors), k
+            assert same_bits(big.eigenvalues, base.eigenvalues * 2.0**k), k
+            assert same_bits(big.eigenvectors, base.eigenvectors), k
 
     @pytest.mark.parametrize("n", (2, 12))
     def test_below_the_bound_keeps_its_bits(self, n):
@@ -552,8 +565,8 @@ class TestRescale:
         eigs, vecs = WAYS["scalar" if n < la.SMALL_DIM else "vectorized"](m)
         order = np.argsort(eigs, kind="stable")
         dec = hermitian_eig(m)
-        assert np.array_equal(dec.eigenvalues, eigs[order])
-        assert np.array_equal(dec.eigenvectors, vecs[:, order])
+        assert same_bits(dec.eigenvalues, eigs[order])
+        assert same_bits(dec.eigenvectors, vecs[:, order])
 
     def test_eigenvalue_beyond_the_float_range_is_a_domain_error(self):
         m = np.full((2, 2), 1e308)
@@ -593,7 +606,7 @@ class TestHugeNorms:
             assert defect == pytest.approx(ref, rel=1e-12, abs=0.0)
             scaled, shift, norms = la._measure(np.stack([scale * m, m, np.zeros((3, 3))]))
             assert np.ldexp(norms, shift).tolist() == [la.frobenius(scale * m), la.frobenius(m), 0.0]
-            assert shift.tolist()[1:] == [0, 0] and np.array_equal(scaled[1], m)
+            assert shift.tolist()[1:] == [0, 0] and same_bits(scaled[1], m)
 
     def test_nearly_hermitian_huge_matrix_is_accepted_as_the_eigensolver_accepts_it(self):
         m = np.array([[1e200, 1e180], [1e180 * (1 + 1e-13), 1e200]])
@@ -640,14 +653,14 @@ class TestHugeNorms:
         else:
             assert require_hermitian(m) is not None
             for out in (each, in_stack):
-                assert np.array_equal(out.eigenvalues, alone.eigenvalues)
-                assert np.array_equal(out.eigenvectors, alone.eigenvectors)
+                assert same_bits(out.eigenvalues, alone.eigenvalues, any_zero_sign=True)
+                assert same_bits(out.eigenvectors, alone.eigenvectors, any_zero_sign=True)
 
     def test_real_input_is_measured_as_its_complex_copy(self):
         m = 2.0**500 * np.array([[1.0, 1.5e-10], [0.0, 1.0]])
         stack = np.stack([m, np.eye(2)])
         for real in (m, stack):
-            assert np.array_equal(la.hermiticity_defect(real), la.hermiticity_defect(real.astype(complex)))
+            assert same_bits(la.hermiticity_defect(real), la.hermiticity_defect(real.astype(complex)))
         assert la.frobenius(m) == la.frobenius(m.astype(complex))
 
     def test_below_the_bound_keeps_its_bits(self):
@@ -663,8 +676,8 @@ class TestApply:
         dec = hermitian_eig(m)
         values = rng.standard_normal(4)
         u = dec.eigenvectors
-        assert np.array_equal(dec.apply(values), (u * values) @ u.conj().T)
-        assert np.array_equal(dec.apply(list(values)), dec.apply(values))
+        assert same_bits(dec.apply(values), (u * values) @ u.conj().T)
+        assert same_bits(dec.apply(list(values)), dec.apply(values))
         assert np.linalg.norm(dec.apply(dec.eigenvalues) - m) <= RECON_TOL * (1 + np.linalg.norm(m))
 
     def test_stack_members_as_alone(self):
@@ -674,7 +687,7 @@ class TestApply:
         values = rng.standard_normal((20, 3))
         for j, m in enumerate(ms):
             alone = hermitian_eig(m)
-            assert np.array_equal(outs[j].apply(values[j]), alone.apply(values[j])), j
+            assert same_bits(outs[j].apply(values[j]), alone.apply(values[j]), any_zero_sign=True), j
 
 
 class TestNonFiniteInput:

@@ -394,7 +394,7 @@ def spy(monkeypatch, module, name):
         return real(*args, **kwargs)
 
     for mod in [m for key, m in sys.modules.items() if key == "monometric" or key.startswith("monometric.")]:
-        if getattr(mod, name, None) is real:
+        if vars(mod).get(name) is real:
             monkeypatch.setattr(mod, name, counted)
     return calls
 
