@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegenerateSample, DimensionMismatch, DomainError, MonometricError, _batched, _outcome_of, unwrap
-from .linalg import _trial_dims, as_matrix, dagger, frobenius
+from .linalg import _seed, _trial_dims, as_matrix, dagger, frobenius
 from .metric import DensityMatrix, MetricSpec, metric_quadratic
 from .sampling import ginibre, orthonormal_columns_each
 
@@ -162,10 +162,7 @@ def _intake(n, m, k, seed) -> tuple[tuple[int, int, int], np.random.Generator]:
         raise DomainError(f"need a whole number of operators, at least one, got {k!r}")
     if m * count < n:
         raise DomainError(f"isometry needs m*k >= n, got {m * count} < {n}")
-    try:
-        return (count, m, n), np.random.default_rng([seed])
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"channel seed must be a nonnegative integer, got {seed!r}") from exc
+    return (count, m, n), np.random.default_rng([_seed(seed)])
 
 
 def random_channel_each(draws) -> list[KrausChannel | MonometricError]:

@@ -14,8 +14,7 @@ Python complex scalars, from ``SMALL_DIM`` up as one unitary J per step
 (B, n, n) of small matrices, each step as row and column updates of its
 disjoint pairs across all members, which pays off when many of them are
 diagonalized at once. All three ways run the same iteration, so each is
-an oracle for the others; the stack way rounds as the scalar way does,
-though an entry that comes out exactly zero may carry the other sign.
+an oracle for the others; the stack way rounds as the scalar way does.
 
 ``hermitian_eig`` (one matrix) and ``hermitian_eig_each`` (a list)
 share one path: ``_check`` gives each member of a stack the member or
@@ -25,7 +24,7 @@ with ``errors._batched``, the package's one grouping. The stack way
 runs only below ``SMALL_DIM``, where one matrix takes the scalar way it
 rounds as; other stacks go matrix by matrix, whether or not the stack
 would be faster (``_solve``), so each matrix comes out as ``hermitian_eig``
-gives it alone (up to the sign of a zero, as above), or with its error.
+gives it alone, bit for bit, or with its error.
 ``_measure`` is the one rescale: it finds each member's largest entry,
 scales a member with an entry above ``RESCALE_ABOVE`` exactly by a power
 of two and takes its Frobenius norm. The check measures a matrix once,
@@ -75,6 +74,18 @@ def _trial_count(trials) -> int:
     if count < 1:
         raise DomainError(f"need a whole number of trials, at least one, got {trials!r}")
     return count
+
+
+def _seed(seed) -> int:
+    """``seed`` as an int, if it is an integer of at least zero: the seed of
+    ``verify``, ``check_operator_monotone`` and ``random_channel``."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = -1
+    if value < 0:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
+    return value
 
 
 def _trial_dims(dims) -> tuple[int, ...]:
@@ -138,7 +149,9 @@ def _measure(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     shift = np.zeros(big.shape, dtype=int)
     if over.any():
         shift = np.where(over, np.frexp(big)[1] - 1, 0)
-        # scaled as pairs of reals: a complex product could turn -0.0 into 0.0
+        # scaled as pairs of reals: a complex product could turn -0.0 into
+        # 0.0, and an input zero's sign can move other bits (a -0.0 on the
+        # diagonal flips the sign of Jacobi's tau)
         parts = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
         a = (parts * np.ldexp(1.0, -shift)[..., None, None]).view(np.complex128)
         mag = np.abs(a)
@@ -251,6 +264,7 @@ def _solve(a: np.ndarray) -> list[HermitianEigen | MonometricError]:
     goes member by member the way one matrix goes: a small stack is faster
     so. From ``SMALL_DIM`` up the stack, though faster at n = 12-16, would
     round as the scalar way, not as one matrix; no caller sends one there.
+    Every zero it hands out is +0.0, whichever way rounded it.
     """
     count, n, _ = a.shape
     if n > MAX_DIM:
@@ -279,6 +293,9 @@ def _solve(a: np.ndarray) -> list[HermitianEigen | MonometricError]:
     order = np.argsort(eigs, axis=-1, kind="stable")
     rows = np.arange(count)[:, None]
     eigs, vecs = eigs[rows, order], vecs[rows[:, None], np.arange(n)[:, None], order[:, None, :]]
+    # adding 0.0 turns -0.0 into +0.0 and keeps every other entry's bits
+    eigs += 0.0
+    vecs += 0.0
     return [HermitianEigen(w, u) if e is None else e for e, w, u in zip(errors, eigs, vecs)]
 
 
@@ -468,13 +485,14 @@ def _jacobi_stack(
     which rounds each real term once, as Python's complex type does
     (numpy's complex multiply may fuse them); so each member comes out bit
     for bit as ``_jacobi_scalar`` makes it, but for the sign of an entry
-    that is exactly zero, which the extra zero terms can flip. A pair whose pivot is at most
-    its member's skip bound gets the identity rotation, which leaves its
-    entries as they were. Before each sweep the members that meet their
-    own target are stored and dropped. Returns unsorted eigenvalues (B, n),
-    eigenvectors (B, n, n), and the indices of the members still active
-    after ``MAX_SWEEPS`` sweeps, which do not converge alone either; their
-    rows are zeros.
+    that is exactly zero, which the extra zero terms can flip: that stays
+    inside the module, since ``_solve`` hands every zero out as +0.0. A
+    pair whose pivot is at most its member's skip bound gets the identity
+    rotation, which leaves its entries as they were. Before each sweep the
+    members that meet their own target are stored and dropped. Returns
+    unsorted eigenvalues (B, n), eigenvectors (B, n, n), and the indices of
+    the members still active after ``MAX_SWEEPS`` sweeps, which do not
+    converge alone either; their rows are zeros.
     """
     count, n, _ = a.shape
     upper = np.triu(a, 1)

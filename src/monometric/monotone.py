@@ -40,7 +40,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import DomainError, unwrap
-from .linalg import _trial_count, _trial_dims, hermitian_eig_each
+from .linalg import _seed, _trial_count, _trial_dims, hermitian_eig_each
 
 SQRT2 = math.sqrt(2.0)
 # check_operator_monotone passes when min eig(f(B) - f(A)) >= -this
@@ -518,6 +518,7 @@ def check_operator_monotone(
     which does not pass.
     """
     trials = _trial_count(trials)
+    seed = _seed(seed)
     dims = _trial_dims(dims)
     sizes = list(itertools.islice(itertools.cycle(dims), trials))
     pairs = [_ordered_pair(np.random.default_rng([seed, k]), n) for k, n in enumerate(sizes)]

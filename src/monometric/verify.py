@@ -64,7 +64,7 @@ from .chentsov import (
     normalize_C0,
 )
 from .errors import DegenerateSample, DomainError, NotAState, _outcome_of, unwrap
-from .linalg import _trial_count, _trial_dims
+from .linalg import _seed, _trial_count, _trial_dims
 from .metric import DensityMatrix, MetricSpec, metric_form, metric_quadratic
 from .monotone import (
     CanonicalMonotone,
@@ -760,6 +760,7 @@ def run_verification(
     if suite not in (*SUITE_NAMES, "all"):
         raise DomainError(f"unknown suite {suite!r}")
     trials = _trial_count(trials)
+    seed = _seed(seed)
     dims = _trial_dims(dims)
     names = SUITE_NAMES if suite == "all" else (suite,)
     start = time.perf_counter()

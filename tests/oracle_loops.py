@@ -1,6 +1,7 @@
 """One-at-a-time loops that the stacked sampling and channel paths replace,
 kept as their oracles: a column-by-column Gram-Schmidt on one matrix, and
-a random channel drawn, orthonormalized and checked alone."""
+a random channel drawn, orthonormalized and checked alone. And
+``same_bits``, the one bit-for-bit comparison of the tests."""
 
 import math
 
@@ -10,6 +11,13 @@ import monometric.channels
 from monometric import DegenerateSample, KrausChannel
 from monometric.channels import RESAMPLE_CAP
 from monometric.sampling import RANK_TOL
+
+
+def same_bits(a, b) -> bool:
+    """``a`` and ``b`` have one dtype and shape and the same bytes, so -0.0
+    differs from 0.0, which ``np.array_equal`` counts as equal."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def gram_schmidt_loop(g):
@@ -54,6 +62,4 @@ def apply_loop(channel, x):
 
 def same_channel(a, b) -> bool:
     """Whether two channels hold the same operators, bit for bit."""
-    return len(a.operators) == len(b.operators) and all(
-        x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(a.operators, b.operators)
-    )
+    return len(a.operators) == len(b.operators) and all(map(same_bits, a.operators, b.operators))

@@ -29,8 +29,9 @@ from monometric import (
 )
 from monometric.channels import TRIAL_STATE_FLOOR, apply_channel_each, monotonicity_trial_each, random_channel_each
 from monometric.errors import _batched, _outcome_of
-from monometric.linalg import HermitianEigen, as_matrix, hermitian_eig_each
+from monometric.linalg import SMALL_STACK, HermitianEigen, as_matrix, hermitian_eig_each
 from monometric.sampling import orthonormal_columns, orthonormal_columns_each, random_density, random_hermitian
+from oracle_loops import same_bits
 
 
 def bits(value):
@@ -219,6 +220,19 @@ def test_every_member_gets_what_it_gets_alone_in_order(case):
     assert errors >= 2 and len(expected) - errors >= 3
 
 
+def test_every_state_of_a_stacked_batch_has_the_eigensolve_it_has_alone():
+    """At least ``SMALL_STACK`` 2x2 and as many 3x3 states, so each
+    dimension is one stack for the stack way: every member's eigenvalues
+    and eigenvectors are, in dtype, shape and bytes, what ``from_matrix``
+    gives the matrix alone, the sign of every zero included."""
+    rng = np.random.default_rng(19)
+    ms = [random_density(rng, n) for _ in range(SMALL_STACK) for n in (2, 3)]
+    for m, state in zip(ms, DensityMatrix.from_matrices(ms)):
+        alone = DensityMatrix.from_matrix(m).eig
+        assert same_bits(state.eig.eigenvalues, alone.eigenvalues)
+        assert same_bits(state.eig.eigenvectors, alone.eigenvectors)
+
+
 def direct_trial(channel, state, a) -> TrialResult:
     """A contraction trial formed outside the trial's code path: rhs =
     K(A, A) at rho, lhs = K(T(A), T(A)) at T(rho), each with
@@ -274,7 +288,7 @@ def test_a_bad_draw_or_non_matrix_gets_its_own_domain_error():
     """Each of these lists once raised numpy's error for the whole list."""
     channels = random_channel_each([(2, 2, 2, 1), (2, 2, 2, -1), (2, 2, 1.5, 1)])
     assert bits(channels[0]) == bits(random_channel(2, 2, 2, 1))
-    assert bits(channels[1]) == (DomainError, "channel seed must be a nonnegative integer, got -1")
+    assert bits(channels[1]) == (DomainError, "seed must be a nonnegative integer, got -1")
     assert bits(channels[2]) == (DomainError, "need a whole number of operators, at least one, got 1.5")
     with pytest.raises(DomainError, match="seed"):
         random_channel(2, 2, 2, -1)

@@ -33,6 +33,7 @@ from monometric.io import (
     weight_to_json,
 )
 from monometric.sampling import random_step_weight
+from oracle_loops import same_bits, same_channel
 
 
 def _weight_with_breakpoint(value):
@@ -107,7 +108,7 @@ class TestJsonFormats:
     def test_matrix_round_trip(self):
         rng = np.random.default_rng(1)
         m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        assert np.array_equal(matrix_from_json(matrix_to_json(m)), m)
+        assert same_bits(matrix_from_json(matrix_to_json(m)), m)
 
     @pytest.mark.parametrize(
         "payload",
@@ -188,7 +189,7 @@ class TestJsonFormats:
 
         ch = random_channel(3, 2, 2, seed=9)
         back = channel_from_json(channel_to_json(ch))
-        assert all(np.array_equal(a, b) for a, b in zip(ch.operators, back.operators))
+        assert same_channel(ch, back)
 
 
 class TestFormatting:
@@ -643,6 +644,12 @@ class TestVerifyCommand:
     )
     def test_malformed_flags_exit_2(self, argv):
         assert main(argv) == 2
+
+    def test_a_negative_seed_exits_2_and_prints_nothing(self, capsys):
+        assert main(["verify", "--suite", "metric", "--trials", "1", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be a nonnegative integer, got -1\n"
 
     def test_sampler_that_gives_up_exits_5(self, capsys, monkeypatch):
         def exhausted(draws):

@@ -21,6 +21,7 @@ from monometric import (
 )
 from monometric.linalg import require_hermitian
 from monometric.sampling import random_density, random_unitary
+from oracle_loops import same_bits
 
 RECON_TOL = 1e-11
 # the two ways differ only in rounding: eigenvalues within this much of
@@ -56,15 +57,12 @@ def spy_on_stack_way(monkeypatch, calls):
 WAYS = {"scalar": scalar_way, "vectorized": vectorized_way}
 
 
-def same_bits(a, b, any_zero_sign=False):
-    """``a`` and ``b`` have one dtype and shape and the same bytes, so -0.0
-    differs from 0.0. ``any_zero_sign`` lets an entry that is exactly zero
-    carry either sign, in the real and in the imaginary part, as the stack
-    way may round it: adding 0.0 turns every -0.0 into 0.0."""
-    a, b = np.asarray(a), np.asarray(b)
-    if any_zero_sign:
-        a, b = a + 0.0, b + 0.0
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+def handed_out(x):
+    """A private way's raw output as ``_solve`` hands it out: ``_solve``
+    clears the sign of every zero, for every outcome, as adding 0.0 does
+    here, in real and imaginary parts; the ways may round an exact zero
+    to different signs."""
+    return np.asarray(x) + 0.0
 
 
 def hermitian_part(m):
@@ -198,8 +196,8 @@ class TestRoundRobin:
             dec = hermitian_eig(m)
             eigs, vecs = WAYS[way](m)
             order = np.argsort(eigs, kind="stable")
-            assert same_bits(dec.eigenvalues, eigs[order])
-            assert same_bits(dec.eigenvectors, vecs[:, order])
+            assert same_bits(dec.eigenvalues, handed_out(eigs[order]))
+            assert same_bits(dec.eigenvectors, handed_out(vecs[:, order]))
 
 
 @pytest.mark.parametrize("n", ALL_DIMS)
@@ -243,15 +241,16 @@ def test_stack_members_match_the_scalar_way(n):
     assert not stuck.size
     outs = la.hermitian_eig_each(list(ms))
     for j, (kind, m) in enumerate(inputs.items()):
-        # the stack rounds as the scalar way does, bit for bit
+        # the stack rounds as the scalar way does, bit for bit, with zero
+        # signs cleared as _solve clears them
         ref, ref_vecs = scalar_way(m)
-        assert same_bits(stack_eigs[j], ref, any_zero_sign=True), kind
-        assert same_bits(stack_vecs[j], ref_vecs, any_zero_sign=True), kind
+        assert same_bits(handed_out(stack_eigs[j]), handed_out(ref)), kind
+        assert same_bits(handed_out(stack_vecs[j]), handed_out(ref_vecs)), kind
         scale = 1.0 + np.linalg.norm(m)
         eigs, vecs = outs[j].eigenvalues, outs[j].eigenvectors
         alone = hermitian_eig(m)
-        assert same_bits(eigs, alone.eigenvalues, any_zero_sign=True), kind
-        assert same_bits(vecs, alone.eigenvectors, any_zero_sign=True), kind
+        assert same_bits(eigs, alone.eigenvalues), kind
+        assert same_bits(vecs, alone.eigenvectors), kind
         assert np.all(np.diff(eigs) >= 0), kind
         assert np.allclose(eigs, np.linalg.eigvalsh(m), rtol=0.0, atol=1e-12 * scale), kind
         recon = (vecs * eigs) @ vecs.conj().T
@@ -277,8 +276,8 @@ def test_stack_members_are_what_hermitian_eig_gives_alone(n):
     for count in counts:
         outs = la.hermitian_eig_each(list(ms[:count]))
         for j in range(count):
-            assert same_bits(outs[j].eigenvalues, alone[j].eigenvalues, any_zero_sign=True), (count, j)
-            assert same_bits(outs[j].eigenvectors, alone[j].eigenvectors, any_zero_sign=True), (count, j)
+            assert same_bits(outs[j].eigenvalues, alone[j].eigenvalues), (count, j)
+            assert same_bits(outs[j].eigenvectors, alone[j].eigenvectors), (count, j)
 
 
 class TestStack:
@@ -306,8 +305,8 @@ class TestStack:
             assert not stuck.size
             for j, m in enumerate(ms):
                 ref, ref_vecs = scalar_way(m)
-                assert same_bits(eigs[j], ref, any_zero_sign=True)
-                assert same_bits(vecs[j], ref_vecs, any_zero_sign=True)
+                assert same_bits(handed_out(eigs[j]), handed_out(ref))
+                assert same_bits(handed_out(vecs[j]), handed_out(ref_vecs))
             outs = la.hermitian_eig_each(list(ms))
             assert len(outs) == count
             for m, out in zip(ms, outs):
@@ -347,8 +346,8 @@ class TestStack:
         ref, ref_vecs = scalar_way(m)
         assert same_bits(ref_vecs, np.eye(n, dtype=complex))  # stopped before the first sweep
         eigs, vecs, _ = stack_way(m[None])
-        assert same_bits(eigs[0], ref, any_zero_sign=True)
-        assert same_bits(vecs[0], ref_vecs, any_zero_sign=True)
+        assert same_bits(handed_out(eigs[0]), handed_out(ref))
+        assert same_bits(handed_out(vecs[0]), handed_out(ref_vecs))
 
     @pytest.mark.parametrize("n", (2, 3, 5, 11, 12))
     def test_small_stacks_go_matrix_by_matrix(self, n, monkeypatch):
@@ -364,8 +363,8 @@ class TestStack:
             # either way each member is what hermitian_eig gives alone
             for m, out in zip(ms, outs):
                 alone = hermitian_eig(m)
-                assert same_bits(out.eigenvalues, alone.eigenvalues, any_zero_sign=True)
-                assert same_bits(out.eigenvectors, alone.eigenvectors, any_zero_sign=True)
+                assert same_bits(out.eigenvalues, alone.eigenvalues)
+                assert same_bits(out.eigenvectors, alone.eigenvectors)
 
     @pytest.mark.parametrize("sweeps", (0, 1))
     def test_no_convergence_when_sweeps_are_exhausted(self, sweeps, monkeypatch):
@@ -445,8 +444,8 @@ def assert_outcome_alone(out, m):
     if isinstance(alone, MonometricError):
         assert (type(out), str(out)) == (type(alone), str(alone))
         return
-    assert same_bits(out.eigenvalues, alone.eigenvalues, any_zero_sign=True)
-    assert same_bits(out.eigenvectors, alone.eigenvectors, any_zero_sign=True)
+    assert same_bits(out.eigenvalues, alone.eigenvalues)
+    assert same_bits(out.eigenvectors, alone.eigenvectors)
 
 
 class TestEigEach:
@@ -515,6 +514,17 @@ class TestEigEach:
     def test_empty(self):
         assert la.hermitian_eig_each([]) == []
 
+    def test_every_zero_leaves_as_plus_zero(self):
+        """A -0.0 on the diagonal, which no rotation touches, and the
+        eigenvector zeros that one 2x2 rotation on Python scalars rounds to
+        -0.0: every zero that hermitian_eig and hermitian_eig_each hand out,
+        alone or from the stack way, is +0.0."""
+        rng = np.random.default_rng(131)
+        ms = [np.diag([-0.0, 1.0]).astype(complex)] + [random_hermitian(rng, 2) for _ in range(la.SMALL_STACK)]
+        for dec in (*map(hermitian_eig, ms), *la.hermitian_eig_each(ms)):
+            for part in (dec.eigenvalues, dec.eigenvectors.real, dec.eigenvectors.imag):
+                assert not np.signbit(part[part == 0.0]).any()
+
 
 HUGE_SCALES = (1e160, 1e200, 1e300)
 
@@ -543,8 +553,8 @@ class TestRescale:
         outs = la.hermitian_eig_each(ms)
         for j, m in enumerate(ms):
             alone = hermitian_eig(m)
-            assert same_bits(outs[j].eigenvalues, alone.eigenvalues, any_zero_sign=True), j
-            assert same_bits(outs[j].eigenvectors, alone.eigenvectors, any_zero_sign=True), j
+            assert same_bits(outs[j].eigenvalues, alone.eigenvalues), j
+            assert same_bits(outs[j].eigenvectors, alone.eigenvectors), j
 
     @pytest.mark.parametrize("n", (2, 3, 12))
     def test_power_of_two_scale_is_exact(self, n):
@@ -565,8 +575,8 @@ class TestRescale:
         eigs, vecs = WAYS["scalar" if n < la.SMALL_DIM else "vectorized"](m)
         order = np.argsort(eigs, kind="stable")
         dec = hermitian_eig(m)
-        assert same_bits(dec.eigenvalues, eigs[order])
-        assert same_bits(dec.eigenvectors, vecs[:, order])
+        assert same_bits(dec.eigenvalues, handed_out(eigs[order]))
+        assert same_bits(dec.eigenvectors, handed_out(vecs[:, order]))
 
     def test_eigenvalue_beyond_the_float_range_is_a_domain_error(self):
         m = np.full((2, 2), 1e308)
@@ -653,8 +663,8 @@ class TestHugeNorms:
         else:
             assert require_hermitian(m) is not None
             for out in (each, in_stack):
-                assert same_bits(out.eigenvalues, alone.eigenvalues, any_zero_sign=True)
-                assert same_bits(out.eigenvectors, alone.eigenvectors, any_zero_sign=True)
+                assert same_bits(out.eigenvalues, alone.eigenvalues)
+                assert same_bits(out.eigenvectors, alone.eigenvectors)
 
     def test_real_input_is_measured_as_its_complex_copy(self):
         m = 2.0**500 * np.array([[1.0, 1.5e-10], [0.0, 1.0]])
@@ -687,7 +697,7 @@ class TestApply:
         values = rng.standard_normal((20, 3))
         for j, m in enumerate(ms):
             alone = hermitian_eig(m)
-            assert same_bits(outs[j].apply(values[j]), alone.apply(values[j]), any_zero_sign=True), j
+            assert same_bits(outs[j].apply(values[j]), alone.apply(values[j])), j
 
 
 class TestNonFiniteInput:
@@ -714,8 +724,8 @@ class TestNonFiniteInput:
                 require_hermitian(m)
         assert [math.isnan(d) for d in stacked.tolist()] == [False, True, False, True, False]
         # the finite members keep their bits
-        assert stacked[[0, 2, 4]].tobytes() == np.array(alone).tobytes()
-        assert stacked[[0, 2, 4]].tobytes() == la.hermiticity_defect(np.stack(finite)).tobytes()
+        assert same_bits(stacked[[0, 2, 4]], alone)
+        assert same_bits(stacked[[0, 2, 4]], la.hermiticity_defect(np.stack(finite)))
 
 
 class TestMatrixFunction:

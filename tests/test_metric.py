@@ -30,6 +30,7 @@ from monometric.sampling import (
     random_unitary,
 )
 from monometric.verify import _invalid_kernel
+from oracle_loops import same_bits
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 BURES_SPEC = MetricSpec(c=BridgeMC(0.0))
@@ -114,8 +115,9 @@ class TestStateStacks:
                 assert str(out) == str(exc)
             else:
                 assert isinstance(out, DensityMatrix)
-                assert np.array_equal(out.matrix, single.matrix)
-                assert np.allclose(out.eig.eigenvalues, single.eig.eigenvalues, rtol=0.0, atol=1e-14)
+                assert same_bits(out.matrix, single.matrix)
+                assert same_bits(out.eig.eigenvalues, single.eig.eigenvalues)
+                assert same_bits(out.eig.eigenvectors, single.eig.eigenvectors)
         assert sum(isinstance(out, DensityMatrix) for out in outcomes) == 5
 
     def test_eigensolver_errors_are_members_outcomes(self, monkeypatch):
@@ -178,8 +180,8 @@ def test_a_state_does_not_depend_on_its_batch(n):
     alone = [DensityMatrix.from_matrix(m) for m in ms]
     for count in sorted({max(k - 1, 2), max(k, 2), k + 1}):
         for state, single in zip(DensityMatrix.from_matrices(ms[:count]), alone):
-            assert np.array_equal(state.eig.eigenvalues, single.eig.eigenvalues), count
-            assert np.array_equal(state.eig.eigenvectors, single.eig.eigenvectors), count
+            assert same_bits(state.eig.eigenvalues, single.eig.eigenvalues), count
+            assert same_bits(state.eig.eigenvectors, single.eig.eigenvectors), count
             assert metric_quadratic(spec, state, a) == metric_quadratic(spec, single, a), count
 
 

@@ -621,7 +621,7 @@ class TestOperatorMonotonicity:
 
 
 # arguments every trial-running receiver rejects: check_operator_monotone,
-# run_verification
+# run_verification; a seed is a whole number of at least zero
 BAD_TRIAL_ARGUMENTS = {
     "no-trials": {"trials": 0},
     "fractional-trials": {"trials": 2.5},
@@ -631,14 +631,17 @@ BAD_TRIAL_ARGUMENTS = {
     "half-dim": {"dims": (2.5,)},
     "string-dim": {"dims": ("2",)},
     "dims-not-a-list": {"dims": 3},
+    "negative-seed": {"seed": -1},
+    "fractional-seed": {"seed": 1.5},
+    "string-seed": {"seed": "7"},
 }
 
 
 @pytest.mark.parametrize("bad", BAD_TRIAL_ARGUMENTS)
 def test_check_operator_monotone_rejects_bad_arguments(bad):
-    kwargs = {"trials": 3, "dims": (2, 3), **BAD_TRIAL_ARGUMENTS[bad]}
+    kwargs = {"trials": 3, "dims": (2, 3), "seed": 0, **BAD_TRIAL_ARGUMENTS[bad]}
     with pytest.raises(DomainError):
-        check_operator_monotone(GammaFamily(0.5), seed=0, **kwargs)
+        check_operator_monotone(GammaFamily(0.5), **kwargs)
 
 
 def test_check_operator_monotone_with_fewer_trials_than_dims():

@@ -24,7 +24,9 @@ field ``_kept_integral`` in any of those ways. And every test's
 ``approx`` states its ``abs=``, under whatever name its module binds
 ``pytest.approx`` to: pytest's defaults, ``rel=1e-6`` and
 ``abs=1e-12``, would otherwise pass a value far more loosely than it
-allows, and a small expected value more loosely still."""
+allows, and a small expected value more loosely still. No test compares
+arrays with ``np.array_equal`` or ``np.array_equiv``, which count -0.0 as
+0.0: a bit-for-bit claim goes through ``oracle_loops.same_bits``."""
 
 import ast
 from pathlib import Path
@@ -345,3 +347,35 @@ def test_every_test_module_is_checked():
 @pytest.mark.parametrize("path", TESTS, ids=lambda p: p.name)
 def test_every_relative_approx_states_its_abs(path):
     assert approx_without_abs(path.read_text(encoding="utf-8")) == []
+
+
+LOOSE_EQUALITIES = {"array_equal", "array_equiv"}
+
+
+def loose_equalities(source: str) -> list[int]:
+    """The lines that name ``array_equal`` or ``array_equiv``, as an
+    attribute or an imported name, called or not."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr in LOOSE_EQUALITIES) or (
+            isinstance(node, ast.alias) and node.name in LOOSE_EQUALITIES
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_finds_a_loose_array_comparison_however_it_is_written():
+    for source in (
+        "assert np.array_equal(a, b)\n",
+        "assert numpy.array_equiv(a, b)\n",
+        "from numpy import array_equal\n",
+        "from numpy import array_equiv as same\n",
+        "check = np.array_equal\n",
+    ):
+        assert loose_equalities(source) == [1], source
+    assert loose_equalities("assert same_bits(a, b)\nx = 'np.array_equal'\narray_equal = 1\n") == []
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda p: p.name)
+def test_no_test_compares_arrays_with_array_equal(path):
+    assert loose_equalities(path.read_text(encoding="utf-8")) == []

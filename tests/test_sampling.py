@@ -8,7 +8,7 @@ import pytest
 
 from monometric import DegenerateSample, DomainError
 from monometric.sampling import ginibre, orthonormal_columns, orthonormal_columns_each, random_unitary
-from oracle_loops import gram_schmidt_loop
+from oracle_loops import gram_schmidt_loop, same_bits
 
 SHAPES = [(rows, cols) for rows in range(2, 25) for cols in range(2, min(rows, 8) + 1)]
 
@@ -25,7 +25,7 @@ def assert_same(got, expected):
     if isinstance(expected, DegenerateSample):
         assert (type(got), str(got)) == (DegenerateSample, str(expected))
     else:
-        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+        assert same_bits(got, expected)
 
 
 @pytest.mark.parametrize("rows, cols", SHAPES, ids=[f"{r}x{c}" for r, c in SHAPES])

@@ -29,7 +29,7 @@ from monometric import (
 from monometric.channels import monotonicity_trial_each, random_channel_each
 from monometric.cli import main
 from monometric.sampling import random_density, random_tangent, random_unitary
-from oracle_loops import random_channel_loop, same_channel
+from oracle_loops import random_channel_loop, same_bits, same_channel
 from monometric.verify import (
     CONTRACTION_DRAWS_PER_TRIAL,
     _contraction_worst,
@@ -37,6 +37,7 @@ from monometric.verify import (
     _invalid_kernel,
     _Run,
     _trial_base_states,
+    report_to_dict,
     run_chentsov_suite,
     run_metric_suite,
     run_monotone_suite,
@@ -479,7 +480,7 @@ def test_pinching_trials_are_one_batch_and_the_per_trial_loop(trials, dims, seed
     loop = pinching_loop(run)
     batches = spy(monkeypatch, monometric.verify, "monotonicity_trial_each")
     residuals = list(monometric.verify._pinching_contraction(run))
-    assert np.array(residuals).tobytes() == np.array(loop).tobytes()
+    assert same_bits(residuals, loop)
     assert [len(tangents) for _, _, _, tangents in batches] == [min(trials, 50)]
 
 
@@ -553,8 +554,8 @@ def test_base_states_diagonalized_as_stacks_are_what_they_are_alone(monkeypatch)
     assert [n for _, n, _ in stacked] == [run.dims[k % 2] for k in range(trials)]
     for _, _, state in stacked:
         alone = DensityMatrix.from_matrix(state.matrix)
-        assert np.array_equal(alone.eig.eigenvalues, state.eig.eigenvalues)
-        assert np.array_equal(alone.eig.eigenvectors, state.eig.eigenvectors)
+        assert same_bits(alone.eig.eigenvalues, state.eig.eigenvalues)
+        assert same_bits(alone.eig.eigenvectors, state.eig.eigenvectors)
 
 
 def test_rejecting_every_image_still_hits_the_draw_cap(monkeypatch):
@@ -613,9 +614,31 @@ def test_nan_monotone_function_fails_operator_monotonicity(capsys, monkeypatch):
         {"suite": "metric", "trials": 1, "dims": (2.5,)},
         {"suite": "metric", "trials": 1, "dims": ("2",)},
         {"suite": "metric", "trials": 1, "dims": (2.7,)},
+        {"suite": "metric", "trials": 1, "seed": -1},
+        {"suite": "metric", "trials": 1, "seed": 1.5},
+        {"suite": "metric", "trials": 1, "seed": "7"},
     ],
-    ids=["unknown-suite", "no-trials", "no-dims", "dim-9", "fractional-trials", "half-dim", "string-dim", "fractional-dim"],
+    ids=[
+        "unknown-suite",
+        "no-trials",
+        "no-dims",
+        "dim-9",
+        "fractional-trials",
+        "half-dim",
+        "string-dim",
+        "fractional-dim",
+        "negative-seed",
+        "fractional-seed",
+        "string-seed",
+    ],
 )
 def test_run_verification_rejects_bad_arguments(kwargs):
     with pytest.raises(DomainError):
-        run_verification(seed=0, **kwargs)
+        run_verification(**{"seed": 0, **kwargs})
+
+
+def test_a_seed_is_taken_as_the_int_it_stands_for():
+    """A numpy integer seed runs and reports as the int it equals."""
+    report = run_verification("metric", 1, np.int64(4))
+    assert type(report.seed) is int
+    assert json.dumps(report_to_dict(report)) == json.dumps(report_to_dict(run_verification("metric", 1, 4)))
